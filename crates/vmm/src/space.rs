@@ -698,6 +698,10 @@ impl TenantFrames {
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     regions: Vec<Option<Region>>,
+    /// Ids of the mapped regions, ascending. Every scan walks this list,
+    /// so its cost follows the live regions, not every region ever
+    /// mapped.
+    live: Vec<u32>,
     next_base: u64,
     /// Slot generation per tenant; bumped on every (re)admission so
     /// regions can prove which occupancy of a recycled slot mapped them.
@@ -712,6 +716,7 @@ impl AddressSpace {
     pub fn new() -> AddressSpace {
         AddressSpace {
             regions: Vec::new(),
+            live: Vec::new(),
             next_base: 1 << 40,
             tenant_generations: BTreeMap::new(),
         }
@@ -744,6 +749,7 @@ impl AddressSpace {
         self.regions.push(Some(Region::new(
             id, range, page_size, kind, tenant, generation,
         )));
+        self.live.push(id.0);
         id
     }
 
@@ -773,10 +779,17 @@ impl AddressSpace {
 
     /// Fallible form of [`AddressSpace::munmap`].
     pub fn try_munmap(&mut self, id: RegionId) -> Result<Region, StateError> {
-        self.regions
+        let region = self
+            .regions
             .get_mut(id.0 as usize)
             .and_then(Option::take)
-            .ok_or(StateError::MissingRegion(id))
+            .ok_or(StateError::MissingRegion(id))?;
+        let at = self
+            .live
+            .binary_search(&id.0)
+            .expect("mapped region is on the live list");
+        self.live.remove(at);
+        Ok(region)
     }
 
     /// Borrows a live region.
@@ -793,14 +806,13 @@ impl AddressSpace {
             .expect("region was unmapped")
     }
 
-    /// Iterates live regions.
+    /// Iterates live regions in ascending id order, in O(live regions).
     pub fn regions(&self) -> impl Iterator<Item = &Region> {
-        self.regions.iter().flatten()
-    }
-
-    /// Iterates live regions mutably.
-    pub fn regions_mut(&mut self) -> impl Iterator<Item = &mut Region> {
-        self.regions.iter_mut().flatten()
+        self.live.iter().map(|&i| {
+            self.regions[i as usize]
+                .as_ref()
+                .expect("live list names a mapped region")
+        })
     }
 
     /// Finds the region containing `addr`.
@@ -868,12 +880,17 @@ impl AddressSpace {
     /// Rebuilds an address space from a snapshot, reconstructing every
     /// region's residency indices from its page states.
     pub fn restore(snap: SpaceSnapshot) -> AddressSpace {
+        let regions: Vec<Option<Region>> = snap
+            .regions
+            .into_iter()
+            .map(|r| r.map(Region::restore))
+            .collect();
+        let live = (0..regions.len() as u32)
+            .filter(|&i| regions[i as usize].is_some())
+            .collect();
         AddressSpace {
-            regions: snap
-                .regions
-                .into_iter()
-                .map(|r| r.map(Region::restore))
-                .collect(),
+            regions,
+            live,
             next_base: snap.next_base,
             tenant_generations: snap.tenant_generations,
         }
@@ -1288,5 +1305,107 @@ mod swap_tests {
         r.swap_out_page(2, 0);
         assert_eq!(r.mapped_pages_in(0, 4), 3);
         assert_eq!(r.kth_unmapped_page_in(0, 4, 0), Some(2));
+    }
+}
+
+#[cfg(test)]
+mod live_list_tests {
+    use super::*;
+    use hemem_sim::Rng;
+
+    /// The reference the live list must match: every id whose slot
+    /// still holds a region, ascending.
+    fn reference_ids(s: &AddressSpace) -> Vec<RegionId> {
+        s.regions.iter().flatten().map(Region::id).collect()
+    }
+
+    fn reference_frames(s: &AddressSpace, tenant: TenantId) -> TenantFrames {
+        let mut f = TenantFrames::default();
+        for r in s.regions.iter().flatten() {
+            if r.tenant() == tenant && r.kind() == RegionKind::ManagedHeap {
+                let dram = r.dram_pages();
+                let ssd = r.ssd_pages();
+                f.dram_pages += dram;
+                f.nvm_pages += r.mapped_pages() - dram - ssd;
+                f.ssd_pages += ssd;
+                f.wp_pages += r.wp_pages();
+                f.swapped_pages += r.swapped_pages();
+            }
+        }
+        f
+    }
+
+    /// Checks the live list against the reference scans, and `page_at`
+    /// against every range ever mapped.
+    fn check(s: &AddressSpace, ever: &[VirtRange]) {
+        let ids: Vec<RegionId> = s.regions().map(Region::id).collect();
+        assert_eq!(ids, reference_ids(s), "live list vs reference filter");
+        for t in 0..4 {
+            assert_eq!(
+                s.tenant_frames(TenantId(t)),
+                reference_frames(s, TenantId(t)),
+                "tenant {t} frames"
+            );
+        }
+        for (i, range) in ever.iter().enumerate() {
+            let id = RegionId(i as u32);
+            let live = ids.contains(&id);
+            for addr in [range.base.0, range.base.0 + range.len / 2, range.end() - 1] {
+                let hit = s.page_at(VirtAddr(addr)).map(|p| p.region);
+                assert_eq!(hit, live.then_some(id), "page_at({addr:#x})");
+            }
+            // The guard gap past each range belongs to no region.
+            assert_eq!(s.page_at(VirtAddr(range.end())), None);
+        }
+    }
+
+    #[test]
+    fn live_list_tracks_interleaved_mmap_munmap_and_restore() {
+        let mut rng = Rng::new(0x11FE);
+        let mut s = AddressSpace::new();
+        let mut ever: Vec<VirtRange> = Vec::new();
+        for step in 0..400u64 {
+            let ids = reference_ids(&s);
+            if ids.is_empty() || rng.gen_range(5) < 3 {
+                let tenant = TenantId(rng.gen_range(4) as u32);
+                let kind = if rng.gen_range(4) == 0 {
+                    RegionKind::SmallAnon
+                } else {
+                    RegionKind::ManagedHeap
+                };
+                let pages = 1 + rng.gen_range(6);
+                let id = s.mmap_tagged(pages << 21, PageSize::Huge2M, kind, tenant);
+                let r = s.region_mut(id);
+                r.map_page(0, Tier::Dram, PhysPage(step));
+                if pages > 2 {
+                    r.map_page(1, Tier::Nvm, PhysPage(step));
+                    r.map_page(2, Tier::Ssd, PhysPage(step));
+                    r.set_wp(1, true);
+                }
+                ever.push(s.region(id).range());
+            } else {
+                let id = ids[rng.gen_range(ids.len() as u64) as usize];
+                assert_eq!(s.munmap(id).id(), id);
+                // Unmapping it again fails and leaves the list alone.
+                let before = s.live.clone();
+                assert_eq!(
+                    s.try_munmap(id).map(|_| ()),
+                    Err(StateError::MissingRegion(id))
+                );
+                assert_eq!(s.live, before, "failed try_munmap moved the list");
+            }
+            if step % 50 == 49 {
+                let restored = AddressSpace::restore(s.snapshot());
+                assert_eq!(restored.live, s.live, "restore rebuilds the list");
+                s = restored;
+            }
+            check(&s, &ever);
+        }
+        // An id never handed out fails the same way.
+        let before = s.live.clone();
+        let unborn = RegionId(ever.len() as u32);
+        assert!(s.try_munmap(unborn).is_err());
+        assert_eq!(s.live, before);
+        assert!(s.regions().count() > 0 && s.regions().count() < ever.len());
     }
 }

@@ -29,15 +29,7 @@ use hemem_memdev::Pattern;
 use hemem_sim::Ns;
 use hemem_vmm::TenantId;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
+use crate::fnv::{fnv1a, FNV_OFFSET};
 
 /// A scheduled quota shrink for one tenant.
 #[derive(Debug, Clone, Copy)]

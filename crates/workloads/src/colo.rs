@@ -22,6 +22,7 @@ use hemem_core::runtime::{Event, Sim};
 use hemem_sim::Ns;
 use hemem_vmm::TenantId;
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::graph::{Bc, GraphConfig};
 use crate::gups::{Gups, GupsConfig};
 use crate::kvs::{Kvs, KvsConfig};
@@ -126,16 +127,6 @@ impl ColoResult {
     /// e.g. an all-GUPS mix).
     pub fn aggregate_ops(&self) -> u64 {
         self.per_tenant.iter().map(|t| t.ops).sum()
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 

@@ -26,23 +26,17 @@
 //! runs the same cost (identity gate) or flip both together
 //! (speedup gate).
 
+use std::fmt::Write as _;
+
 use hemem_core::backend::{AccessBatch, SegmentAccess};
 use hemem_core::hemem::HeMem;
 use hemem_core::runtime::{Event, Sim};
 use hemem_core::spawn_cost_ns;
 use hemem_memdev::Pattern;
 use hemem_sim::{Histogram, Ns, Rng};
-use hemem_vmm::TenantId;
+use hemem_vmm::{RegionId, TenantId};
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
+use crate::fnv::{fnv1a, FnvWriter, FNV_OFFSET};
 
 /// A fleet scenario: the arrival process, the lifetime distribution,
 /// and the per-instance workload shape.
@@ -174,11 +168,18 @@ struct Instance {
     slot: TenantId,
     generation: u32,
     arrival: Ns,
-    region: Option<hemem_vmm::RegionId>,
-    total_pages: u64,
-    hot_pages: u64,
+    /// The instance's batch, built once at start (it depends only on
+    /// the region and its page counts) and freed when the thread
+    /// retires so finished instances hold no heap.
+    batch: Option<Box<CachedBatch>>,
     first_touch: Option<Ns>,
     ops: u64,
+}
+
+/// A batch with the `"|{batch:?}"` tail of its stream-hash record.
+struct CachedBatch {
+    batch: AccessBatch,
+    repr: String,
 }
 
 /// Generates the arrival schedule: exponential interarrivals at
@@ -202,15 +203,14 @@ fn schedule(cfg: &FleetConfig) -> Vec<Planned> {
         .collect()
 }
 
-fn batch_for(inst: &Instance, cfg: &FleetConfig) -> AccessBatch {
-    let region = inst.region.expect("batch after start");
+fn batch_for(region: RegionId, total_pages: u64, hot_pages: u64, cfg: &FleetConfig) -> AccessBatch {
     let mut segments = Vec::with_capacity(2);
-    if cfg.hot_set > 0 && inst.hot_pages > 0 {
-        let hot_lo = (inst.total_pages - inst.hot_pages) / 3;
+    if cfg.hot_set > 0 && hot_pages > 0 {
+        let hot_lo = (total_pages - hot_pages) / 3;
         segments.push(SegmentAccess {
             region,
             lo_page: hot_lo,
-            hi_page: hot_lo + inst.hot_pages,
+            hi_page: hot_lo + hot_pages,
             weight: 0.9,
             llc_footprint: cfg.hot_set.max(1),
             write_fraction: None,
@@ -218,7 +218,7 @@ fn batch_for(inst: &Instance, cfg: &FleetConfig) -> AccessBatch {
         segments.push(SegmentAccess {
             region,
             lo_page: 0,
-            hi_page: inst.total_pages,
+            hi_page: total_pages,
             weight: 0.1,
             llc_footprint: cfg.working_set,
             write_fraction: None,
@@ -227,7 +227,7 @@ fn batch_for(inst: &Instance, cfg: &FleetConfig) -> AccessBatch {
         segments.push(SegmentAccess {
             region,
             lo_page: 0,
-            hi_page: inst.total_pages,
+            hi_page: total_pages,
             weight: 1.0,
             llc_footprint: cfg.working_set,
             write_fraction: None,
@@ -300,12 +300,14 @@ pub fn run_fleet_with(
                     KIND_ARRIVAL => {
                         let Some(t) = sim.backend.slot_pool().next_free() else {
                             shed += 1;
-                            fnv1a(&mut fingerprint, format!("shed|{idx}").as_bytes());
+                            write!(FnvWriter(&mut fingerprint), "shed|{idx}")
+                                .expect("hashing cannot fail");
                             continue;
                         };
                         if sim.backend.admit_tenant(&mut sim.m, t, now).is_err() {
                             shed += 1;
-                            fnv1a(&mut fingerprint, format!("shed|{idx}").as_bytes());
+                            write!(FnvWriter(&mut fingerprint), "shed|{idx}")
+                                .expect("hashing cannot fail");
                             continue;
                         }
                         let a = instances.len();
@@ -314,17 +316,17 @@ pub fn run_fleet_with(
                             slot: t,
                             generation,
                             arrival: now,
-                            region: None,
-                            total_pages: 0,
-                            hot_pages: 0,
+                            batch: None,
                             first_touch: None,
                             ops: 0,
                         });
                         occupant[t.0 as usize] = Some(a);
-                        fnv1a(
-                            &mut fingerprint,
-                            format!("admit|{idx}|{a}|{}|{generation}", t.0).as_bytes(),
-                        );
+                        write!(
+                            FnvWriter(&mut fingerprint),
+                            "admit|{idx}|{a}|{}|{generation}",
+                            t.0
+                        )
+                        .expect("hashing cannot fail");
                         // The spawn cost separates admission from first
                         // touch: slot claim vs from-scratch rebuild.
                         let cost = spawn_cost_ns(cfg.charge_pooled_cost, cfg.slot_pages);
@@ -347,9 +349,10 @@ pub fn run_fleet_with(
                             let r = sim.m.space.region(region);
                             (r.page_size().bytes(), r.page_count())
                         };
-                        inst.region = Some(region);
-                        inst.total_pages = total_pages;
-                        inst.hot_pages = cfg.hot_set.div_ceil(page_bytes).min(total_pages);
+                        let hot_pages = cfg.hot_set.div_ceil(page_bytes).min(total_pages);
+                        let batch = batch_for(region, total_pages, hot_pages, cfg);
+                        let repr = format!("|{batch:?}");
+                        inst.batch = Some(Box::new(CachedBatch { batch, repr }));
                         sim.schedule_thread(now, idx as u32);
                         live_threads += 1;
                         sim.set_app_threads(live_threads);
@@ -376,15 +379,17 @@ pub fn run_fleet_with(
                 if occupant[inst.slot.0 as usize] != Some(idx)
                     || !sim.backend.tenant_is_live(inst.slot)
                 {
+                    inst.batch = None;
                     live_threads -= 1;
                     sim.set_app_threads(live_threads.max(1));
                     continue;
                 }
-                let b = batch_for(inst, cfg);
-                let repr = format!("{idx}|{b:?}");
-                fnv1a(&mut fingerprint, repr.as_bytes());
-                sim.submit_batch(tid, &b);
-                instances[idx].ops += cfg.batch_ops;
+                // Byte-for-byte the hash of `format!("{idx}|{batch:?}")`.
+                let cached = inst.batch.as_deref().expect("thread runs after start");
+                write!(FnvWriter(&mut fingerprint), "{idx}").expect("hashing cannot fail");
+                fnv1a(&mut fingerprint, cached.repr.as_bytes());
+                sim.submit_batch(tid, &cached.batch);
+                inst.ops += cfg.batch_ops;
             }
             _ => unreachable!("step only returns workload events"),
         }
@@ -475,6 +480,23 @@ mod tests {
         assert!(stats.recycles > 0, "no slot was recycled");
         assert_eq!(stats.spawns, a.admitted);
         assert_eq!(a_sim.run_audit(false), Vec::new(), "fleet audit silent");
+    }
+
+    /// The stream hash of the `small_cfg` run, recorded when every
+    /// batch record was hashed through `format!("{idx}|{batch:?}")`:
+    /// caching the batch per instance must not move a byte of it.
+    const SMALL_CFG_FINGERPRINT: u64 = 0x4144a8cea50f9695;
+
+    #[test]
+    fn stream_hash_is_pinned() {
+        let mut sim = fleet_sim(8);
+        let r = run_fleet(&mut sim, &small_cfg());
+        assert_eq!(
+            r.fingerprint, SMALL_CFG_FINGERPRINT,
+            "{:#018x}",
+            r.fingerprint
+        );
+        assert_eq!((r.admitted, r.total_ops), (23, 55_455_000));
     }
 
     #[test]

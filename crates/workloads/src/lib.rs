@@ -12,6 +12,7 @@
 pub mod churn;
 pub mod colo;
 pub mod fleet;
+mod fnv;
 pub mod graph;
 pub mod gups;
 pub mod kvs;

@@ -32,6 +32,12 @@ cargo build --release --workspace
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# simbench is its own package (not a workspace member): its tests pin
+# the twin <-> library digest parity and the output schema, so a change
+# that moves a simulated byte fails here and not only at benchmark time.
+echo "== cargo test simbench"
+cargo test -q --offline --manifest-path simbench/Cargo.toml
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
