@@ -220,7 +220,6 @@ impl TieredBackend for MemoryMode {
         TickOutput {
             next_wake: None,
             migrations: Vec::new(),
-            swap_outs: Vec::new(),
             cpu_time: Ns::ZERO,
         }
     }

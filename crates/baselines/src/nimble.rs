@@ -163,7 +163,6 @@ impl TieredBackend for Nimble {
         TickOutput {
             next_wake: Some(now + busy + self.cfg.idle_gap),
             migrations,
-            swap_outs: Vec::new(),
             cpu_time: busy,
         }
     }

@@ -146,7 +146,6 @@ impl TieredBackend for HeMemPt {
                 TickOutput {
                     next_wake: Some(now + busy.max(self.cfg.policy.period)),
                     migrations,
-                    swap_outs: Vec::new(),
                     cpu_time: busy,
                 }
             }
@@ -169,7 +168,6 @@ impl TieredBackend for HeMemPt {
                 TickOutput {
                     next_wake: Some(now + self.cfg.policy.period),
                     migrations,
-                    swap_outs: Vec::new(),
                     cpu_time: Ns::micros(50),
                 }
             }

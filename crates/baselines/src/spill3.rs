@@ -80,7 +80,6 @@ impl TieredBackend for SpillTier3 {
         TickOutput {
             next_wake: None,
             migrations: Vec::new(),
-            swap_outs: Vec::new(),
             cpu_time: Ns::ZERO,
         }
     }

@@ -105,7 +105,6 @@ impl TieredBackend for StaticTier {
         TickOutput {
             next_wake: None,
             migrations: Vec::new(),
-            swap_outs: Vec::new(),
             cpu_time: Ns::ZERO,
         }
     }

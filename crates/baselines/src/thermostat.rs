@@ -197,7 +197,6 @@ impl TieredBackend for Thermostat {
         TickOutput {
             next_wake: Some(now + self.cfg.epoch),
             migrations: jobs,
-            swap_outs: Vec::new(),
             cpu_time: Ns::micros(100),
         }
     }

@@ -1,9 +1,11 @@
-//! Extension experiment (§3.4 "Swapping"): NVMe swap as a third tier.
+//! Extension experiment (§3.4 "Swapping"): an NVMe SSD as a third tier.
 //!
 //! A working set larger than DRAM + NVM combined is impossible for the
-//! two-tier configurations; with a swap device HeMem pages the coldest
-//! NVM pages to disk and keeps running. The sweep shows throughput
-//! degrading gracefully as the working set outgrows each tier.
+//! two-tier configurations; with the SSD tier HeMem demotes the coldest
+//! NVM pages onto it (they stay mapped and major-fault back on access)
+//! and keeps running. The sweep shows throughput degrading gracefully as
+//! the working set outgrows each tier. `swap-outs` counts direct-reclaim
+//! demotions onto the SSD and `swap-ins` promotions back off it.
 
 use hemem_bench::{ExpArgs, Report};
 use hemem_core::hemem::{HeMem, HeMemConfig};
@@ -19,14 +21,8 @@ fn main() {
     let nvm = mc_probe.nvm.capacity / GIB;
     let mut rep = Report::new(
         "ablate_swap",
-        &format!("Three-tier swap (DRAM {dram} GiB + NVM {nvm} GiB + NVMe swap)"),
-        &[
-            "WSS (GiB)",
-            "GUPS",
-            "swap-outs",
-            "swap-ins",
-            "pages on disk",
-        ],
+        &format!("Three-tier swap (DRAM {dram} GiB + NVM {nvm} GiB + NVMe SSD tier)"),
+        &["WSS (GiB)", "GUPS", "swap-outs", "swap-ins", "pages on SSD"],
     );
     // Sweep across both capacity cliffs: DRAM and DRAM+NVM.
     let sweep = [
@@ -37,21 +33,21 @@ fn main() {
         (dram + nvm) * 5 / 4,
     ];
     for ws in sweep {
-        let mc = args.machine().with_swap(4 * (dram + nvm) * GIB);
+        let mc = args.machine().with_tier3(4 * (dram + nvm) * GIB);
         let mut hc = HeMemConfig::scaled_for(&mc);
-        hc.swap_watermark = (nvm * GIB / 64).max(64 << 20);
+        hc.nvm_watermark = (nvm * GIB / 64).max(64 << 20);
         let mut sim = Sim::new(mc, HeMem::new(hc));
         let mut cfg = GupsConfig::paper(ws * GIB, (dram * GIB) / 4);
         cfg.warmup = Ns::secs(30);
         cfg.duration = Ns::secs(args.seconds.unwrap_or(8));
         let r = run_gups(&mut sim, cfg);
-        let swapped: u64 = sim.m.space.regions().map(|reg| reg.swapped_pages()).sum();
+        let on_ssd: u64 = sim.m.space.regions().map(|reg| reg.ssd_pages()).sum();
         rep.row(&[
             ws.to_string(),
             format!("{:.4}", r.gups),
             sim.m.stats.swap_outs.to_string(),
             sim.m.stats.swap_ins.to_string(),
-            swapped.to_string(),
+            on_ssd.to_string(),
         ]);
     }
     rep.emit();

@@ -68,8 +68,7 @@ pub enum AuditViolation {
         /// Tier the tracker believes the page is on (`None`: untracked /
         /// not resident).
         tracked: Option<Tier>,
-        /// Tier the address space maps the page on (`None`: unmapped or
-        /// swapped).
+        /// Tier the address space maps the page on (`None`: unmapped).
         mapped: Option<Tier>,
     },
     /// One physical frame is referenced by regions (or in-flight
@@ -157,8 +156,7 @@ pub enum AuditViolation {
     StaleShadowMapped {
         /// The page with the stale shadow.
         page: hemem_vmm::PageId,
-        /// Tier the primary actually lives on (`None`: unmapped or
-        /// swapped out).
+        /// Tier the primary actually lives on (`None`: unmapped).
         primary: Option<Tier>,
     },
     /// The NVM pool's shadow-held sub-count disagrees with the number of

@@ -157,9 +157,6 @@ pub struct TickOutput {
     pub next_wake: Option<Ns>,
     /// Migrations to start now.
     pub migrations: Vec<MigrationJob>,
-    /// Pages to swap out to disk (three-tier configurations only; ignored
-    /// when the machine has no swap device).
-    pub swap_outs: Vec<PageId>,
     /// CPU time the background thread(s) burned this tick (informational;
     /// steady background threads are modelled via
     /// [`TieredBackend::background_threads`]).
@@ -237,15 +234,16 @@ pub trait TieredBackend {
     /// remains on `current` and should be re-enqueued.
     fn migration_aborted(&mut self, _m: &mut MachineCore, _page: PageId, _current: Tier) {}
 
-    /// A page finished swapping out to disk; the backend should drop it
-    /// from its queues (it re-enters via [`TieredBackend::placed`] when
-    /// faulted back in).
+    /// A page lost its frame without moving anywhere: the runtime
+    /// poisoned it after its tier went offline. The backend should drop
+    /// it from its queues (it re-enters via [`TieredBackend::placed`]
+    /// when faulted back in). simbench's `Timed` wrapper forwards it too.
     fn swapped_out(&mut self, _m: &mut MachineCore, _page: PageId) {}
 
     /// Direct reclaim: both memory tiers are exhausted and a fault needs a
-    /// frame *now*. Return a victim page to swap out synchronously, or
-    /// `None` if the backend cannot reclaim (the machine then panics,
-    /// matching an OOM kill).
+    /// frame *now*. Return a victim page to demote onto the SSD tier
+    /// synchronously, or `None` if the backend cannot reclaim (the
+    /// machine then panics, matching an OOM kill).
     fn reclaim_victim(&mut self, _m: &mut MachineCore) -> Option<PageId> {
         None
     }

@@ -2,8 +2,7 @@
 //!
 //! The runtime's fault and reclaim paths used to `panic!` on exhaustion;
 //! under fault injection these conditions become reachable, so they are
-//! typed here and surfaced through `Sim::try_fault_page` /
-//! `Sim::try_direct_reclaim`. The infallible `Sim::fault_page` keeps the
+//! typed here and surfaced through `Sim::try_fault_page`. The infallible `Sim::fault_page` keeps the
 //! original semantics — a fault that cannot be satisfied is the machine's
 //! OOM kill — by panicking centrally with the typed cause.
 
@@ -15,13 +14,13 @@ pub enum MemError {
     /// Both memory tiers are exhausted and the backend has nothing left
     /// to reclaim.
     OutOfMemory,
-    /// A swapped page or a reclaim path needs the swap device and none is
-    /// configured.
+    /// Direct reclaim needs somewhere to demote to: no online tier below
+    /// the memory tiers.
     NoSwapDevice,
-    /// The swap file has no free slots left.
+    /// The SSD tier has no free frames left.
     SwapExhausted,
     /// The backend handed a reclaim victim that is not a plain mapped
-    /// page (already migrating, swapped, or unmapped).
+    /// page (already migrating, on the SSD, or unmapped).
     ReclaimVictimBusy(PageId),
 }
 
@@ -31,8 +30,10 @@ impl core::fmt::Display for MemError {
             MemError::OutOfMemory => {
                 write!(f, "both memory tiers exhausted and backend cannot reclaim")
             }
-            MemError::NoSwapDevice => write!(f, "operation requires a swap device and none exists"),
-            MemError::SwapExhausted => write!(f, "swap file exhausted"),
+            MemError::NoSwapDevice => {
+                write!(f, "no online tier below the memory tiers to reclaim into")
+            }
+            MemError::SwapExhausted => write!(f, "SSD tier exhausted"),
             MemError::ReclaimVictimBusy(p) => {
                 write!(f, "reclaim victim {p:?} is not a plain mapped page")
             }
@@ -50,8 +51,10 @@ mod tests {
     #[test]
     fn errors_render() {
         assert!(MemError::OutOfMemory.to_string().contains("exhausted"));
-        assert!(MemError::NoSwapDevice.to_string().contains("swap device"));
-        assert!(MemError::SwapExhausted.to_string().contains("swap file"));
+        assert!(MemError::NoSwapDevice
+            .to_string()
+            .contains("no online tier"));
+        assert!(MemError::SwapExhausted.to_string().contains("SSD tier"));
         let p = PageId {
             region: RegionId(1),
             index: 7,

@@ -30,16 +30,12 @@ pub struct HeMemConfig {
     /// Disables migration entirely (tracking-only configurations in the
     /// Figure 8 overhead breakdown). `false` only in ablations.
     pub enable_migration: bool,
-    /// Swap cold NVM pages to the machine's disk once NVM free space falls
-    /// below this watermark (§3.4's third tier); 0 disables swapping.
-    pub swap_watermark: u64,
-    /// Demote cold NVM pages to the SSD capacity tier once NVM free space
-    /// falls below this watermark, keeping the demotion cascade
-    /// DRAM→NVM→SSD flowing under pressure; 0 disables it. Only
-    /// effective on machines configured with a tier-3 device
-    /// (`MachineConfig::with_tier3`). Unlike `swap_watermark`'s unmap-
-    /// to-slot path, demoted pages stay mapped on `Tier::Ssd` and fault
-    /// back through the device queue on access.
+    /// Demote cold NVM pages to the SSD capacity tier (§3.4's third
+    /// tier) once NVM free space falls below this watermark, keeping the
+    /// demotion cascade DRAM→NVM→SSD flowing under pressure; 0 disables
+    /// it. Only effective on machines configured with a tier-3 device
+    /// (`MachineConfig::with_tier3`). Demoted pages stay mapped on
+    /// `Tier::Ssd` and fault back through the device queue on access.
     #[serde(default)]
     pub nvm_watermark: u64,
     /// Consecutive migration aborts that trip a tenant's circuit breaker
@@ -69,7 +65,6 @@ impl HeMemConfig {
             policy: PolicyConfig::default(),
             manage_threshold: 1 << 30,
             enable_migration: true,
-            swap_watermark: 0,
             nvm_watermark: 0,
             breaker_threshold: default_breaker_threshold(),
         }
@@ -777,37 +772,6 @@ impl TieredBackend for HeMem {
                 }
             }
         }
-        // Third tier (§3.4): when NVM itself runs low, page the coldest
-        // NVM pages out to the swap device. Tenants are victimized
-        // round-robin; with one tenant this degenerates to the plain
-        // pop loop.
-        let mut swap_outs = Vec::new();
-        if self.cfg.swap_watermark > 0 && m.disk.is_some() {
-            let page_bytes = m.cfg.managed_page.bytes();
-            let mut need = self
-                .cfg
-                .swap_watermark
-                .saturating_sub(m.nvm_pool.free_bytes());
-            while need > 0 && swap_outs.len() < 64 {
-                let mut popped = false;
-                for ts in &mut self.pool.slots {
-                    if need == 0 || swap_outs.len() >= 64 {
-                        break;
-                    }
-                    if ts.lifecycle != Lifecycle::Live {
-                        continue;
-                    }
-                    if let Some(victim) = ts.tracker.pop_swap_victim() {
-                        swap_outs.push(victim);
-                        need = need.saturating_sub(page_bytes);
-                        popped = true;
-                    }
-                }
-                if !popped {
-                    break;
-                }
-            }
-        }
         // Balloon deadline enforcement: while a shrink drains, the
         // scoped watermark pass above does the work. Once the claim
         // reaches the target the cap lifts; past the deadline the
@@ -879,7 +843,6 @@ impl TieredBackend for HeMem {
         TickOutput {
             next_wake: Some(now + self.cfg.policy.period),
             migrations,
-            swap_outs,
             cpu_time: Ns::micros(20),
         }
     }
@@ -890,9 +853,8 @@ impl TieredBackend for HeMem {
     }
 
     fn reclaim_victim(&mut self, m: &mut MachineCore) -> Option<PageId> {
-        // Victims can go somewhere only when a slower tier exists: the
-        // SSD capacity tier or the legacy swap device.
-        if m.disk.is_none() && !m.has_ssd() {
+        // Victims can go somewhere only when the SSD tier exists.
+        if !m.has_ssd() {
             return None;
         }
         // Coldest NVM page first; fall back to cold DRAM under extreme
@@ -1136,10 +1098,9 @@ impl TieredBackend for HeMem {
             }
             // Frame conservation per tier: a resident page is either in
             // one of the tenant's queues or in flight (its journal entry
-            // names the tier it is still mapped on). Swap-outs in flight
-            // and pinned regions sit outside the queues, so the check
-            // only runs when neither feature is active.
-            if self.cfg.swap_watermark == 0 && self.pinned.is_empty() && m.disk.is_none() {
+            // names the tier it is still mapped on). Pinned regions sit
+            // outside the queues, so the check only runs without them.
+            if self.pinned.is_empty() {
                 let queued =
                     |a: Queue, b: Queue| (ts.tracker.queue_len(a) + ts.tracker.queue_len(b)) as u64;
                 for &tier in m.tiers() {
@@ -1333,46 +1294,53 @@ mod tests {
 }
 
 #[cfg(test)]
-mod swap_tests {
+mod tier3_tests {
     use super::*;
     use crate::backend::AccessBatch;
+    use crate::error::MemError;
     use crate::machine::MachineConfig;
     use crate::runtime::{Event, Sim};
     use hemem_memdev::GIB;
+    use hemem_vmm::PageId;
 
-    fn swap_sim() -> Sim<HeMem> {
-        let mc = MachineConfig::small(1, 2).with_swap(16 * GIB);
+    /// 1 GiB DRAM + 2 GiB NVM + an SSD tier of `ssd` bytes, with the
+    /// NVM watermark at `watermark` bytes.
+    fn tier3_sim(ssd: u64, watermark: u64) -> Sim<HeMem> {
+        let mc = MachineConfig::small(1, 2).with_tier3(ssd);
         let mut hc = HeMemConfig::scaled_for(&mc);
-        hc.swap_watermark = 256 << 20; // keep 128 NVM pages free
+        hc.nvm_watermark = watermark;
         Sim::new(mc, HeMem::new(hc))
     }
 
     #[test]
-    fn cold_nvm_pages_swap_out_under_pressure() {
-        let mut s = swap_sim();
-        // 3 GiB over 1 GiB DRAM + 2 GiB NVM: NVM fills completely.
+    fn cold_nvm_pages_demote_to_ssd_under_pressure() {
+        // Keep 128 NVM pages free. 3 GiB over 1 GiB DRAM + 2 GiB NVM:
+        // NVM fills completely.
+        let mut s = tier3_sim(16 * GIB, 256 << 20);
         let id = s.mmap(3 * GIB);
         s.populate(id, true);
         s.advance(Ns::secs(5));
-        assert!(s.m.stats.swap_outs > 0, "cold NVM pages paged out");
+        let r = s.m.space.region(id);
+        assert!(r.ssd_pages() > 0, "cold NVM pages demoted to the SSD");
+        assert_eq!(r.mapped_pages(), 1536, "demoted pages stay mapped");
+        assert_eq!(s.m.ssd_pool.allocated_pages(), r.ssd_pages());
         assert!(
             s.m.nvm_pool.free_bytes() > 0,
-            "swap restored NVM headroom: {} free",
+            "demotion restored NVM headroom: {} free",
             s.m.nvm_pool.free_bytes()
         );
-        let r = s.m.space.region(id);
-        assert_eq!(r.swapped_pages(), s.m.stats.swap_outs - s.m.stats.swap_ins);
+        assert_eq!(s.run_audit(true), Vec::new());
     }
 
     #[test]
-    fn swapped_pages_fault_back_in_on_access() {
-        let mut s = swap_sim();
+    fn ssd_resident_pages_major_fault_back_on_access() {
+        let mut s = tier3_sim(16 * GIB, 256 << 20);
         let id = s.mmap(3 * GIB);
         s.populate(id, true);
         s.advance(Ns::secs(5));
-        let swapped_before = s.m.space.region(id).swapped_pages();
-        assert!(swapped_before > 0);
-        // Touch the whole region: swapped pages must fault back in.
+        assert!(s.m.space.region(id).ssd_pages() > 0);
+        let read_before = s.m.ssd.as_ref().expect("SSD tier").stats().bytes_read;
+        // Touch the whole region: SSD-resident pages must come back up.
         let pages = s.m.space.region(id).page_count();
         let batch = AccessBatch::uniform(id, 0, pages, 5_000_000, 8, 0.2, 3 * GIB);
         for _ in 0..5 {
@@ -1384,39 +1352,106 @@ mod swap_tests {
                 }
             }
         }
-        assert!(s.m.stats.swap_ins > 0, "accesses paged data back in");
-        // Disk read traffic flowed.
-        let disk = s.m.disk.as_ref().expect("swap device");
-        assert!(disk.stats().bytes_read > 0);
-        assert!(disk.stats().bytes_written > 0);
+        assert!(s.m.stats.swap_ins > 0, "accesses promoted SSD pages");
+        assert!(s.m.trace.hist(hemem_sim::LatencyClass::MajorFault).count() > 0);
+        let ssd = s.m.ssd.as_ref().expect("SSD tier");
+        assert!(
+            ssd.stats().bytes_read > read_before,
+            "major faults read the SSD"
+        );
+        assert_eq!(s.m.space.region(id).mapped_pages(), 1536);
     }
 
     #[test]
-    fn no_swap_without_device() {
+    fn nvm_watermark_without_tier3_demotes_nothing() {
         let mc = MachineConfig::small(1, 2);
         let mut hc = HeMemConfig::scaled_for(&mc);
-        hc.swap_watermark = 256 << 20;
+        hc.nvm_watermark = 256 << 20;
         let mut s = Sim::new(mc, HeMem::new(hc));
         let id = s.mmap(3 * GIB);
         s.populate(id, true);
         s.advance(Ns::secs(2));
-        assert_eq!(s.m.stats.swap_outs, 0, "no device, no swapping");
+        assert_eq!(s.m.stats.swap_outs, 0, "no SSD tier, no demotion");
+        assert_eq!(s.m.space.region(id).ssd_pages(), 0);
+        assert_eq!(s.m.ssd_pool.allocated_pages(), 0);
     }
 
     #[test]
-    fn swap_file_capacity_is_respected() {
-        let mc = MachineConfig::small(1, 2).with_swap(64 << 20); // 32 slots
-        let mut hc = HeMemConfig::scaled_for(&mc);
-        hc.swap_watermark = GIB; // wants far more than the file holds
-        let mut s = Sim::new(mc, HeMem::new(hc));
+    fn ssd_capacity_bounds_demotions() {
+        // 64 MiB of SSD is 32 frames; the watermark wants far more.
+        let mut s = tier3_sim(64 << 20, GIB);
         let id = s.mmap(3 * GIB);
         s.populate(id, true);
         s.advance(Ns::secs(5));
-        assert!(
-            s.m.stats.swap_outs <= 32,
-            "bounded by the swap file: {}",
-            s.m.stats.swap_outs
+        let on_ssd = s.m.space.region(id).ssd_pages();
+        assert!(on_ssd > 0, "the SSD took what it could");
+        assert!(on_ssd <= 32, "bounded by the SSD tier: {on_ssd}");
+        assert_eq!(s.m.ssd_pool.free_pages(), 32 - on_ssd);
+        assert_eq!(s.m.space.region(id).mapped_pages(), 1536);
+    }
+
+    #[test]
+    fn region_larger_than_memory_populates_through_tier3_reclaim() {
+        // 4 GiB over 1 GiB DRAM + 2 GiB NVM: direct reclaim onto the SSD
+        // and the NVM watermark must carry the fill (§3.4's third tier).
+        let mut s = tier3_sim(16 * GIB, 128 << 20);
+        let id = s.mmap(4 * GIB);
+        s.populate(id, true);
+        let r = s.m.space.region(id);
+        assert_eq!(r.mapped_pages(), 2048, "every page mapped");
+        assert!(r.ssd_pages() >= 512, "at least 1 GiB had to go to the SSD");
+        assert!(s.m.stats.swap_outs > 0, "direct reclaim demoted pages");
+        // The machine survives further background churn.
+        s.advance(Ns::secs(2));
+        assert_eq!(s.m.space.region(id).mapped_pages(), 2048);
+        assert_eq!(s.run_audit(true), Vec::new());
+    }
+
+    #[test]
+    fn offline_ssd_reclaim_fails_typed_and_keeps_the_books() {
+        // Both memory tiers full, the SSD offline: a fault that needs a
+        // frame gets the typed error, and the victim direct reclaim popped
+        // goes back on its queue. Two tenants, so the audit balances each
+        // tenant's frames against its tracker queues.
+        let mc = MachineConfig::small(1, 2).with_tier3(16 * GIB);
+        let hc = HeMemConfig::scaled_for(&mc);
+        let mut s = Sim::new(
+            mc,
+            HeMem::multi_tenant(hc, 2, crate::arbiter::ArbiterPolicy::GreedyMissRatio),
         );
+        for t in 0..2 {
+            s.set_active_tenant(TenantId(t));
+            let id = s.mmap(3 * GIB / 2);
+            s.populate(id, true);
+        }
+        s.inject_tier_fail(Tier::Ssd);
+        s.advance(Ns::millis(100));
+        assert_eq!(s.m.dram_pool.free_pages(), 0);
+        assert_eq!(s.m.nvm_pool.free_pages(), 0);
+        let allocated = (
+            s.m.dram_pool.allocated_pages(),
+            s.m.nvm_pool.allocated_pages(),
+        );
+        let extra = s.mmap(64 << 20);
+        let page = PageId {
+            region: extra,
+            index: 0,
+        };
+        let now = s.now();
+        assert_eq!(
+            s.try_fault_page(page, true, now),
+            Err(MemError::NoSwapDevice)
+        );
+        assert_eq!(s.m.space.region(extra).mapped_pages(), 0);
+        assert_eq!(
+            (
+                s.m.dram_pool.allocated_pages(),
+                s.m.nvm_pool.allocated_pages()
+            ),
+            allocated,
+            "no frame leaked"
+        );
+        assert_eq!(s.run_audit(false), Vec::new());
     }
 }
 
@@ -1573,38 +1608,5 @@ mod lifecycle_tests {
             burned < 800,
             "breaker bounded the retry burn: {burned} frames retired"
         );
-    }
-}
-
-#[cfg(test)]
-mod oversubscribe_tests {
-    use super::*;
-    use crate::machine::MachineConfig;
-    use crate::runtime::Sim;
-    use hemem_memdev::GIB;
-
-    #[test]
-    fn working_set_larger_than_all_memory_populates_via_swap() {
-        // 1 GiB DRAM + 2 GiB NVM + 16 GiB swap: a 4 GiB region does not
-        // fit in memory at all; direct reclaim and the swap watermark
-        // must carry the fill (§3.4's third tier).
-        let mc = MachineConfig::small(1, 2).with_swap(16 * GIB);
-        let mut hc = HeMemConfig::scaled_for(&mc);
-        hc.swap_watermark = 128 << 20;
-        let mut s = Sim::new(mc, HeMem::new(hc));
-        let id = s.mmap(4 * GIB);
-        s.populate(id, true);
-        let r = s.m.space.region(id);
-        assert_eq!(
-            r.mapped_pages() + r.swapped_pages(),
-            2048,
-            "every page accounted"
-        );
-        assert!(r.swapped_pages() >= 512, "at least 1 GiB had to go to disk");
-        assert!(s.m.stats.swap_outs > 0);
-        // The machine survives further background churn.
-        s.advance(Ns::secs(2));
-        let r = s.m.space.region(id);
-        assert_eq!(r.mapped_pages() + r.swapped_pages(), 2048);
     }
 }

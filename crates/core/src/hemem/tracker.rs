@@ -564,7 +564,7 @@ impl PageTracker {
         Some(self.page(slot))
     }
 
-    /// Forgets a page entirely (swapped out to disk); it re-enters the
+    /// Forgets a page entirely (its frame was poisoned); it re-enters the
     /// queues via [`PageTracker::placed`] when faulted back in.
     pub fn evicted(&mut self, page: PageId) {
         if let Some(slot) = self.slot(page) {

@@ -70,14 +70,10 @@ pub struct MachineConfig {
     pub pebs: PebsConfig,
     /// DMA engine parameters.
     pub dma: DmaConfig,
-    /// Optional swap device behind the memory tiers (§3.4); `None`
-    /// disables swapping.
-    pub disk: Option<DeviceConfig>,
-    /// Optional third capacity tier: a block-style SSD swap device that
-    /// pages are *placed on* (they stay mapped, tier `Ssd`), unlike
-    /// `disk`, whose pages are unmapped to slots. `None` (the default)
-    /// leaves the machine a two-tier DRAM/NVM box with every tier-3 path
-    /// unreachable.
+    /// Optional third capacity tier (§3.4's slowest tier): a
+    /// block-style SSD swap device that pages are *placed on* (they stay
+    /// mapped, tier `Ssd`). `None` (the default) leaves the machine a
+    /// two-tier DRAM/NVM box with every tier-3 path unreachable.
     pub ssd: Option<SsdConfig>,
     /// Fault-injection plan; [`FaultPlanConfig::none`] (the default)
     /// injects nothing.
@@ -134,7 +130,6 @@ impl MachineConfig {
             fault: FaultConfig::default(),
             pebs: PebsConfig::default(),
             dma: DmaConfig::ioat(),
-            disk: None,
             ssd: None,
             chaos: FaultPlanConfig::none(),
             watchdog: None,
@@ -156,12 +151,6 @@ impl MachineConfig {
     /// Enables structured trace capture.
     pub fn with_trace(mut self) -> MachineConfig {
         self.trace = true;
-        self
-    }
-
-    /// Adds an NVMe swap device of `capacity` bytes behind the tiers.
-    pub fn with_swap(mut self, capacity: u64) -> MachineConfig {
-        self.disk = Some(DeviceConfig::nvme_ssd(capacity));
         self
     }
 
@@ -191,9 +180,9 @@ impl MachineConfig {
 /// Machine-level cumulative counters.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
 pub struct MachineStats {
-    /// Pages swapped out to disk.
+    /// Pages demoted onto the SSD tier by direct reclaim.
     pub swap_outs: u64,
-    /// Pages faulted back in from disk.
+    /// SSD-resident pages promoted back by a major fault.
     pub swap_ins: u64,
     /// Application accesses completed.
     pub ops: u64,
@@ -233,7 +222,8 @@ pub struct RecoveryStats {
     pub journal_replays: u64,
     /// Prepared migrations rolled back during recovery.
     pub journal_rollbacks: u64,
-    /// In-flight swap-outs rolled back during recovery.
+    /// Always 0: the unmap-to-slot swap path that counted here is gone;
+    /// kept so fingerprints and telemetry CSVs stay byte-identical.
     pub swap_rollbacks: u64,
     /// Components restarted by the watchdog (manager restarts plus
     /// fault-thread resets).
@@ -273,8 +263,8 @@ pub struct ShadowStats {
     /// Shadow frames reclaimed back to the free list under NVM
     /// allocation pressure or the NVM watermark.
     pub reclaimed: u64,
-    /// Shadow frames dropped for any other reason (page swapped out,
-    /// unmapped, poisoned, tenant drained, tier offline).
+    /// Shadow frames dropped for any other reason (page unmapped,
+    /// poisoned, tenant drained, tier offline).
     pub dropped: u64,
     /// Stale shadows freed by watchdog recovery's reconcile walk.
     pub reconciled: u64,
@@ -369,16 +359,11 @@ pub struct MachineCore {
     /// Write-ahead migration journal: every in-flight migration is a
     /// prepared transaction here until its mapping flip commits.
     pub journal: MigrationJournal,
-    /// Optional swap device.
-    pub disk: Option<Device>,
     /// Optional tier-3 SSD swap device (queue-depth-limited block model).
     pub ssd: Option<SsdDevice>,
     /// Fault-injection plan (deterministic; its streams are independent
     /// of `rng`, so enabling faults never perturbs the workload draws).
     pub chaos: FaultPlan,
-    /// Next free swap slot (slots are never recycled in this model; the
-    /// swap file is sized for the worst case).
-    pub next_swap_slot: u64,
     /// Structured tracing: span/instant events (when enabled), latency
     /// histograms, and policy decision attribution (always).
     pub trace: Tracer,
@@ -423,10 +408,8 @@ impl MachineCore {
             stats: MachineStats::default(),
             recovery: RecoveryStats::default(),
             journal: MigrationJournal::new(),
-            disk: cfg.disk.clone().map(Device::new),
             ssd: cfg.ssd.clone().map(SsdDevice::new),
             chaos: FaultPlan::new(cfg.chaos.clone()),
-            next_swap_slot: 0,
             trace: Tracer::new(cfg.trace),
             tenant_major_faults: std::collections::BTreeMap::new(),
             health: HealthState::default(),
@@ -600,7 +583,7 @@ impl MachineCore {
     }
 
     /// Frees `page`'s clean shadow frame, if any (the page was written,
-    /// swapped out, poisoned, or copy-demoted, so the stale NVM copy
+    /// poisoned, or copy-demoted, so the stale NVM copy
     /// must not survive as a demotion target). Callers bump the
     /// [`ShadowStats`] counter matching their reason. Returns whether a
     /// shadow was dropped.

@@ -18,7 +18,7 @@ use hemem_vmm::{FaultKind, FaultThread, PageId, PageSize, PhysPage, RegionId, Re
 use crate::audit::{audit_machine, AuditViolation};
 use crate::backend::{AccessBatch, CopyMechanism, MigrationJob, TieredBackend};
 use crate::error::MemError;
-use crate::journal::{ShadowIntent, TxnState};
+use crate::journal::{JournalEntry, ShadowIntent, TxnState};
 use crate::machine::{zero_fill, MachineConfig, MachineCore, TierHealth, WatchdogConfig};
 
 /// Events visible to (or scheduled by) workload drivers.
@@ -32,8 +32,6 @@ pub enum Event {
     PebsDrain,
     /// A page migration completed.
     MigrationDone(u64),
-    /// A page finished swapping out to disk.
-    SwapOutDone(u64),
     /// Injected kill of the manager process (its threads stop; the
     /// application and its memory survive).
     ManagerKill,
@@ -96,7 +94,6 @@ pub struct Sim<B: TieredBackend> {
     /// The tiered memory manager under test.
     pub backend: B,
     queue: EventQueue<Event>,
-    pending_swaps: HashMap<u64, (PageId, u64)>,
     next_mig: u64,
     app_threads: u32,
     /// Per-thread TLB shootdown stall already charged (shootdowns stall
@@ -143,7 +140,6 @@ impl<B: TieredBackend> Sim<B> {
             m: MachineCore::new(cfg),
             backend,
             queue: EventQueue::new(),
-            pending_swaps: HashMap::new(),
             next_mig: 0,
             app_threads: 0,
             shootdown_charged: HashMap::new(),
@@ -317,8 +313,8 @@ impl<B: TieredBackend> Sim<B> {
                 total += self.fault_page(PageId { region, index: i }, is_write, now + total);
             }
             if i % 2048 == 2047 {
-                // Yield to background work mid-fill (policy/swap keep up
-                // with the fill instead of facing it all at once).
+                // Yield to background work mid-fill (policy and demotion
+                // keep up with the fill instead of facing it all at once).
                 total = self.pace_fill(now, total);
             }
         }
@@ -432,10 +428,7 @@ impl<B: TieredBackend> Sim<B> {
         if self.manager_down
             && matches!(
                 ev,
-                Event::BackendTick
-                    | Event::PebsDrain
-                    | Event::MigrationDone(_)
-                    | Event::SwapOutDone(_)
+                Event::BackendTick | Event::PebsDrain | Event::MigrationDone(_)
             )
         {
             return;
@@ -447,7 +440,6 @@ impl<B: TieredBackend> Sim<B> {
                     .trace
                     .observe_ns(LatencyClass::PolicyPass, out.cpu_time);
                 self.start_migrations(now, &out.migrations);
-                self.start_swap_outs(now, &out.swap_outs);
                 if let Some(next) = out.next_wake {
                     let next = next.max(Ns(now.as_nanos() + 1));
                     self.tick_deadline = Some(next);
@@ -496,7 +488,6 @@ impl<B: TieredBackend> Sim<B> {
                 self.queue.push_after(iv, Event::PebsDrain);
             }
             Event::MigrationDone(id) => self.finish_migration(now, id),
-            Event::SwapOutDone(id) => self.finish_swap_out(now, id),
             Event::ManagerKill => self.kill_manager(now),
             Event::WatchdogCheck => self.watchdog_check(now),
             Event::ManagerRecover => self.recover_manager(now),
@@ -538,9 +529,8 @@ impl<B: TieredBackend> Sim<B> {
     }
 
     /// A tenant died: quarantine it (the backend stops scheduling its
-    /// policy work, placements, and samples), roll its in-flight
-    /// swap-outs back, and schedule the drain for after the DMA engine
-    /// has quiesced — its prepared migrations must not have frames
+    /// policy work, placements, and samples) and schedule the drain for
+    /// after the DMA engine has quiesced — its prepared migrations must not have frames
     /// reclaimed under a copy still in flight, mirroring the manager
     /// recovery path.
     fn kill_tenant(&mut self, now: Ns, tenant: hemem_vmm::TenantId) {
@@ -552,25 +542,6 @@ impl<B: TieredBackend> Sim<B> {
             &[("tenant", tenant.0 as u64)],
         );
         self.backend.tenant_killed(&mut self.m, tenant, now);
-        // In-flight swap-outs of the tenant's pages: the owning process
-        // is gone, so the copy is abandoned and the page unlocked (the
-        // drain reclaims its frame either way).
-        let mut swaps: Vec<u64> = self
-            .pending_swaps
-            .iter()
-            .filter(|(_, (page, _))| self.m.space.region(page.region).tenant() == tenant)
-            .map(|(&id, _)| id)
-            .collect();
-        swaps.sort_unstable();
-        for id in swaps {
-            let (page, _slot) = self.pending_swaps.remove(&id).expect("key just listed");
-            let _ = self
-                .m
-                .space
-                .region_mut(page.region)
-                .try_set_wp(page.index, false);
-            self.m.recovery.swap_rollbacks += 1;
-        }
         let at = now.max(self.m.dma.quiesce_at());
         self.queue.push_at(at, Event::TenantDrain(tenant.0));
     }
@@ -583,31 +554,10 @@ impl<B: TieredBackend> Sim<B> {
     /// `FrameLeakAfterRetire` / `ZombieTenantQuota` audits must find
     /// nothing attributed to the tenant.
     fn drain_tenant(&mut self, now: Ns, tenant: hemem_vmm::TenantId) {
-        // Journal rollback, in transaction order: prepared entries lost
-        // their owner; release the destination frame and unlock the
-        // source. Entries whose copy already committed flipped the
-        // mapping earlier — their frames fall out with the region walk
-        // below.
-        let ids: Vec<u64> = self
-            .m
-            .journal
-            .entries()
-            .filter(|(_, e)| e.tenant == tenant && e.state == TxnState::Prepared)
-            .map(|(id, _)| id)
-            .collect();
-        for id in ids {
-            let e = self.m.journal.abort(id).expect("entry just listed");
-            let _ = self
-                .m
-                .space
-                .region_mut(e.page.region)
-                .try_set_wp(e.page.index, false);
-            self.m.pool_mut(e.dst_tier).free(e.dst_phys);
-            self.m.recovery.journal_rollbacks += 1;
-            self.m
-                .trace
-                .span_drop(now, "migration", "migration", id, &[("rollback", 1)]);
-        }
+        // Journal rollback: prepared entries lost their owner. Entries
+        // whose copy already committed flipped the mapping earlier —
+        // their frames fall out with the region walk below.
+        self.roll_back_prepared(now, |e| e.tenant == tenant);
         // Reclaim the tenant's memory across every tier: unmap each of
         // its regions and return ManagedHeap frames to their pools
         // (SmallAnon pages are kernel-backed and free with the region).
@@ -738,25 +688,7 @@ impl<B: TieredBackend> Sim<B> {
         if tier == Tier::Nvm {
             self.m.drop_all_shadows();
         }
-        let ids: Vec<u64> = self
-            .m
-            .journal
-            .entries()
-            .filter(|(_, e)| e.state == TxnState::Prepared && e.dst_tier == tier)
-            .map(|(id, _)| id)
-            .collect();
-        for id in ids {
-            let e = self.m.journal.abort(id).expect("entry just listed");
-            let _ = self
-                .m
-                .space
-                .region_mut(e.page.region)
-                .try_set_wp(e.page.index, false);
-            self.m.pool_mut(e.dst_tier).free(e.dst_phys);
-            self.m.recovery.journal_rollbacks += 1;
-            self.m
-                .trace
-                .span_drop(now, "migration", "migration", id, &[("rollback", 1)]);
+        for e in self.roll_back_prepared(now, |e| e.dst_tier == tier) {
             self.backend
                 .migration_aborted(&mut self.m, e.page, e.src_tier);
         }
@@ -803,9 +735,8 @@ impl<B: TieredBackend> Sim<B> {
 
     /// Scans the address space for pages resident on `tier`, interleaved
     /// round-robin across tenants so one large tenant cannot starve the
-    /// others' evacuations. Write-protected pages (mid-migration or
-    /// mid-swap-out) are skipped; the drain-time rescan picks up whatever
-    /// they resolve to.
+    /// others' evacuations. Write-protected (mid-migration) pages are
+    /// skipped; the drain-time rescan picks up whatever they resolve to.
     fn collect_evacuation_queue(&self, tier: Tier) -> std::collections::VecDeque<PageId> {
         let mut per_tenant: std::collections::BTreeMap<u32, Vec<PageId>> = Default::default();
         for r in self.m.space.regions() {
@@ -854,8 +785,8 @@ impl<B: TieredBackend> Sim<B> {
         let Some(tier) = self.evac.as_ref().map(|e| e.tier) else {
             return;
         };
-        // `progress` guards the rescan: without it, a page locked by an
-        // in-flight swap-out would make rescan-pop-skip spin forever.
+        // `progress` guards the rescan: without it, a rescan that finds
+        // only locked pages would make rescan-pop-skip spin forever.
         let mut progress = true;
         loop {
             let inflight = self.m.journal.prepared_freeing(tier) as usize;
@@ -941,51 +872,11 @@ impl<B: TieredBackend> Sim<B> {
         );
     }
 
-    /// The no-evacuation baseline: the device died outright. Copies and
-    /// swap-outs still reading off it are abandoned (rolled back in
-    /// transaction order), then every resident page is poisoned.
+    /// The no-evacuation baseline: the device died outright. Copies
+    /// still reading off it are abandoned (rolled back in transaction
+    /// order), then every resident page is poisoned.
     fn poison_tier(&mut self, now: Ns, tier: Tier) {
-        let ids: Vec<u64> = self
-            .m
-            .journal
-            .entries()
-            .filter(|(_, e)| e.state == TxnState::Prepared && e.src_tier == tier)
-            .map(|(id, _)| id)
-            .collect();
-        for id in ids {
-            let e = self.m.journal.abort(id).expect("entry just listed");
-            let _ = self
-                .m
-                .space
-                .region_mut(e.page.region)
-                .try_set_wp(e.page.index, false);
-            self.m.pool_mut(e.dst_tier).free(e.dst_phys);
-            self.m.recovery.journal_rollbacks += 1;
-            self.m
-                .trace
-                .span_drop(now, "migration", "migration", id, &[("rollback", 1)]);
-        }
-        let mut swaps: Vec<u64> = self
-            .pending_swaps
-            .iter()
-            .filter(|(_, (page, _))| {
-                matches!(
-                    self.m.space.region(page.region).state(page.index),
-                    hemem_vmm::PageState::Mapped { tier: t, .. } if t == tier
-                )
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        swaps.sort_unstable();
-        for id in swaps {
-            let (page, _slot) = self.pending_swaps.remove(&id).expect("key just listed");
-            let _ = self
-                .m
-                .space
-                .region_mut(page.region)
-                .try_set_wp(page.index, false);
-            self.m.recovery.swap_rollbacks += 1;
-        }
+        self.roll_back_prepared(now, |e| e.src_tier == tier);
         let mut pages = Vec::new();
         for r in self.m.space.regions() {
             if r.kind() != RegionKind::ManagedHeap {
@@ -1047,50 +938,19 @@ impl<B: TieredBackend> Sim<B> {
     }
 
     /// Restarts the manager: rolls uncommitted migrations back from the
-    /// journal, rolls in-flight swap-outs back, resynchronizes the backend
-    /// from live machine state, and reschedules the management threads.
+    /// journal, resynchronizes the backend from live machine state, and
+    /// reschedules the management threads.
     fn recover_manager(&mut self, now: Ns) {
         self.recover_pending = false;
         if !self.manager_down {
             return;
         }
-        // In-flight swap-outs: the copy died with the manager; unlock the
-        // page (it is still fully resident at the source).
-        let mut swaps: Vec<u64> = self.pending_swaps.keys().copied().collect();
-        swaps.sort_unstable();
-        for id in swaps {
-            let (page, _slot) = self.pending_swaps.remove(&id).expect("key just listed");
-            let _ = self
-                .m
-                .space
-                .region_mut(page.region)
-                .try_set_wp(page.index, false);
-            self.m.recovery.swap_rollbacks += 1;
-        }
         // Journal replay, in transaction order. Prepared entries lost
-        // their copy: release the destination frame and unlock the source
-        // (which never stopped being the authoritative mapping). Committed
-        // entries already flipped the mapping; nothing left to do.
-        for (id, e) in self.m.journal.drain() {
-            self.m.recovery.journal_replays += 1;
-            match e.state {
-                TxnState::Prepared => {
-                    let _ = self
-                        .m
-                        .space
-                        .region_mut(e.page.region)
-                        .try_set_wp(e.page.index, false);
-                    self.m.pool_mut(e.dst_tier).free(e.dst_phys);
-                    self.m.recovery.journal_rollbacks += 1;
-                    // Close the migration span without latency accounting:
-                    // the copy never completed.
-                    self.m
-                        .trace
-                        .span_drop(now, "migration", "migration", id, &[("rollback", 1)]);
-                }
-                TxnState::Committed => {}
-            }
-        }
+        // their copy and roll back; committed entries already flipped the
+        // mapping, so replaying them only retires the entry.
+        self.m.recovery.journal_replays += self.m.journal.entries().count() as u64;
+        self.roll_back_prepared(now, |_| true);
+        self.m.journal.drain();
         // Shadow/primary reconcile: every shadow step is atomic within
         // one event, so a kill (which lands between events) should never
         // leave a shadow whose primary is not DRAM-mapped — but recovery
@@ -1140,6 +1000,41 @@ impl<B: TieredBackend> Sim<B> {
         if self.evac.is_some() {
             self.pump_evacuation(now);
         }
+    }
+
+    /// Rolls back every prepared migration `pick` selects, in transaction
+    /// order: aborts the journal entry, unlocks the source page (which
+    /// never stopped being the authoritative mapping), frees the
+    /// destination frame, and closes the migration span without latency
+    /// accounting (the copy never completed). Returns the aborted entries.
+    fn roll_back_prepared(
+        &mut self,
+        now: Ns,
+        pick: impl Fn(&JournalEntry) -> bool,
+    ) -> Vec<JournalEntry> {
+        let ids: Vec<u64> = self
+            .m
+            .journal
+            .entries()
+            .filter(|(_, e)| e.state == TxnState::Prepared && pick(e))
+            .map(|(id, _)| id)
+            .collect();
+        let mut aborted = Vec::with_capacity(ids.len());
+        for id in ids {
+            let e = self.m.journal.abort(id).expect("entry just listed");
+            let _ = self
+                .m
+                .space
+                .region_mut(e.page.region)
+                .try_set_wp(e.page.index, false);
+            self.m.pool_mut(e.dst_tier).free(e.dst_phys);
+            self.m.recovery.journal_rollbacks += 1;
+            self.m
+                .trace
+                .span_drop(now, "migration", "migration", id, &[("rollback", 1)]);
+            aborted.push(e);
+        }
+        aborted
     }
 
     /// Runs the invariant auditor (machine-level checks plus the
@@ -1293,7 +1188,7 @@ impl<B: TieredBackend> Sim<B> {
                 }
                 (tier, phys)
             }
-            _ => return None, // unmapped or swapped: nothing to migrate
+            _ => return None, // unmapped: nothing to migrate
         };
         // An offline tier takes no new frames; and while an evacuation is
         // draining a failed tier it owns the journaled migration path —
@@ -1473,71 +1368,10 @@ impl<B: TieredBackend> Sim<B> {
         }
     }
 
-    /// Starts paging `pages` out to the swap device (no-op without one).
-    pub fn start_swap_outs(&mut self, now: Ns, pages: &[PageId]) {
-        if self.m.disk.is_none() || pages.is_empty() {
-            return;
-        }
-        for &page in pages {
-            let region = self.m.space.region(page.region);
-            let bytes = region.page_size().bytes();
-            let src_tier = match region.state(page.index) {
-                hemem_vmm::PageState::Mapped {
-                    tier, wp: false, ..
-                } => tier,
-                _ => continue, // migrating, swapped, or gone
-            };
-            let disk_cap = self.m.disk.as_ref().map_or(0, |d| d.config().capacity);
-            if (self.m.next_swap_slot + 1) * bytes > disk_cap {
-                continue; // swap file full
-            }
-            let slot = self.m.next_swap_slot;
-            self.m.next_swap_slot += 1;
-            // Lock the page (blocks concurrent migration) for the copy.
-            self.m
-                .space
-                .region_mut(page.region)
-                .set_wp(page.index, true);
-            let r1 = self
-                .m
-                .device_mut(src_tier)
-                .reserve_bulk(now, MemOp::Read, bytes, None);
-            let disk = self.m.disk.as_mut().expect("checked above");
-            let r2 = disk.reserve_bulk(now, MemOp::Write, bytes, None);
-            let done = r1.finish.max(r2.finish);
-            let id = self.next_mig;
-            self.next_mig += 1;
-            self.pending_swaps.insert(id, (page, slot));
-            self.queue.push_at(done, Event::SwapOutDone(id));
-        }
-    }
-
-    fn finish_swap_out(&mut self, now: Ns, id: u64) {
-        let Some((page, slot)) = self.pending_swaps.remove(&id) else {
-            return;
-        };
-        // A page leaving the byte-addressable tiers takes its shadow
-        // with it (the clean copy is stale once the page swaps back in).
-        if self.m.drop_shadow_of(page) {
-            self.m.shadow.dropped += 1;
-        }
-        let region = self.m.space.region_mut(page.region);
-        region.set_wp(page.index, false);
-        let (tier, phys) = region.swap_out_page(page.index, slot);
-        self.m.pool_mut(tier).free(phys);
-        let cores = self.m.cores.cores();
-        self.m.tlb.shootdown(cores);
-        self.m.stats.swap_outs += 1;
-        self.backend.swapped_out(&mut self.m, page);
-        // The unlock may have unblocked an evacuation waiting on this page.
-        if self.evac.is_some() {
-            self.pump_evacuation(now);
-        }
-    }
-
-    /// Allocates a frame from `tier`, retiring NVM frames whose first
-    /// write hits an injected media error (the zero-fill or swap-in write
-    /// lands on a poisoned frame; the allocator tries the next one).
+    /// Allocates a frame from `tier`, retiring NVM and SSD frames whose
+    /// first write hits an injected media error (the zero-fill or
+    /// promotion write lands on a poisoned frame; the allocator tries the
+    /// next one).
     /// Returns `None` when the tier is exhausted, including by
     /// retirements.
     fn alloc_frame(&mut self, tier: Tier) -> Option<PhysPage> {
@@ -1633,7 +1467,7 @@ impl<B: TieredBackend> Sim<B> {
     /// # Panics
     ///
     /// An unsatisfiable fault — memory exhausted with nothing to reclaim,
-    /// or the swap device missing/full — is the machine's OOM kill:
+    /// or no SSD tier to reclaim into — is the machine's OOM kill:
     /// this wrapper panics with the typed cause from
     /// [`Sim::try_fault_page`]. Use that method to observe the error
     /// instead.
@@ -1681,25 +1515,6 @@ impl<B: TieredBackend> Sim<B> {
                 &[("tenant", tenant.0 as u64)],
             );
         }
-        // Swapped pages fault back in synchronously: the thread waits for
-        // the disk read (swapping is the slowest tier, §3.4).
-        if let hemem_vmm::PageState::Swapped { .. } = region.state(page.index) {
-            let desired = self.backend.place(&mut self.m, page, is_write);
-            let (tier, phys, extra) = self.alloc_with_reclaim(desired, now)?;
-            let disk = self.m.disk.as_mut().ok_or(MemError::NoSwapDevice)?;
-            let r = disk.reserve_bulk(now, MemOp::Read, page_bytes, None);
-            let disk_latency = disk.latency(MemOp::Read);
-            self.m
-                .space
-                .region_mut(page.region)
-                .swap_in_page(page.index, tier, phys);
-            self.backend.placed(&mut self.m, page, tier);
-            self.m.stats.swap_ins += 1;
-            self.m.fault_stats.record(FaultKind::Missing, stall);
-            let total = stall + extra + r.service + disk_latency;
-            self.observe_fault(now, total, 1);
-            return Ok(total);
-        }
         if kind == RegionKind::SmallAnon {
             // Kernel-managed anonymous memory: always DRAM, outside the
             // tiered pools (the kernel keeps its own reserve).
@@ -1709,7 +1524,7 @@ impl<B: TieredBackend> Sim<B> {
                 PhysPage(page.index),
             );
             self.m.fault_stats.record(FaultKind::Missing, stall);
-            self.observe_fault(now, stall, 0);
+            self.observe_fault(now, stall);
             return Ok(stall);
         }
         let desired = self.backend.place(&mut self.m, page, is_write);
@@ -1725,38 +1540,29 @@ impl<B: TieredBackend> Sim<B> {
         self.backend.placed(&mut self.m, page, tier);
         self.m.fault_stats.record(FaultKind::Missing, stall);
         let total = stall + extra;
-        self.observe_fault(now, total, 0);
+        self.observe_fault(now, total);
         Ok(total)
     }
 
     /// Records one serviced page fault into the tracer: service latency
     /// into the fault histogram plus (when tracing) an instant event.
-    fn observe_fault(&mut self, now: Ns, service: Ns, swap_in: u64) {
+    fn observe_fault(&mut self, now: Ns, service: Ns) {
         self.m.trace.observe_ns(LatencyClass::Fault, service);
+        // `swap_in` is pinned 0 (no fault pages in from swap any more);
+        // it stays so committed Chrome traces remain byte-identical.
         self.m.trace.instant(
             now,
             "fault",
             "fault",
-            &[("service_ns", service.as_nanos()), ("swap_in", swap_in)],
+            &[("service_ns", service.as_nanos()), ("swap_in", 0)],
         );
     }
 
-    /// Synchronously frees one frame under memory pressure: onto the
-    /// tier-3 SSD when one is configured (the page stays mapped on
-    /// `Tier::Ssd`), otherwise out to the legacy swap device.
+    /// Synchronously frees one frame under memory pressure by demoting a
+    /// victim page onto the SSD tier; returns the stall the faulting
+    /// thread pays. The page stays mapped on `Tier::Ssd`, and a later
+    /// access takes a major fault through the device queue.
     fn direct_reclaim(&mut self, now: Ns) -> Result<Ns, MemError> {
-        if self.m.has_ssd() && self.m.tier_online(Tier::Ssd) {
-            self.try_direct_reclaim_tier3(now)
-        } else {
-            self.try_direct_reclaim(now)
-        }
-    }
-
-    /// Synchronously demotes one victim page onto the SSD tier, freeing
-    /// its DRAM/NVM frame; returns the stall the faulting thread pays.
-    /// Unlike the legacy swap path the page stays mapped — a later access
-    /// takes a major fault through the device queue, not a swap-in.
-    fn try_direct_reclaim_tier3(&mut self, now: Ns) -> Result<Ns, MemError> {
         let victim = self
             .backend
             .reclaim_victim(&mut self.m)
@@ -1775,6 +1581,11 @@ impl<B: TieredBackend> Sim<B> {
             self.backend.placed(&mut self.m, victim, Tier::Nvm);
             return Ok(Ns::ZERO);
         }
+        if !self.m.has_ssd() || !self.m.tier_online(Tier::Ssd) {
+            // Nowhere to demote to: the victim stays put, back on its queue.
+            self.backend.placed(&mut self.m, victim, src_tier);
+            return Err(MemError::NoSwapDevice);
+        }
         let ssd_phys = self.alloc_frame(Tier::Ssd).ok_or(MemError::SwapExhausted)?;
         self.m
             .reserve_tier_bulk(now, src_tier, MemOp::Read, bytes, None);
@@ -1790,57 +1601,9 @@ impl<B: TieredBackend> Sim<B> {
         debug_assert_eq!(old_tier, src_tier);
         self.m.pool_mut(old_tier).free(old_phys);
         self.m.stats.swap_outs += 1;
-        // `placed`, not `swapped_out`: the page keeps its identity (and
-        // its hotness counters) on the SSD tier.
+        // `placed`: the page keeps its identity (and its hotness
+        // counters) on the SSD tier.
         self.backend.placed(&mut self.m, victim, Tier::Ssd);
-        Ok(r.service)
-    }
-
-    /// Synchronously swaps one victim out to free a frame; returns the
-    /// stall the faulting thread pays.
-    fn try_direct_reclaim(&mut self, now: Ns) -> Result<Ns, MemError> {
-        let victim = self
-            .backend
-            .reclaim_victim(&mut self.m)
-            .ok_or(MemError::OutOfMemory)?;
-        let region = self.m.space.region(victim.region);
-        let bytes = region.page_size().bytes();
-        let src_tier = match region.state(victim.index) {
-            hemem_vmm::PageState::Mapped {
-                tier, wp: false, ..
-            } => tier,
-            _ => return Err(MemError::ReclaimVictimBusy(victim)),
-        };
-        // Clean-shadow fast path (see `try_direct_reclaim_tier3`).
-        if src_tier == Tier::Dram && self.m.shadow_remap_demote(victim) {
-            self.backend.placed(&mut self.m, victim, Tier::Nvm);
-            return Ok(Ns::ZERO);
-        }
-        let disk_cap = self
-            .m
-            .disk
-            .as_ref()
-            .map(|d| d.config().capacity)
-            .ok_or(MemError::NoSwapDevice)?;
-        if (self.m.next_swap_slot + 1) * bytes > disk_cap {
-            return Err(MemError::SwapExhausted);
-        }
-        let slot = self.m.next_swap_slot;
-        self.m.next_swap_slot += 1;
-        self.m
-            .device_mut(src_tier)
-            .reserve_bulk(now, MemOp::Read, bytes, None);
-        let disk = self.m.disk.as_mut().ok_or(MemError::NoSwapDevice)?;
-        let r = disk.reserve_bulk(now, MemOp::Write, bytes, None);
-        let (tier, phys) = self
-            .m
-            .space
-            .region_mut(victim.region)
-            .swap_out_page(victim.index, slot);
-        debug_assert_eq!(tier, src_tier);
-        self.m.pool_mut(tier).free(phys);
-        self.m.stats.swap_outs += 1;
-        self.backend.swapped_out(&mut self.m, victim);
         Ok(r.service)
     }
 
@@ -2315,11 +2078,13 @@ mod tests {
     use hemem_memdev::GIB;
 
     /// Minimal backend: everything managed, placed DRAM-first, no
-    /// background work, optional scripted migrations.
+    /// background work, optional scripted migrations and reclaim victims.
     struct TestBackend {
         jobs: Vec<MigrationJob>,
         ticks: u32,
         done: Vec<(PageId, Tier)>,
+        victims: Vec<PageId>,
+        placed: Vec<(PageId, Tier)>,
     }
 
     impl TestBackend {
@@ -2328,6 +2093,8 @@ mod tests {
                 jobs: Vec::new(),
                 ticks: 0,
                 done: Vec::new(),
+                victims: Vec::new(),
+                placed: Vec::new(),
             }
         }
     }
@@ -2348,13 +2115,17 @@ mod tests {
                 Tier::Nvm
             }
         }
-        fn placed(&mut self, _m: &mut MachineCore, _p: PageId, _t: Tier) {}
+        fn placed(&mut self, _m: &mut MachineCore, p: PageId, t: Tier) {
+            self.placed.push((p, t));
+        }
+        fn reclaim_victim(&mut self, _m: &mut MachineCore) -> Option<PageId> {
+            self.victims.pop()
+        }
         fn tick(&mut self, _m: &mut MachineCore, now: Ns) -> TickOutput {
             self.ticks += 1;
             TickOutput {
                 next_wake: Some(now + Ns::millis(10)),
                 migrations: std::mem::take(&mut self.jobs),
-                swap_outs: Vec::new(),
                 cpu_time: Ns::ZERO,
             }
         }
@@ -2899,6 +2670,70 @@ mod tests {
             }
             other => panic!("page lost: {other:?}"),
         }
+        assert!(crate::audit::audit_machine(&s.m, true).is_empty());
+    }
+
+    #[test]
+    fn direct_reclaim_with_ssd_offline_remaps_shadows_or_fails_typed() {
+        // 1 GiB DRAM + 1 GiB NVM, both filled; the SSD tier goes offline.
+        let mc = MachineConfig::small(1, 1)
+            .with_tier3(4 * GIB)
+            .with_shadows();
+        let mut s = Sim::new(mc, TestBackend::new());
+        let id = s.mmap(2 * GIB);
+        s.populate(id, true); // pages 0..512 on DRAM, 512..1024 on NVM
+        s.inject_tier_fail(Tier::Ssd);
+        // Turn NVM page 600's frame into a clean shadow of DRAM page 0:
+        // NVM stays full, and page 600 is the one a fault will want back.
+        let (tier, frame) = s.m.space.region_mut(id).unmap_page(600);
+        assert_eq!(tier, Tier::Nvm);
+        s.m.space.region_mut(id).set_shadow(0, frame);
+        s.m.nvm_pool.note_shadow();
+        assert_eq!(s.m.dram_pool.free_pages() + s.m.nvm_pool.free_pages(), 0);
+        let page = |index| PageId { region: id, index };
+        let now = s.now();
+
+        // A DRAM victim with a clean shadow demotes by remap: no SSD
+        // needed, and its DRAM frame is free.
+        s.backend.victims.push(page(0));
+        assert_eq!(s.direct_reclaim(now), Ok(Ns::ZERO));
+        match s.m.space.region(id).state(0) {
+            hemem_vmm::PageState::Mapped { tier, phys, .. } => {
+                assert_eq!((tier, phys), (Tier::Nvm, frame));
+            }
+            other => panic!("victim lost: {other:?}"),
+        }
+        assert_eq!(s.m.shadow.remap_demotions, 1);
+        assert_eq!(s.m.dram_pool.free_pages(), 1);
+        assert_eq!(s.backend.placed.last(), Some(&(page(0), Tier::Nvm)));
+        // Refill that frame so both memory tiers are full again.
+        s.fault_page(page(600), true, now);
+        assert_eq!(s.m.dram_pool.free_pages(), 0);
+
+        // Without a shadow the victim has nowhere to go: the fault gets
+        // the typed error, no frame leaks, and the victim is re-placed.
+        s.backend.victims.push(page(700));
+        let allocated = s.m.dram_pool.allocated_pages() + s.m.nvm_pool.allocated_pages();
+        let extra = s.mmap(64 << 20);
+        let now = s.now();
+        assert_eq!(
+            s.try_fault_page(
+                PageId {
+                    region: extra,
+                    index: 0
+                },
+                true,
+                now
+            ),
+            Err(MemError::NoSwapDevice)
+        );
+        assert_eq!(s.m.space.region(extra).mapped_pages(), 0);
+        assert_eq!(
+            s.m.dram_pool.allocated_pages() + s.m.nvm_pool.allocated_pages(),
+            allocated,
+            "no frame leaked"
+        );
+        assert_eq!(s.backend.placed.last(), Some(&(page(700), Tier::Nvm)));
         assert!(crate::audit::audit_machine(&s.m, true).is_empty());
     }
 }

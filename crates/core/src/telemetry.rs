@@ -22,7 +22,8 @@ pub struct Snapshot {
     pub dram_pages: u64,
     /// Mapped pages of the tracked region.
     pub mapped_pages: u64,
-    /// Pages swapped to disk.
+    /// Always 0 (no page leaves the tiers unmapped any more); the column
+    /// stays so committed telemetry CSVs remain byte-identical.
     pub swapped_pages: u64,
     /// Cumulative completed migrations.
     pub migrations: u64,
@@ -47,7 +48,7 @@ pub struct Snapshot {
     pub journal_replays: u64,
     /// Cumulative prepared migrations rolled back during recovery.
     pub journal_rollbacks: u64,
-    /// Cumulative in-flight swap-outs rolled back during recovery.
+    /// Always 0, pinned like [`crate::machine::RecoveryStats::swap_rollbacks`].
     pub swap_rollbacks: u64,
     /// Cumulative components restarted by the watchdog.
     pub watchdog_restarts: u64,
@@ -140,7 +141,8 @@ impl Telemetry {
             at: now,
             dram_pages: r.dram_pages(),
             mapped_pages: r.mapped_pages(),
-            swapped_pages: r.swapped_pages(),
+            // Pinned 0: keeps the CSV column until the baselines re-seed.
+            swapped_pages: 0,
             migrations: sim.m.stats.migrations_done,
             nvm_wear: sim.m.nvm_wear_bytes(),
             ops: sim.m.stats.ops,
@@ -278,7 +280,7 @@ pub struct TierSnapshot {
     /// SSD-resident pages of the tracked region (tier-3 machines only;
     /// zero otherwise).
     pub ssd_pages: u64,
-    /// Pages unmapped to legacy swap slots.
+    /// Always 0, pinned like [`Snapshot::swapped_pages`].
     pub swapped_pages: u64,
     /// Cumulative major faults serviced (accesses that stalled behind
     /// the SSD queue).
@@ -289,8 +291,8 @@ pub struct TierSnapshot {
     pub major_p99_ns: u64,
     /// Major-fault service latency p99.9 (ns).
     pub major_p999_ns: u64,
-    /// Cumulative synchronous demotions to the slowest tier (SSD
-    /// demotions and legacy swap-outs share the counter).
+    /// Cumulative synchronous demotions onto the SSD tier by direct
+    /// reclaim.
     pub swap_outs: u64,
     /// Cumulative promotions back from the slowest tier.
     pub swap_ins: u64,
@@ -335,7 +337,8 @@ impl TierTelemetry {
             dram_pages: dram,
             nvm_pages: mapped - dram - ssd,
             ssd_pages: ssd,
-            swapped_pages: r.swapped_pages(),
+            // Pinned 0: keeps the CSV column until the baselines re-seed.
+            swapped_pages: 0,
             major_faults: major.count(),
             major_p50_ns: major.quantile(0.5),
             major_p99_ns: major.quantile(0.99),

@@ -84,15 +84,14 @@ fn check_accounting(sim: &Sim<HeMem>, region: RegionId) -> Result<(), TestCaseEr
         s.migrations_started
     );
     let in_flight = s.migrations_started - finished;
-    // Every region page stays mapped or swapped — failed migrations must
-    // restore the page, never lose it.
+    // Every region page stays mapped — failed migrations must restore
+    // the page, never lose it.
     let r = sim.m.space.region(region);
     prop_assert_eq!(
-        r.mapped_pages() + r.swapped_pages(),
-        REGION_PAGES,
-        "pages lost: {} mapped + {} swapped",
         r.mapped_pages(),
-        r.swapped_pages()
+        REGION_PAGES,
+        "pages lost: {} mapped",
+        r.mapped_pages()
     );
     // Frames in use = mapped pages + destination frames of in-flight
     // migrations. More would be a leak, fewer a double mapping.

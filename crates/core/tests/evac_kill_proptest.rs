@@ -112,7 +112,7 @@ fn check_drained(sim: &mut Sim<HeMem>, pages_expected: Option<u64>) -> Result<()
     if let Some(expected) = pages_expected {
         let r = sim.m.space.regions().next().expect("region still live");
         prop_assert_eq!(
-            r.mapped_pages() + r.swapped_pages() + sim.m.health.poisoned_pages,
+            r.mapped_pages() + sim.m.health.poisoned_pages,
             expected,
             "pages lost beyond the typed poison ledger"
         );

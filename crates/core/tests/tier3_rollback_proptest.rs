@@ -67,7 +67,7 @@ fn check_three_tier(sim: &mut Sim<HeMem>, region: RegionId) -> Result<(), TestCa
     }
     let r = sim.m.space.region(region);
     prop_assert_eq!(
-        r.mapped_pages() + r.swapped_pages(),
+        r.mapped_pages(),
         REGION_PAGES,
         "pages lost across the cascade"
     );

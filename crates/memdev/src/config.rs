@@ -124,28 +124,6 @@ impl DeviceConfig {
         }
     }
 
-    /// NVMe SSD used as a swap device behind the memory tiers (§3.4:
-    /// "swapping to a block device can provide an additional, slowest,
-    /// memory tier").
-    pub fn nvme_ssd(capacity: u64) -> DeviceConfig {
-        DeviceConfig {
-            name: "NVMe-SSD".to_string(),
-            capacity,
-            read_latency: Ns::micros(80),
-            write_latency: Ns::micros(20),
-            seq_read_bw: 3.5 * GB,
-            rand_read_bw: 2.5 * GB,
-            seq_write_bw: 2.0 * GB,
-            rand_write_bw: 1.2 * GB,
-            media_granularity: 4096,
-            thread_seq_read_bw: 2.0 * GB,
-            thread_rand_read_bw: 0.8 * GB,
-            thread_seq_write_bw: 1.5 * GB,
-            thread_rand_write_bw: 0.6 * GB,
-            tracks_wear: false,
-        }
-    }
-
     /// Peak bandwidth for an op/pattern combination, bytes/second.
     pub fn bandwidth(&self, op: MemOp, pattern: Pattern) -> f64 {
         match (op, pattern) {

@@ -38,11 +38,6 @@ pub enum StateError {
         /// Page index within the region.
         index: u64,
     },
-    /// `swap_out_page` on a write-protected (migrating) page.
-    WriteProtected {
-        /// Page index within the region.
-        index: u64,
-    },
     /// Any transition applied to a page whose state does not admit it.
     BadTransition {
         /// The attempted operation (`"unmap"`, `"remap"`, ...).
@@ -60,9 +55,6 @@ impl std::fmt::Display for StateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StateError::AlreadyMapped { index } => write!(f, "page {index} already mapped"),
-            StateError::WriteProtected { index } => {
-                write!(f, "page {index} is write-protected (migrating)")
-            }
             StateError::BadTransition { op, index, state } => {
                 write!(f, "{op} of page {index} in state {state:?}")
             }
@@ -87,12 +79,6 @@ pub enum PageState {
         /// Write-protected (underlying migration in flight).
         wp: bool,
     },
-    /// Paged out to the swap device (§3.4); access faults and pages the
-    /// data back in synchronously.
-    Swapped {
-        /// Slot within the swap file.
-        slot: u64,
-    },
 }
 
 /// One mmapped region.
@@ -116,7 +102,6 @@ pub struct Region {
     mapped_idx: FlagTree,
     wp_idx: FlagTree,
     wp_pages: u64,
-    swapped_pages: u64,
     /// Non-exclusive tiering: DRAM-resident pages whose stale-but-clean
     /// NVM copy was retained at promotion, keyed by page index. A shadow
     /// frame is owned by this map (not by any mapping) until the page is
@@ -149,7 +134,6 @@ impl Region {
             mapped_idx: FlagTree::new(pages),
             wp_idx: FlagTree::new(pages),
             wp_pages: 0,
-            swapped_pages: 0,
             shadows: BTreeMap::new(),
             ledger: AccessLedger::new(),
         }
@@ -260,84 +244,6 @@ impl Region {
         self.wp_pages
     }
 
-    /// Pages currently swapped out to disk.
-    pub fn swapped_pages(&self) -> u64 {
-        self.swapped_pages
-    }
-
-    /// Pages the region out to swap `slot`, returning the frame it held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not mapped or is write-protected (mid-
-    /// migration pages cannot be swapped).
-    pub fn swap_out_page(&mut self, index: u64, slot: u64) -> (Tier, PhysPage) {
-        self.try_swap_out_page(index, slot)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Region::swap_out_page`].
-    pub fn try_swap_out_page(
-        &mut self,
-        index: u64,
-        slot: u64,
-    ) -> Result<(Tier, PhysPage), StateError> {
-        let i = index as usize;
-        match self.states[i] {
-            PageState::Mapped { wp: true, .. } => Err(StateError::WriteProtected { index }),
-            PageState::Mapped { tier, phys, .. } => {
-                self.states[i] = PageState::Swapped { slot };
-                self.mapped_idx.set(i, false);
-                self.set_residency(i, None);
-                self.swapped_pages += 1;
-                Ok((tier, phys))
-            }
-            state => Err(StateError::BadTransition {
-                op: "swap_out",
-                index,
-                state,
-            }),
-        }
-    }
-
-    /// Pages a swapped page back in onto `tier`, returning its swap slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not swapped.
-    pub fn swap_in_page(&mut self, index: u64, tier: Tier, phys: PhysPage) -> u64 {
-        self.try_swap_in_page(index, tier, phys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Region::swap_in_page`].
-    pub fn try_swap_in_page(
-        &mut self,
-        index: u64,
-        tier: Tier,
-        phys: PhysPage,
-    ) -> Result<u64, StateError> {
-        let i = index as usize;
-        match self.states[i] {
-            PageState::Swapped { slot } => {
-                self.states[i] = PageState::Mapped {
-                    tier,
-                    phys,
-                    wp: false,
-                };
-                self.mapped_idx.set(i, true);
-                self.set_residency(i, Some(tier));
-                self.swapped_pages -= 1;
-                Ok(slot)
-            }
-            state => Err(StateError::BadTransition {
-                op: "swap_in",
-                index,
-                state,
-            }),
-        }
-    }
-
     /// DRAM-resident pages within `[lo, hi)` page indices.
     pub fn dram_pages_in(&self, lo: u64, hi: u64) -> u64 {
         self.dram_idx.count_range(lo as usize, hi as usize)
@@ -388,11 +294,6 @@ impl Region {
                 Ok(())
             }
             PageState::Mapped { .. } => Err(StateError::AlreadyMapped { index }),
-            state => Err(StateError::BadTransition {
-                op: "map",
-                index,
-                state,
-            }),
         }
     }
 
@@ -616,7 +517,6 @@ impl Region {
                         r.wp_pages += 1;
                     }
                 }
-                PageState::Swapped { .. } => r.swapped_pages += 1,
             }
         }
         r.states = snap.states;
@@ -673,8 +573,6 @@ pub struct TenantFrames {
     pub ssd_pages: u64,
     /// Pages currently write-protected (migration in flight).
     pub wp_pages: u64,
-    /// Pages swapped out to disk.
-    pub swapped_pages: u64,
 }
 
 impl TenantFrames {
@@ -859,7 +757,6 @@ impl AddressSpace {
             f.nvm_pages += r.mapped_pages() - dram - ssd;
             f.ssd_pages += ssd;
             f.wp_pages += r.wp_pages();
-            f.swapped_pages += r.swapped_pages();
         }
         f
     }
@@ -1168,11 +1065,6 @@ mod typed_error_tests {
         assert!(r.try_remap_page(1, Tier::Dram, PhysPage(1)).is_err());
         assert!(r.try_set_wp(1, true).is_err());
         r.set_wp(0, true);
-        assert_eq!(
-            r.try_swap_out_page(0, 0),
-            Err(StateError::WriteProtected { index: 0 })
-        );
-        assert!(r.try_swap_in_page(0, Tier::Dram, PhysPage(2)).is_err());
         // The region is untouched by the failed transitions.
         assert_eq!(r.mapped_pages(), 1);
         assert_eq!(r.wp_pages(), 1);
@@ -1185,17 +1077,13 @@ mod typed_error_tests {
             "page 3 already mapped"
         );
         assert_eq!(
-            StateError::WriteProtected { index: 5 }.to_string(),
-            "page 5 is write-protected (migrating)"
-        );
-        assert_eq!(
             StateError::BadTransition {
-                op: "swap_in",
+                op: "remap",
                 index: 2,
                 state: PageState::Unmapped
             }
             .to_string(),
-            "swap_in of page 2 in state Unmapped"
+            "remap of page 2 in state Unmapped"
         );
     }
 
@@ -1227,8 +1115,6 @@ mod snapshot_tests {
             r.map_page(1, Tier::Nvm, PhysPage(1));
             r.map_page(2, Tier::Nvm, PhysPage(2));
             r.set_wp(1, true);
-            r.map_page(3, Tier::Nvm, PhysPage(3));
-            r.swap_out_page(3, 9);
         }
         s.region_mut(b).map_page(0, Tier::Dram, PhysPage(4));
 
@@ -1239,72 +1125,14 @@ mod snapshot_tests {
         assert_eq!(r.mapped_pages(), 3);
         assert_eq!(r.dram_pages(), 1);
         assert_eq!(r.wp_pages(), 1);
-        assert_eq!(r.swapped_pages(), 1);
         assert_eq!(r.wp_pages_in(0, 8), 1);
         assert_eq!(r.kth_nvm_page_in(0, 8, 1), Some(2));
-        assert_eq!(r.state(3), PageState::Swapped { slot: 9 });
         assert_eq!(back.region(b).dram_pages(), 1);
         assert!(back.try_munmap(gone).is_err(), "unmapped slot preserved");
         // New mmaps continue from the same base as the original.
         let mut s2 = back;
         let c = s2.mmap(1 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
         assert!(s2.region(c).range().base.0 > s2.region(b).range().end());
-    }
-}
-
-#[cfg(test)]
-mod swap_tests {
-    use super::*;
-
-    #[test]
-    fn swap_out_and_in_round_trip() {
-        let mut s = AddressSpace::new();
-        let id = s.mmap(2 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        let r = s.region_mut(id);
-        r.map_page(0, Tier::Nvm, PhysPage(7));
-        let (tier, phys) = r.swap_out_page(0, 42);
-        assert_eq!((tier, phys), (Tier::Nvm, PhysPage(7)));
-        assert_eq!(r.swapped_pages(), 1);
-        assert_eq!(r.mapped_pages(), 0);
-        assert_eq!(r.state(0), PageState::Swapped { slot: 42 });
-        let slot = r.swap_in_page(0, Tier::Dram, PhysPage(3));
-        assert_eq!(slot, 42);
-        assert_eq!(r.swapped_pages(), 0);
-        assert_eq!(r.dram_pages(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "write-protected")]
-    fn swapping_a_migrating_page_panics() {
-        let mut s = AddressSpace::new();
-        let id = s.mmap(1 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        let r = s.region_mut(id);
-        r.map_page(0, Tier::Nvm, PhysPage(0));
-        r.set_wp(0, true);
-        r.swap_out_page(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "swap_in of page")]
-    fn swap_in_of_mapped_page_panics() {
-        let mut s = AddressSpace::new();
-        let id = s.mmap(1 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        let r = s.region_mut(id);
-        r.map_page(0, Tier::Nvm, PhysPage(0));
-        r.swap_in_page(0, Tier::Dram, PhysPage(1));
-    }
-
-    #[test]
-    fn swapped_pages_count_as_unmapped_for_residency() {
-        let mut s = AddressSpace::new();
-        let id = s.mmap(4 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        let r = s.region_mut(id);
-        for i in 0..4 {
-            r.map_page(i, Tier::Nvm, PhysPage(i));
-        }
-        r.swap_out_page(2, 0);
-        assert_eq!(r.mapped_pages_in(0, 4), 3);
-        assert_eq!(r.kth_unmapped_page_in(0, 4, 0), Some(2));
     }
 }
 
@@ -1329,7 +1157,6 @@ mod live_list_tests {
                 f.nvm_pages += r.mapped_pages() - dram - ssd;
                 f.ssd_pages += ssd;
                 f.wp_pages += r.wp_pages();
-                f.swapped_pages += r.swapped_pages();
             }
         }
         f

@@ -131,6 +131,13 @@ echo "== fleet churn smoke"
 cargo build --release -p hemem-bench --bin fleetbench
 ./target/release/fleetbench
 
+# reprocheck runs every paper figure, table, and ablation binary with
+# default args from a scratch directory and fails unless each file it
+# writes and the table it prints are byte-identical to the committed
+# copies under results/.
+echo "== paper-figure drift gate"
+./scripts/reprocheck.sh
+
 # Slot-pool hygiene: every tenant spawn must flow through the pool
 # (claim + in-place reset), never construct a tracker ad hoc — the only
 # PageTracker::new call sites in the managed layers live in

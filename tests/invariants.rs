@@ -43,7 +43,7 @@ fn check_accounting(sim: &Sim<AnyBackend>) {
                     tier: hemem_repro::vmm::Tier::Ssd,
                     ..
                 } => {}
-                PageState::Unmapped | PageState::Swapped { .. } => {}
+                PageState::Unmapped => {}
             }
         }
     }
