@@ -17,7 +17,6 @@ use crate::nimble::Nimble;
 use crate::pt_hemem::{HeMemPt, PtMode};
 use crate::spill3::SpillTier3;
 use crate::static_tier::StaticTier;
-use crate::thermostat::Thermostat;
 
 /// Any of the tiered memory managers under evaluation.
 pub enum AnyBackend {
@@ -31,8 +30,6 @@ pub enum AnyBackend {
     Pt(HeMemPt),
     /// Static placement (X-Mem / DRAM / NVM).
     Static(StaticTier),
-    /// Thermostat (PTE-poisoning page sampling).
-    Thermostat(Thermostat),
     /// Naive three-tier spill-at-allocation.
     Spill3(SpillTier3),
 }
@@ -58,15 +55,13 @@ pub enum BackendKind {
     PtSync,
     /// HeMem with asynchronous page-table scanning.
     PtAsync,
-    /// Thermostat: PTE-poisoning sampling (related work, §6).
-    Thermostat,
     /// Naive three-tier spill-at-allocation baseline (tierbench).
     Spill3,
 }
 
 impl BackendKind {
     /// All kinds, for sweeps.
-    pub const ALL: [BackendKind; 11] = [
+    pub const ALL: [BackendKind; 10] = [
         BackendKind::HeMem,
         BackendKind::HeMemThreads,
         BackendKind::MemoryMode,
@@ -76,7 +71,6 @@ impl BackendKind {
         BackendKind::NvmOnly,
         BackendKind::PtSync,
         BackendKind::PtAsync,
-        BackendKind::Thermostat,
         BackendKind::Spill3,
     ];
 
@@ -92,7 +86,6 @@ impl BackendKind {
             BackendKind::NvmOnly => "NVM",
             BackendKind::PtSync => "HeMem-PT-Sync",
             BackendKind::PtAsync => "HeMem-PT-Async",
-            BackendKind::Thermostat => "Thermostat",
             BackendKind::Spill3 => "Spill3",
         }
     }
@@ -111,7 +104,6 @@ impl BackendKind {
             "nvm" | "nvmonly" => BackendKind::NvmOnly,
             "ptsync" | "hemem-pt-sync" | "pt-sync" => BackendKind::PtSync,
             "ptasync" | "hemem-pt-async" | "pt-async" => BackendKind::PtAsync,
-            "thermostat" => BackendKind::Thermostat,
             "spill3" | "spill-3" | "spill" => BackendKind::Spill3,
             _ => return None,
         })
@@ -136,7 +128,6 @@ impl BackendKind {
             BackendKind::NvmOnly => AnyBackend::Static(StaticTier::nvm_only()),
             BackendKind::PtSync => AnyBackend::Pt(HeMemPt::new(cfg, PtMode::Sync)),
             BackendKind::PtAsync => AnyBackend::Pt(HeMemPt::new(cfg, PtMode::Async)),
-            BackendKind::Thermostat => AnyBackend::Thermostat(Thermostat::paper()),
             BackendKind::Spill3 => {
                 AnyBackend::Spill3(SpillTier3::with_threshold(cfg.manage_threshold))
             }
@@ -152,7 +143,6 @@ macro_rules! delegate {
             AnyBackend::Nimble($b) => $e,
             AnyBackend::Pt($b) => $e,
             AnyBackend::Static($b) => $e,
-            AnyBackend::Thermostat($b) => $e,
             AnyBackend::Spill3($b) => $e,
         }
     };

@@ -16,7 +16,6 @@ pub mod pt_hemem;
 pub mod scan;
 pub mod spill3;
 pub mod static_tier;
-pub mod thermostat;
 
 pub use any::{AnyBackend, BackendKind};
 pub use memory_mode::{MemoryMode, MemoryModeStats};
@@ -25,4 +24,3 @@ pub use pt_hemem::{HeMemPt, PtMode, PtStats};
 pub use scan::{scan_and_classify, ScanOutcome};
 pub use spill3::SpillTier3;
 pub use static_tier::{StaticPolicy, StaticTier};
-pub use thermostat::{Thermostat, ThermostatConfig, ThermostatStats};

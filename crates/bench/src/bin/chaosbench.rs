@@ -11,11 +11,12 @@
 //! configuration twice and asserts byte-identical stats — a chaos run is
 //! exactly as reproducible as a clean one.
 
-use hemem_baselines::{AnyBackend, BackendKind};
+use hemem_baselines::AnyBackend;
+use hemem_bench::gate::{hemem_gups, Gate};
 use hemem_bench::{f3, fingerprint, ExpArgs, Report};
 use hemem_core::runtime::Sim;
 use hemem_sim::{FaultPlanConfig, Ns};
-use hemem_workloads::{Gups, GupsConfig, GupsResult};
+use hemem_workloads::{GupsConfig, GupsResult};
 
 /// Master fault rates swept; per-site rates are derived from each.
 const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.5];
@@ -36,21 +37,18 @@ fn chaos(rate: f64) -> FaultPlanConfig {
 fn run_one(args: &ExpArgs, workload: &str, rate: f64) -> (Sim<AnyBackend>, GupsResult) {
     let mut mc = args.machine();
     mc.chaos = chaos(rate);
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
     let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
     cfg.warmup = Ns::secs(3);
     cfg.duration = Ns::secs(args.seconds.unwrap_or(8));
     if workload == "zipf" {
         cfg.zipf_theta = Some(0.99);
     }
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let res = gups.run(&mut sim);
-    (sim, res)
+    hemem_gups(mc, cfg)
 }
 
 fn main() {
     let args = ExpArgs::parse();
+    let mut gate = Gate::new("chaosbench");
     let mut rep = Report::new(
         "chaosbench",
         "Chaos sweep: GUPS under injected faults (HeMem)",
@@ -70,7 +68,7 @@ fn main() {
     );
     for workload in ["hot90", "zipf"] {
         for &rate in &RATES {
-            let (sim, res) = run_one(&args, workload, rate);
+            let (sim, res) = gate.leg(|| run_one(&args, workload, rate));
             let s = &sim.m.stats;
             let c = sim.m.chaos.stats();
             rep.row(&[
@@ -92,13 +90,7 @@ fn main() {
 
     // Reproducibility gate: one faulty configuration, run twice with the
     // same seed and plan, must produce byte-identical stats.
-    let (a, _) = run_one(&args, "hot90", 0.05);
-    let (b, _) = run_one(&args, "hot90", 0.05);
-    let (fa, fb) = (fingerprint(&a), fingerprint(&b));
-    assert_eq!(
-        fa, fb,
-        "same seed + same fault plan must reproduce identical stats"
-    );
-    println!("determinism: OK — two runs at rate 0.05 are byte-identical");
-    println!("  {fa}");
+    let (a, _) = gate.replay("determinism at rate 0.05", || run_one(&args, "hot90", 0.05));
+    println!("  {}", fingerprint(&a));
+    gate.finish();
 }

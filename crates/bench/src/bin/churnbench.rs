@@ -22,11 +22,8 @@
 //! are accepted for uniformity with the other benches but do not move
 //! the gates. Results land in `results/churnbench.csv`.
 
-use std::time::Instant;
-
-use hemem_bench::{
-    assert_silent_audit, assert_tenant_drained, f3, fingerprint, record_wallclock, ExpArgs, Report,
-};
+use hemem_bench::gate::{assert_identical, frozen_args, Gate};
+use hemem_bench::{assert_silent_audit, assert_tenant_drained, f3, ExpArgs, Report};
 use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::MachineConfig;
@@ -36,8 +33,6 @@ use hemem_sim::{Ns, TenantKill};
 use hemem_vmm::TenantId;
 use hemem_workloads::churn::{run_churn, BalloonOp, ChurnConfig, ChurnResult, ChurnTenantSpec};
 
-/// Machine scale divisor for every gate (2 GiB DRAM + 8 GiB NVM).
-const SCALE: u64 = 96;
 /// Tenant slots the manager is built with.
 const SLOTS: usize = 4;
 /// Simulated length of one schedule run.
@@ -49,11 +44,7 @@ const KILL_AT_SECS: u64 = 3;
 /// device, a seeded kill for slot 1, and optionally the media-error +
 /// PEBS storm for gate (c).
 fn gate_machine(storm: bool, trace: bool) -> MachineConfig {
-    let args = ExpArgs {
-        scale: SCALE,
-        ..ExpArgs::default()
-    };
-    let mut mc = args.machine().with_tier3(16 * GIB);
+    let mut mc = frozen_args().machine().with_tier3(16 * GIB);
     mc.chaos.tenant_kill_at = vec![TenantKill {
         tenant: 1,
         at: Ns::secs(KILL_AT_SECS),
@@ -144,30 +135,17 @@ fn run_schedule(storm: bool, trace: bool) -> (Sim<HeMem>, ChurnResult) {
 
 fn main() {
     let _args = ExpArgs::parse(); // accepted for CLI uniformity; gates are fixed
-    let wall = Instant::now();
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("churnbench");
 
-    // Gate (a): the storm schedule replays byte-identically.
-    let (sa, ra) = run_schedule(true, false);
-    let (sb, rb) = run_schedule(true, false);
-    sim_secs += 2.0 * END_SECS as f64;
-    assert_eq!(
-        fingerprint(&sa),
-        fingerprint(&sb),
-        "gate (a) failed: storm churn replay diverged"
-    );
-    assert_eq!(
-        ra.fingerprint, rb.fingerprint,
-        "gate (a) failed: submission streams diverged"
-    );
-    for (x, y) in ra.per_tenant.iter().zip(&rb.per_tenant) {
-        assert_eq!(x.stream_hash, y.stream_hash, "{} stream", x.label);
-    }
-    println!("gate (a): churn schedule replays byte-identical under the storm");
+    // Gate (a): the storm schedule replays byte-identically: machine
+    // fingerprint, submission stream, and every per-tenant stream.
+    let storm_run = gate.replay("gate (a) churn schedule under the storm", || {
+        run_schedule(true, false)
+    });
+    let (sa, ra) = (&storm_run.0, &storm_run.1);
 
     // The storm-free baseline for gate (c).
-    let (s0, r0) = run_schedule(false, false);
-    sim_secs += END_SECS as f64;
+    let (s0, r0) = gate.leg(|| run_schedule(false, false));
 
     // Gate (c): the anchor's major-fault tail under the neighbor storm
     // stays within 2x of the storm-free run.
@@ -201,13 +179,9 @@ fn main() {
     );
 
     // Gate (d): tracing is transparent and the lifecycle instants exist.
-    let (st, _rt) = run_schedule(true, true);
-    sim_secs += END_SECS as f64;
-    assert_eq!(
-        fingerprint(&sa),
-        fingerprint(&st),
-        "gate (d) failed: enabling tracing changed the simulation"
-    );
+    let traced = gate.leg(|| run_schedule(true, true));
+    assert_identical("gate (d) traced vs untraced churn", &storm_run, &traced);
+    let st = &traced.0;
     let count = |name: &str| {
         st.m.trace
             .events()
@@ -242,7 +216,7 @@ fn main() {
             "major_p99_ns",
         ],
     );
-    for (mode, sim, res) in [("clean", &s0, &r0), ("storm", &sa, &ra)] {
+    for (mode, sim, res) in [("clean", &s0, &r0), ("storm", sa, ra)] {
         for t in &res.per_tenant {
             rep.row(&[
                 mode.to_string(),
@@ -276,5 +250,5 @@ fn main() {
     }
     rep.emit();
 
-    record_wallclock("churnbench", wall.elapsed().as_secs_f64(), sim_secs);
+    gate.finish();
 }

@@ -25,7 +25,8 @@
 //!    greedy-miss-ratio must be strictly higher than under static equal
 //!    shares, and every run must pass the tenant-scoped audit.
 
-use hemem_bench::{f3, fingerprint, record_wallclock, write_results, ExpArgs, Report};
+use hemem_bench::gate::{assert_identical, Gate};
+use hemem_bench::{assert_silent_audit, f3, fingerprint, write_results, ExpArgs, Report};
 use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::runtime::Sim;
@@ -68,13 +69,13 @@ fn colo_machine(args: &ExpArgs) -> hemem_core::machine::MachineConfig {
 }
 
 /// Runs `specs` under `policy` for `warmup + seconds`, sampling the
-/// per-tenant telemetry, and audits the end state.
+/// per-tenant telemetry CSV, and audits the end state.
 fn run_mix(
     args: &ExpArgs,
     policy: ArbiterPolicy,
     specs: Vec<TenantSpec>,
     seconds: u64,
-) -> (Sim<HeMem>, ColoResult, TenantTelemetry) {
+) -> (Sim<HeMem>, (ColoResult, String)) {
     let mc = colo_machine(args);
     let hc = HeMemConfig::scaled_for(&mc);
     let n = specs.len();
@@ -92,20 +93,15 @@ fn run_mix(
     let res = run_colo_with(&mut sim, &cfg, |s| {
         tel.maybe_sample(s);
     });
-    let violations = sim.run_audit(false);
-    assert!(
-        violations.is_empty(),
-        "{} run must pass the tenant-scoped audit: {violations:?}",
-        policy.label()
-    );
-    (sim, res, tel)
+    assert_silent_audit(&mut sim, &format!("{} run", policy.label()));
+    (sim, (res, tel.csv()))
 }
 
 /// Gate 1: the arbiter is a no-op for a single tenant.
-fn solo_identity_gate(args: &ExpArgs, seconds: u64) {
+fn solo_identity_gate(gate: &mut Gate, args: &ExpArgs, seconds: u64) {
     let dram = args.machine().dram.capacity;
     let spec = || vec![gups_tenant("gups_solo", 2 * dram, dram / 3, 8)];
-    let run = |multi: bool| -> (String, u64, String) {
+    let run = |multi: bool| -> (Sim<HeMem>, (ColoResult, String)) {
         let mc = colo_machine(args);
         let hc = HeMemConfig::scaled_for(&mc);
         let backend = if multi {
@@ -133,57 +129,37 @@ fn solo_identity_gate(args: &ExpArgs, seconds: u64) {
             t.maybe_sample(s);
         });
         let tel_csv = tel.map(|t| t.csv()).unwrap_or_default();
-        (fingerprint(&sim), res.fingerprint, tel_csv)
+        (sim, (res, tel_csv))
     };
-    let (fp_solo, stream_solo, tel_solo) = run(false);
-    let (fp_arb, stream_arb, tel_arb) = run(true);
-    assert_eq!(
-        fp_solo, fp_arb,
-        "one tenant under the arbiter must be byte-identical to the single-process manager"
+    let solo = gate.leg(|| run(false));
+    let arb = gate.leg(|| run(true));
+    // Fingerprint, operation stream, and telemetry CSV all match.
+    assert_identical(
+        "one tenant under the arbiter vs the single-process manager",
+        &solo,
+        &arb,
     );
-    assert_eq!(stream_solo, stream_arb, "identical operation streams");
-    assert_eq!(tel_solo, tel_arb, "identical telemetry CSVs");
     println!("solo-identity: OK — 1-tenant arbiter run matches the single-process path");
-    println!("  {fp_solo}");
+    println!("  {}", fingerprint(&solo.0));
 }
 
 fn main() {
     let args = ExpArgs::parse();
     let seconds = args.seconds.unwrap_or(8);
     let dram = args.machine().dram.capacity;
-    let wall = std::time::Instant::now();
-    // Simulated time covered by the run, accumulated per gate/sweep
-    // (each run pays 1 s of warmup on top of its measured window).
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("colobench");
 
-    solo_identity_gate(&args, seconds.min(3));
-    sim_secs += 2.0 * (1 + seconds.min(3)) as f64;
+    solo_identity_gate(&mut gate, &args, seconds.min(3));
 
     // Gate 2: two-tenant replay determinism (short static-share run).
-    let gate_secs = seconds.min(3);
-    let (sa, ra, _) = run_mix(
-        &args,
-        ArbiterPolicy::StaticShares,
-        hot_cold_mix(dram),
-        gate_secs,
-    );
-    let (sb, rb, _) = run_mix(
-        &args,
-        ArbiterPolicy::StaticShares,
-        hot_cold_mix(dram),
-        gate_secs,
-    );
-    assert_eq!(
-        fingerprint(&sa),
-        fingerprint(&sb),
-        "same seed + same mix must reproduce identical machine state"
-    );
-    assert_eq!(
-        ra.fingerprint, rb.fingerprint,
-        "identical submission streams"
-    );
-    sim_secs += 2.0 * (2 + gate_secs) as f64;
-    println!("replay: OK — two colocated runs are byte-identical");
+    gate.replay("two colocated static-share runs", || {
+        run_mix(
+            &args,
+            ArbiterPolicy::StaticShares,
+            hot_cold_mix(dram),
+            seconds.min(3),
+        )
+    });
 
     // The sweep: hot + cold under every arbiter policy.
     let mut rep = Report::new(
@@ -202,8 +178,8 @@ fn main() {
     );
     let mut aggregate = Vec::new();
     for policy in ArbiterPolicy::ALL {
-        let (sim, res, tel) = run_mix(&args, policy, hot_cold_mix(dram), seconds);
-        sim_secs += (2 + seconds) as f64;
+        let (sim, (res, tel_csv)) =
+            gate.leg(|| run_mix(&args, policy, hot_cold_mix(dram), seconds));
         let arb = sim
             .backend
             .arbiter()
@@ -236,7 +212,7 @@ fn main() {
         if policy == ArbiterPolicy::GreedyMissRatio {
             write_results(
                 "colobench_telemetry.csv",
-                &tel.csv(),
+                &tel_csv,
                 "per-tenant telemetry csv",
             );
         }
@@ -263,5 +239,5 @@ fn main() {
         (greedy_ops as f64 / static_ops as f64 - 1.0) * 100.0
     );
 
-    record_wallclock("colobench", wall.elapsed().as_secs_f64(), sim_secs);
+    gate.finish();
 }

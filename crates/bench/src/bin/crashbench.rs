@@ -16,12 +16,13 @@
 //! recovered run is exactly as reproducible as a clean one.
 
 use hemem_baselines::{AnyBackend, BackendKind};
+use hemem_bench::gate::{hemem_gups, Gate};
 use hemem_bench::{f3, fingerprint, write_results, ExpArgs, Report};
 use hemem_core::runtime::Sim;
 use hemem_core::telemetry::Telemetry;
 use hemem_memdev::GIB;
 use hemem_sim::Ns;
-use hemem_workloads::{Gups, GupsConfig, GupsResult};
+use hemem_workloads::{GupsConfig, GupsResult};
 
 /// Kill schedules swept: named fractions of the total run at which the
 /// manager dies. The watchdog restarts it each time.
@@ -43,15 +44,12 @@ fn run_one(args: &ExpArgs, fractions: &[f64]) -> (Sim<AnyBackend>, GupsResult) {
         .iter()
         .map(|f| Ns::from_nanos_f64(total as f64 * f))
         .collect();
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let res = gups.run(&mut sim);
-    (sim, res)
+    hemem_gups(mc, cfg)
 }
 
 fn main() {
     let args = ExpArgs::parse();
+    let mut gate = Gate::new("crashbench");
     let mut rep = Report::new(
         "crashbench",
         "Crash sweep: GUPS with seeded manager kills (HeMem)",
@@ -68,7 +66,7 @@ fn main() {
         ],
     );
     for (name, fractions) in SCHEDULES {
-        let (mut sim, res) = run_one(&args, fractions);
+        let (mut sim, res) = gate.leg(|| run_one(&args, fractions));
         let violations = sim.run_audit(true);
         let rec = sim.m.recovery;
         // Gate (a): every kill was detected and the manager restarted.
@@ -105,25 +103,24 @@ fn main() {
 
     // Reproducibility gate: the repeated-kill schedule, run twice with
     // the same seed, must produce byte-identical stats.
-    let (a, _) = run_one(&args, SCHEDULES[3].1);
-    let (b, _) = run_one(&args, SCHEDULES[3].1);
-    let (fa, fb) = (fingerprint(&a), fingerprint(&b));
-    assert_eq!(
-        fa, fb,
-        "same seed + same kill schedule must reproduce identical stats"
-    );
-    println!("determinism: OK — two crashed-and-recovered runs are byte-identical");
-    println!("  {fa}");
+    let (a, _) = gate.replay("determinism of the repeated-kill schedule", || {
+        run_one(&args, SCHEDULES[3].1)
+    });
+    println!("  {}", fingerprint(&a));
 
-    telemetry_sample(&args);
+    let (mut sim, csv) = gate.leg(|| telemetry_sample(&args));
+    assert!(!sim.manager_down(), "telemetry run recovered");
+    assert!(sim.run_audit(true).is_empty(), "telemetry run audits clean");
+    write_results("crashbench_telemetry.csv", &csv, "telemetry csv");
+    gate.finish();
 }
 
-/// Writes `results/crashbench_telemetry.csv`: a DRAM-overcommitted
-/// region demoting toward the watermark, with a manager kill landing
-/// mid-demotion, sampled every 50 ms. The recovery columns show the
-/// kill, the journal rollbacks, and the watchdog restart as step
-/// functions in the time series.
-fn telemetry_sample(args: &ExpArgs) {
+/// The telemetry leg behind `results/crashbench_telemetry.csv`: a
+/// DRAM-overcommitted region demoting toward the watermark, with a
+/// manager kill landing mid-demotion, sampled every 50 ms. The recovery
+/// columns show the kill, the journal rollbacks, and the watchdog
+/// restart as step functions in the time series.
+fn telemetry_sample(args: &ExpArgs) -> (Sim<AnyBackend>, String) {
     let mut mc = args.machine();
     mc.watchdog = Some(Default::default());
     let backend = BackendKind::HeMem.build(&mc);
@@ -139,7 +136,5 @@ fn telemetry_sample(args: &ExpArgs) {
         sim.advance(Ns::millis(50));
     }
     t.maybe_sample(&sim);
-    assert!(!sim.manager_down(), "telemetry run recovered");
-    assert!(sim.run_audit(true).is_empty(), "telemetry run audits clean");
-    write_results("crashbench_telemetry.csv", &t.csv(), "telemetry csv");
+    (sim, t.csv())
 }

@@ -26,11 +26,8 @@
 //! the gates. Results land in `results/failbench.csv`, with the
 //! per-tier health time series in `results/failbench_health.csv`.
 
-use std::time::Instant;
-
-use hemem_bench::{
-    assert_silent_audit, fingerprint, record_wallclock, write_results, ExpArgs, Report,
-};
+use hemem_bench::gate::{assert_identical, frozen_args, Gate};
+use hemem_bench::{assert_silent_audit, write_results, ExpArgs, Report};
 use hemem_core::backend::{AccessBatch, SegmentAccess};
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::{MachineConfig, TierHealth};
@@ -40,8 +37,6 @@ use hemem_memdev::{Pattern, GIB};
 use hemem_sim::{Ns, TierFault};
 use hemem_vmm::Tier;
 
-/// Machine scale divisor for every gate (2 GiB DRAM + 8 GiB NVM).
-const SCALE: u64 = 96;
 /// SSD capacity behind the NVM tier.
 const SSD_GIB: u64 = 16;
 /// Absolute sim instant the measured window opens. Populate paces the
@@ -65,26 +60,17 @@ enum Schedule {
     SsdFailReadmit,
 }
 
-/// One leg's fixed configuration.
-struct Leg {
-    schedule: Schedule,
-    evacuate: bool,
-    trace: bool,
-}
-
 /// Working set of every leg: it fits DRAM+NVM, and the armed NVM
 /// watermark demotes the cold tail to the SSD over time — so the
 /// control run takes measurable major faults without saturating the
 /// SSD queue at populate time.
 const WORKING_SET: u64 = 9 * GIB;
 
-fn gate_machine(leg: &Leg) -> MachineConfig {
-    let args = ExpArgs {
-        scale: SCALE,
-        ..ExpArgs::default()
-    };
-    let mut mc = args.machine().with_tier3(SSD_GIB * GIB);
-    match leg.schedule {
+/// One leg's machine: the seeded `schedule`, evacuation on or off, and
+/// tracing on or off.
+fn gate_machine(schedule: Schedule, evacuate: bool, trace: bool) -> MachineConfig {
+    let mut mc = frozen_args().machine().with_tier3(SSD_GIB * GIB);
+    match schedule {
         Schedule::Clean => {}
         Schedule::NvmFail => {
             mc.chaos.tier_degrade_at = vec![TierFault {
@@ -107,8 +93,8 @@ fn gate_machine(leg: &Leg) -> MachineConfig {
             }];
         }
     }
-    mc.evacuate_on_failure = leg.evacuate;
-    mc.trace = leg.trace;
+    mc.evacuate_on_failure = evacuate;
+    mc.trace = trace;
     mc
 }
 
@@ -167,18 +153,12 @@ fn batch_for(region: hemem_vmm::RegionId, total_pages: u64, tid: u32) -> AccessB
     }
 }
 
-/// Outcome of one leg.
-struct LegResult {
-    sim: Sim<HeMem>,
-    ops: u64,
-    health_csv: String,
-}
-
 /// Runs one leg: populate, then a closed loop of fixed batches on
 /// `THREADS` threads until the window closes. The health schedule fires
-/// from the machine's fault plan.
-fn run_leg(leg: &Leg) -> LegResult {
-    let mc = gate_machine(leg);
+/// from the machine's fault plan. Returns the finished sim and its
+/// per-tier health time series CSV.
+fn run_leg(schedule: Schedule, evacuate: bool, trace: bool) -> (Sim<HeMem>, String) {
+    let mc = gate_machine(schedule, evacuate, trace);
     let backend = gate_backend(&mc);
     let mut sim = Sim::new(mc, backend);
     let id = sim.mmap(WORKING_SET);
@@ -215,102 +195,65 @@ fn run_leg(leg: &Leg) -> LegResult {
         }
     }
     health.maybe_sample(&sim);
-    LegResult {
-        ops: sim.m.stats.ops,
-        health_csv: health.csv(),
-        sim,
-    }
-}
-
-fn nvm_leg(evacuate: bool, trace: bool) -> Leg {
-    Leg {
-        schedule: Schedule::NvmFail,
-        evacuate,
-        trace,
-    }
+    (sim, health.csv())
 }
 
 fn main() {
     let _args = ExpArgs::parse(); // accepted for CLI uniformity; gates are fixed
-    let wall = Instant::now();
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("failbench");
 
-    // Gate (a): both failure schedules replay byte-identically.
-    let ra = run_leg(&nvm_leg(true, false));
-    let rb = run_leg(&nvm_leg(true, false));
-    sim_secs += 2.0 * END_SECS as f64;
-    assert_eq!(
-        fingerprint(&ra.sim),
-        fingerprint(&rb.sim),
-        "gate (a) failed: NVM degrade+fail replay diverged"
-    );
-    assert_eq!(
-        ra.health_csv, rb.health_csv,
-        "gate (a) failed: health time series diverged"
-    );
-    let ssd_leg = Leg {
-        schedule: Schedule::SsdFailReadmit,
-        evacuate: true,
-        trace: false,
-    };
-    let sa = run_leg(&ssd_leg);
-    let sb = run_leg(&ssd_leg);
-    sim_secs += 2.0 * END_SECS as f64;
-    assert_eq!(
-        fingerprint(&sa.sim),
-        fingerprint(&sb.sim),
-        "gate (a) failed: SSD fail+readmit replay diverged"
-    );
-    println!("gate (a): NVM and SSD failure schedules replay byte-identical");
+    // Gate (a): both failure schedules replay byte-identically, health
+    // time series included.
+    let mut nvm = gate.replay("gate (a) NVM degrade+fail", || {
+        run_leg(Schedule::NvmFail, true, false)
+    });
+    let mut ssd = gate.replay("gate (a) SSD fail+readmit", || {
+        run_leg(Schedule::SsdFailReadmit, true, false)
+    });
 
     // The failure-free control for gate (b).
-    let clean = run_leg(&Leg {
-        schedule: Schedule::Clean,
-        evacuate: true,
-        trace: false,
-    });
-    sim_secs += END_SECS as f64;
+    let (clean, _) = gate.leg(|| run_leg(Schedule::Clean, true, false));
 
     // Gate (b): the failed tier drained to zero, the audit silent, and
     // the survivor's major-fault tail bounded.
+    let ra = &mut nvm.0;
     assert_eq!(
-        ra.sim.m.tier_health(Tier::Nvm),
+        ra.m.tier_health(Tier::Nvm),
         TierHealth::Offline,
         "gate (b): the seeded failure must have fired"
     );
-    assert_eq!(ra.sim.evacuating(), None, "gate (b): evacuation finished");
-    assert!(ra.sim.m.health.evac_done[Tier::Nvm.rank()]);
+    assert_eq!(ra.evacuating(), None, "gate (b): evacuation finished");
+    assert!(ra.m.health.evac_done[Tier::Nvm.rank()]);
     assert_eq!(
-        ra.sim.m.nvm_pool.allocated_pages(),
+        ra.m.nvm_pool.allocated_pages(),
         0,
         "gate (b) failed: frames left on the offline NVM tier"
     );
     assert!(
-        ra.sim.m.health.evacuated_pages > 0,
+        ra.m.health.evacuated_pages > 0,
         "gate (b): the evacuation must have moved pages, not just poisoned"
     );
-    let mut ra_sim = ra.sim;
-    assert_silent_audit(&mut ra_sim, "gate (b) after evacuation");
+    assert_silent_audit(ra, "gate (b) after evacuation");
     // The SSD leg drains too, and the readmitted tier is healthy, empty,
     // and accepting pages again by the end of the run.
+    let sa = &mut ssd.0;
     assert!(
-        sa.sim.m.health.evacuated_pages > 0,
+        sa.m.health.evacuated_pages > 0,
         "gate (b): SSD evacuation must have moved pages"
     );
     assert_eq!(
-        sa.sim.m.tier_health(Tier::Ssd),
+        sa.m.tier_health(Tier::Ssd),
         TierHealth::Healthy,
         "gate (b): the SSD readmit must have fired"
     );
-    assert_eq!(sa.sim.m.health.readmits, 1);
-    let mut sa_sim = sa.sim;
-    assert_silent_audit(&mut sa_sim, "gate (b) after readmit");
+    assert_eq!(sa.m.health.readmits, 1);
+    assert_silent_audit(sa, "gate (b) after readmit");
     let p99 = |s: &Sim<HeMem>| {
         s.m.trace
             .hist(hemem_sim::LatencyClass::MajorFault)
             .quantile(0.99)
     };
-    let (clean_p99, evac_p99) = (p99(&clean.sim), p99(&ra_sim));
+    let (clean_p99, evac_p99) = (p99(&clean), p99(&nvm.0));
     assert!(
         clean_p99 > 0,
         "gate (b) needs the control on the SSD (no major faults seen)"
@@ -323,70 +266,61 @@ fn main() {
     println!(
         "gate (b): NVM drained ({} evacuated, {} poisoned), audit silent, \
          major-fault p99 {evac_p99} ns vs {clean_p99} ns clean",
-        ra_sim.m.health.evacuated_pages, ra_sim.m.health.poisoned_pages,
+        nvm.0.m.health.evacuated_pages, nvm.0.m.health.poisoned_pages,
     );
 
     // Gate (c): evacuation strictly beats the poison-everything baseline.
-    let poison = run_leg(&nvm_leg(false, false));
-    sim_secs += END_SECS as f64;
+    let (poison, _) = gate.leg(|| run_leg(Schedule::NvmFail, false, false));
+    let ra = &nvm.0;
     assert!(
-        poison.sim.m.health.poisoned_pages > 0,
+        poison.m.health.poisoned_pages > 0,
         "gate (c): the baseline must actually lose the resident pages"
     );
     assert!(
-        poison.sim.m.health.poison_faults > 0,
+        poison.m.health.poison_faults > 0,
         "gate (c): baseline losses must surface as typed poison faults"
     );
     assert_eq!(
-        ra_sim.m.health.poison_faults, 0,
+        ra.m.health.poison_faults, 0,
         "gate (c): the evacuating run must not hit poisoned pages"
     );
     assert!(
-        ra.ops > poison.ops,
+        ra.m.stats.ops > poison.m.stats.ops,
         "gate (c) failed: evacuation ({} ops) did not beat the \
          poison-everything baseline ({} ops)",
-        ra.ops,
-        poison.ops
+        ra.m.stats.ops,
+        poison.m.stats.ops
     );
     println!(
         "gate (c): evacuation {} ops > poison baseline {} ops \
          ({} pages poisoned, {} poison faults)",
-        ra.ops, poison.ops, poison.sim.m.health.poisoned_pages, poison.sim.m.health.poison_faults,
+        ra.m.stats.ops,
+        poison.m.stats.ops,
+        poison.m.health.poisoned_pages,
+        poison.m.health.poison_faults,
     );
 
     // Gate (d): tracing is transparent and the health instants exist.
-    let rt = run_leg(&nvm_leg(true, true));
-    sim_secs += END_SECS as f64;
-    assert_eq!(
-        fingerprint(&ra_sim),
-        fingerprint(&rt.sim),
-        "gate (d) failed: enabling tracing changed the simulation"
-    );
-    let st = run_leg(&Leg {
-        trace: true,
-        ..ssd_leg
-    });
-    sim_secs += END_SECS as f64;
-    assert_eq!(
-        fingerprint(&sa_sim),
-        fingerprint(&st.sim),
-        "gate (d) failed: tracing changed the SSD leg"
-    );
+    let nvm_traced = gate.leg(|| run_leg(Schedule::NvmFail, true, true));
+    assert_identical("gate (d) traced vs untraced NVM leg", &nvm, &nvm_traced);
+    let ssd_traced = gate.leg(|| run_leg(Schedule::SsdFailReadmit, true, true));
+    assert_identical("gate (d) traced vs untraced SSD leg", &ssd, &ssd_traced);
+    let (rt, st) = (&nvm_traced.0, &ssd_traced.0);
     let count =
         |s: &Sim<HeMem>, name: &str| s.m.trace.events().iter().filter(|e| e.name == name).count();
-    assert_eq!(count(&rt.sim, "tier_degrade"), 1, "the degrade traced");
-    assert_eq!(count(&rt.sim, "tier_offline"), 1, "the failure traced");
-    assert_eq!(count(&rt.sim, "evacuation_begin"), 1);
-    assert_eq!(count(&rt.sim, "evacuation_done"), 1);
-    assert!(count(&rt.sim, "evacuation_page") > 0, "page moves traced");
-    assert_eq!(count(&st.sim, "tier_readmit"), 1, "the readmit traced");
+    assert_eq!(count(rt, "tier_degrade"), 1, "the degrade traced");
+    assert_eq!(count(rt, "tier_offline"), 1, "the failure traced");
+    assert_eq!(count(rt, "evacuation_begin"), 1);
+    assert_eq!(count(rt, "evacuation_done"), 1);
+    assert!(count(rt, "evacuation_page") > 0, "page moves traced");
+    assert_eq!(count(st, "tier_readmit"), 1, "the readmit traced");
     println!(
         "gate (d): tracing transparent; health instants degrade={} offline={} \
          evac_pages={} readmit={}",
-        count(&rt.sim, "tier_degrade"),
-        count(&rt.sim, "tier_offline"),
-        count(&rt.sim, "evacuation_page"),
-        count(&st.sim, "tier_readmit"),
+        count(rt, "tier_degrade"),
+        count(rt, "tier_offline"),
+        count(rt, "evacuation_page"),
+        count(st, "tier_readmit"),
     );
 
     // The report: one row per leg.
@@ -405,10 +339,10 @@ fn main() {
         ],
     );
     for (name, r) in [
-        ("clean", &clean.sim),
-        ("nvm_evacuate", &ra_sim),
-        ("nvm_poison", &poison.sim),
-        ("ssd_readmit", &sa_sim),
+        ("clean", &clean),
+        ("nvm_evacuate", &nvm.0),
+        ("nvm_poison", &poison),
+        ("ssd_readmit", &ssd.0),
     ] {
         rep.row(&[
             name.to_string(),
@@ -422,7 +356,6 @@ fn main() {
         ]);
     }
     rep.emit();
-    write_results("failbench_health.csv", &ra.health_csv, "health csv");
-
-    record_wallclock("failbench", wall.elapsed().as_secs_f64(), sim_secs);
+    write_results("failbench_health.csv", &nvm.1, "health csv");
+    gate.finish();
 }

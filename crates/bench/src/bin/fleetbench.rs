@@ -18,23 +18,18 @@
 //!     slot is indistinguishable from a fresh one.
 //! (c) **Determinism + off-is-off** — the fleet run with seeded
 //!     mid-run slot kills (on top of the scheduled departures) replays
-//!     byte-identically with a silent audit, and the frozen tierbench
-//!     2-tier configuration still matches its committed pre-fleet
-//!     baseline (the fleet segment must not appear in non-fleet
-//!     fingerprints).
+//!     byte-identically with a silent audit. Off-is-off (no fleet
+//!     segment in a non-fleet fingerprint, and the 2-tier machine still
+//!     byte-identical to its committed run) is checked once by the frozen
+//!     2-tier identity leg (`hemem_bench::gate::two_tier_identity`),
+//!     which tierbench gate (a) runs.
 //!
 //! The gate configurations are fixed (scale, seeds, durations) so runs
 //! stay comparable; CLI flags are accepted for uniformity but do not
 //! affect the gates.
 
-use std::path::Path;
-use std::time::Instant;
-
-use hemem_baselines::BackendKind;
-use hemem_bench::{
-    assert_silent_audit, assert_tenant_drained, f3, fingerprint, record_wallclock, write_results,
-    ExpArgs, Report,
-};
+use hemem_bench::gate::{assert_identical, Gate};
+use hemem_bench::{assert_silent_audit, assert_tenant_drained, f3, write_results, ExpArgs, Report};
 use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::MachineConfig;
@@ -42,7 +37,7 @@ use hemem_core::runtime::Sim;
 use hemem_core::telemetry::TenantTelemetry;
 use hemem_memdev::GIB;
 use hemem_sim::{Ns, TenantKill};
-use hemem_workloads::{run_fleet_with, FleetConfig, FleetResult, Gups, GupsConfig};
+use hemem_workloads::{run_fleet_with, FleetConfig, FleetResult};
 
 /// Slots in the gate pool; offered arrivals are ~16x this, so most
 /// admissions land on recycled slots.
@@ -105,7 +100,7 @@ fn fleet_run(
     pooled: bool,
     pooled_cost: bool,
     seeded_kills: bool,
-) -> (Sim<HeMem>, FleetResult, String) {
+) -> (Sim<HeMem>, (FleetResult, String)) {
     let mc = fleet_machine(seeded_kills);
     let backend = fleet_backend(&mc, pooled);
     let mut sim = Sim::new(mc, backend);
@@ -113,57 +108,17 @@ fn fleet_run(
     let res = run_fleet_with(&mut sim, &gate_cfg(pooled_cost), |s| {
         tel.maybe_sample(s);
     });
-    (sim, res, tel.csv())
-}
-
-/// Gate (c) off-is-off leg: tierbench's frozen 2-tier GUPS run must
-/// still match the committed pre-fleet baseline, and its fingerprint
-/// must not contain a fleet segment.
-fn gate_off_identity() {
-    let args = ExpArgs {
-        scale: 96,
-        ..ExpArgs::default()
-    };
-    let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
-    cfg.warmup = Ns::secs(2);
-    cfg.duration = Ns::secs(2);
-    let mc = args.machine();
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let _ = gups.run(&mut sim);
-    let fp = format!("{}\n", fingerprint(&sim));
-    assert!(
-        !fp.contains("|fleet:"),
-        "gate (c) failed: solo run grew a fleet fingerprint segment"
-    );
-    let path = Path::new("results").join("tierbench_2tier_baseline.txt");
-    match std::fs::read_to_string(&path) {
-        Ok(baseline) => {
-            assert_eq!(
-                baseline,
-                fp,
-                "gate (c) failed: solo 2-tier fingerprint drifted from committed {}",
-                path.display()
-            );
-            println!(
-                "gate (c): solo 2-tier run byte-identical to {}",
-                path.display()
-            );
-        }
-        Err(_) => println!("gate (c): no committed 2-tier baseline; skipping compare"),
-    }
+    (sim, (res, tel.csv()))
 }
 
 fn main() {
     let _args = ExpArgs::parse(); // accepted for CLI uniformity; gates are fixed
-    let wall = Instant::now();
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("fleetbench");
 
     // Gate (a): pooled spawn beats from-scratch by ≥5x at the p99.
-    let (mut pooled_sim, pooled, pooled_csv) = fleet_run(true, true, false);
-    let (mut scratch_sim, scratch, _) = fleet_run(false, false, false);
-    sim_secs += pooled.end.as_nanos() as f64 / 1e9 + scratch.end.as_nanos() as f64 / 1e9;
+    let mut pooled_run = gate.leg(|| fleet_run(true, true, false));
+    let (mut scratch_sim, (scratch, _)) = gate.leg(|| fleet_run(false, false, false));
+    let (pooled_sim, pooled) = (&mut pooled_run.0, &pooled_run.1 .0);
     assert!(
         pooled.admitted >= ARRIVALS / 2 && pooled.admitted + pooled.shed == ARRIVALS,
         "gate (a) failed: only {}/{} arrivals admitted",
@@ -189,12 +144,12 @@ fn main() {
         p99_scratch >= 5 * p99_pooled,
         "gate (a) failed: scratch spawn p99 {p99_scratch} ns not ≥5x pooled {p99_pooled} ns"
     );
-    assert_silent_audit(&mut pooled_sim, "gate (a) pooled fleet");
+    assert_silent_audit(pooled_sim, "gate (a) pooled fleet");
     assert_silent_audit(&mut scratch_sim, "gate (a) scratch fleet");
     // Every departed instance's slot drained back to zero frames.
     for t in (0..SLOTS as u32).map(hemem_vmm::TenantId) {
         if pooled_sim.backend.tenant_is_retired(t) {
-            assert_tenant_drained(&pooled_sim, t);
+            assert_tenant_drained(pooled_sim, t);
         }
     }
     println!(
@@ -207,21 +162,13 @@ fn main() {
     );
 
     // Gate (b): recycled slots are indistinguishable from fresh ones —
-    // same schedule, same charged cost, mechanism flipped.
-    let (fresh_sim, fresh, fresh_csv) = fleet_run(false, true, false);
-    sim_secs += fresh.end.as_nanos() as f64 / 1e9;
-    assert_eq!(
-        fingerprint(&pooled_sim),
-        fingerprint(&fresh_sim),
-        "gate (b) failed: recycled-slot machine state diverged from fresh slots"
-    );
-    assert_eq!(
-        pooled.fingerprint, fresh.fingerprint,
-        "gate (b) failed: recycled-slot workload stream diverged from fresh slots"
-    );
-    assert_eq!(
-        pooled_csv, fresh_csv,
-        "gate (b) failed: recycled-slot telemetry CSV diverged from fresh slots"
+    // same schedule, same charged cost, mechanism flipped. Fingerprint,
+    // workload stream, and telemetry CSV all match.
+    let fresh_run = gate.leg(|| fleet_run(false, true, false));
+    assert_identical(
+        "gate (b) recycled-slot vs fresh-slot fleet",
+        &pooled_run,
+        &fresh_run,
     );
     println!(
         "gate (b): recycled-slot run byte-identical to fresh slots \
@@ -230,30 +177,18 @@ fn main() {
     );
 
     // Gate (c): seeded mid-run kills replay byte-identically, audit
-    // silent; and non-fleet configs are untouched.
-    let (mut killed_a, res_a, _) = fleet_run(true, true, true);
-    let (killed_b, res_b, _) = fleet_run(true, true, true);
-    sim_secs += res_a.end.as_nanos() as f64 / 1e9 + res_b.end.as_nanos() as f64 / 1e9;
-    assert_eq!(
-        fingerprint(&killed_a),
-        fingerprint(&killed_b),
-        "gate (c) failed: seeded-kill fleet replay diverged"
-    );
-    assert_eq!(
-        res_a.fingerprint, res_b.fingerprint,
-        "gate (c) failed: seeded-kill fleet stream diverged"
-    );
+    // silent.
+    let (mut killed, (res_k, _)) =
+        gate.replay("gate (c) seeded-kill fleet", || fleet_run(true, true, true));
     assert!(
-        killed_a.m.recovery.tenant_kills > res_a.admitted - res_a.lifetimes.len() as u64,
+        killed.m.recovery.tenant_kills > res_k.admitted - res_k.lifetimes.len() as u64,
         "gate (c): seeded kills must actually fire"
     );
-    assert_silent_audit(&mut killed_a, "gate (c) seeded-kill fleet");
+    assert_silent_audit(&mut killed, "gate (c) seeded-kill fleet");
     println!(
-        "gate (c): seeded-kill fleet replay byte-identical, audit silent ({} kills)",
-        killed_a.m.recovery.tenant_kills
+        "gate (c): seeded-kill fleet audit silent ({} kills)",
+        killed.m.recovery.tenant_kills
     );
-    gate_off_identity();
-    sim_secs += 4.0;
 
     let mut rep = Report::new(
         "fleetbench",
@@ -270,9 +205,9 @@ fn main() {
         ],
     );
     for (label, r) in [
-        ("pooled", &pooled),
+        ("pooled", &pooled_run.1 .0),
         ("scratch", &scratch),
-        ("seeded kills", &res_a),
+        ("seeded kills", &res_k),
     ] {
         rep.row(&[
             label.to_string(),
@@ -286,7 +221,10 @@ fn main() {
         ]);
     }
     rep.emit();
-    write_results("fleetbench_telemetry.csv", &pooled_csv, "fleet telemetry");
-
-    record_wallclock("fleetbench", wall.elapsed().as_secs_f64(), sim_secs);
+    write_results(
+        "fleetbench_telemetry.csv",
+        &pooled_run.1 .1,
+        "fleet telemetry",
+    );
+    gate.finish();
 }

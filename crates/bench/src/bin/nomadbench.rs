@@ -11,12 +11,11 @@
 //!     of pages by remap alone (zero bytes on the copy engines), cut
 //!     total journaled migration bytes by >= 30%, and hold the
 //!     major-fault p99 no worse than the exclusive run.
-//! (b) **Shadows-off byte-identity** — with `nvm_shadows` off (the
-//!     default), the tierbench gate (a) configuration must reproduce the
-//!     committed pre-PR baselines byte for byte
-//!     (`results/tierbench_2tier_baseline.txt` /
-//!     `results/tierbench_2tier_telemetry.csv`): the feature must be
-//!     invisible until switched on.
+//! (b) **Shadows-off byte-identity** — `nvm_shadows` defaults off and
+//!     the 2-tier machine stays byte-identical to its committed run.
+//!     Checked once for every default-off feature by the frozen 2-tier
+//!     identity leg (`hemem_bench::gate::two_tier_identity`), which
+//!     tierbench gate (a) runs.
 //! (c) **Kill-replay determinism** — the shadowed churn with a seeded
 //!     manager kill (journal recovery + shadow reconcile) and with a
 //!     seeded tenant kill (drain) replays byte-identically, shadow
@@ -26,30 +25,13 @@
 //! capacity tax (NVM frames parked as shadows) against the migration
 //! bandwidth saved, per write intensity.
 
-use std::path::Path;
-
 use hemem_baselines::{AnyBackend, BackendKind};
-use hemem_bench::{
-    assert_silent_audit, f3, fingerprint, record_wallclock, write_results, ExpArgs, Report,
-};
+use hemem_bench::gate::{run_batch, Gate};
+use hemem_bench::{assert_silent_audit, f3, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
 use hemem_core::machine::MachineConfig;
-use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::Telemetry;
+use hemem_core::runtime::Sim;
 use hemem_sim::{LatencyClass, Ns, TenantKill};
-use hemem_vmm::RegionId;
-use hemem_workloads::{Gups, GupsConfig};
-
-/// Machine scale divisor for every gate (2 GiB DRAM + 8 GiB NVM).
-const SCALE: u64 = 96;
-
-/// Fixed args for the gate runs: CLI flags must not move the baseline.
-fn gate_args() -> ExpArgs {
-    ExpArgs {
-        scale: SCALE,
-        ..ExpArgs::default()
-    }
-}
 
 /// Pages per churn span and accesses per batch: narrow, hot spans build
 /// PEBS heat fast enough that the drifting set keeps the promotion and
@@ -77,14 +59,9 @@ fn churn_machine(shadows: bool) -> MachineConfig {
 /// every round: newly hot NVM pages promote, last round's promotions
 /// cool and are demoted to make room — exactly the watermark churn the
 /// shadow remap path is built for. `write_frac` sets how often a
-/// promoted page dirties before it is demoted.
-struct ChurnOutcome {
-    sim: Sim<AnyBackend>,
-    accesses: u64,
-    sim_ns: u64,
-}
-
-fn churn_run(mc: MachineConfig, write_frac: f64) -> ChurnOutcome {
+/// promoted page dirties before it is demoted. Returns the finished sim
+/// and the churn's accesses per simulated second after warmup.
+fn churn_run(mc: MachineConfig, write_frac: f64) -> (Sim<AnyBackend>, f64) {
     let backend = BackendKind::HeMem.build(&mc);
     let mut sim = Sim::new(mc, backend);
     let region_bytes = 2 * sim.m.cfg.dram.capacity + sim.m.cfg.dram.capacity / 2;
@@ -106,29 +83,20 @@ fn churn_run(mc: MachineConfig, write_frac: f64) -> ChurnOutcome {
             let hi = (base + SPAN_PAGES).min(pages);
             let batch =
                 AccessBatch::uniform(region, base, hi, BATCH_OPS, 8, write_frac, region_bytes);
-            sim.submit_batch(0, &batch);
+            run_batch(&mut sim, &batch);
             accesses += BATCH_OPS;
-            loop {
-                match sim.step() {
-                    Some((_, Event::ThreadReady(_))) | None => break,
-                    Some(_) => {}
-                }
-            }
             sim.advance(Ns::millis(50));
         }
     }
     sim.advance(Ns::secs(1));
     let sim_ns = sim.now().saturating_sub(start).as_nanos();
-    ChurnOutcome {
-        sim,
-        accesses,
-        sim_ns,
-    }
+    (sim, accesses as f64 / (sim_ns as f64 / 1e9).max(1e-9))
 }
 
-/// The kill-replay variant of the churn for gate (c): the same drifting
-/// schedule with a seeded manager or tenant kill landing mid-churn.
-fn killed_churn_fingerprint(manager: bool) -> String {
+/// The kill-replay leg of gate (c): the same drifting schedule with a
+/// seeded manager or tenant kill landing mid-churn, audited silent. Its
+/// digest carries the shadow and recovery counters.
+fn killed_churn(manager: bool) -> (Sim<AnyBackend>, String) {
     let mut mc = churn_machine(true);
     let at = Ns::millis(WARM_MS + 400);
     if manager {
@@ -136,104 +104,48 @@ fn killed_churn_fingerprint(manager: bool) -> String {
     } else {
         mc.chaos.tenant_kill_at = vec![TenantKill { tenant: 0, at }];
     }
-    let mut out = churn_run(mc, 0.2);
-    assert_silent_audit(&mut out.sim, "gate (c) kill recovery");
-    format!(
-        "{}|{:?}|{:?}|{}",
-        fingerprint(&out.sim),
-        out.sim.m.shadow,
-        out.sim.m.recovery,
-        out.sim.m.nvm_pool.shadow_held_pages(),
-    )
-}
-
-/// Replays the frozen tierbench gate (a) runs with the (default)
-/// shadows-off config and checks them against the committed pre-PR
-/// baselines. Byte drift here means the feature is not a no-op when off.
-fn gate_shadows_off_identity() {
-    let args = gate_args();
-    let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
-    cfg.warmup = Ns::secs(2);
-    cfg.duration = Ns::secs(2);
-    let mc = args.machine();
-    assert!(!mc.nvm_shadows, "shadows must default off");
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let _ = gups.run(&mut sim);
-    let fp = format!("{}\n", fingerprint(&sim));
-    compare_baseline("tierbench_2tier_baseline.txt", &fp, "2-tier fingerprint");
-
-    let mc = args.machine();
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let id: RegionId = sim.mmap(2 * sim.m.cfg.dram.capacity);
-    sim.populate(id, true);
-    let mut t = Telemetry::new(id, Ns::millis(50));
-    for _ in 0..30 {
-        t.maybe_sample(&sim);
-        sim.advance(Ns::millis(50));
-    }
-    t.maybe_sample(&sim);
-    compare_baseline(
-        "tierbench_2tier_telemetry.csv",
-        &t.csv(),
-        "2-tier telemetry",
+    let (mut sim, _) = churn_run(mc, 0.2);
+    assert_silent_audit(&mut sim, "gate (c) kill recovery");
+    let digest = format!(
+        "{:?}|{:?}|{}",
+        sim.m.shadow,
+        sim.m.recovery,
+        sim.m.nvm_pool.shadow_held_pages(),
     );
-}
-
-/// Compares `contents` against the committed tierbench baseline —
-/// nomadbench never seeds these files; they must already exist (they are
-/// the *pre-PR* capture) and must match exactly.
-fn compare_baseline(filename: &str, contents: &str, what: &str) {
-    let path = Path::new("results").join(filename);
-    let baseline = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("gate (b) needs committed baseline {}: {e}", path.display()));
-    assert_eq!(
-        baseline,
-        contents,
-        "gate (b) failed: shadows-off {what} drifted from committed baseline {}",
-        path.display()
-    );
-    println!(
-        "gate (b): shadows-off {what} byte-identical to {}",
-        path.display()
-    );
+    (sim, digest)
 }
 
 fn main() {
     let _args = ExpArgs::parse(); // accepted for CLI uniformity; gates are fixed
-    let wall = std::time::Instant::now();
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("nomadbench");
 
     // Gate (a): exclusive vs shadowed tiering on the same churn.
-    let excl = churn_run(churn_machine(false), 0.1);
-    let shad = churn_run(churn_machine(true), 0.1);
-    sim_secs += (excl.sim_ns + shad.sim_ns) as f64 / 1e9 + 2.0 * (WARM_MS as f64 / 1e3);
+    let excl = gate.leg(|| churn_run(churn_machine(false), 0.1));
+    let shad = gate.leg(|| churn_run(churn_machine(true), 0.1));
     assert_eq!(
-        excl.sim.m.shadow.remap_demotions, 0,
+        excl.0.m.shadow.remap_demotions, 0,
         "exclusive run must not remap-demote"
     );
-    let remaps = shad.sim.m.shadow.remap_demotions;
+    let remaps = shad.0.m.shadow.remap_demotions;
     assert!(
         remaps > 0,
         "gate (a) failed: shadowed run produced no zero-copy demotions"
     );
-    let excl_bytes = excl.sim.m.stats.migrated_bytes;
-    let shad_bytes = shad.sim.m.stats.migrated_bytes;
+    let excl_bytes = excl.0.m.stats.migrated_bytes;
+    let shad_bytes = shad.0.m.stats.migrated_bytes;
     assert!(
         shad_bytes * 10 <= excl_bytes * 7,
         "gate (a) failed: journaled migration bytes {shad_bytes} not >=30% below exclusive {excl_bytes}"
     );
     let p99 = |s: &Sim<AnyBackend>| s.m.trace.hist(LatencyClass::MajorFault).quantile(0.99);
-    let (excl_p99, shad_p99) = (p99(&excl.sim), p99(&shad.sim));
+    let (excl_p99, shad_p99) = (p99(&excl.0), p99(&shad.0));
     assert!(
         shad_p99 <= excl_p99,
         "gate (a) failed: shadowed major-fault p99 {shad_p99} ns worse than exclusive {excl_p99} ns"
     );
     println!(
         "gate (a): {remaps} zero-copy demotions ({} moved by remap), journaled bytes {} vs {} exclusive ({}% saved), major p99 {} vs {} ns",
-        shad.sim.m.shadow.remap_demoted_bytes,
+        shad.0.m.shadow.remap_demoted_bytes,
         shad_bytes,
         excl_bytes,
         (excl_bytes - shad_bytes) * 100 / excl_bytes.max(1),
@@ -241,20 +153,12 @@ fn main() {
         excl_p99
     );
 
-    // Gate (b): the feature flag off is byte-invisible.
-    gate_shadows_off_identity();
-    sim_secs += 4.0 + 1.5;
-
-    // Gate (c): seeded kills replay byte-identically with a silent audit.
+    // Gate (c): seeded kills replay byte-identically (shadow and
+    // recovery counters included) with a silent audit.
     for (label, manager) in [("manager", true), ("tenant", false)] {
-        let fp1 = killed_churn_fingerprint(manager);
-        let fp2 = killed_churn_fingerprint(manager);
-        assert_eq!(
-            fp1, fp2,
-            "gate (c) failed: shadowed {label}-kill churn replay diverged"
-        );
-        println!("gate (c): {label}-kill replay byte-identical, audit silent");
-        sim_secs += 2.0 * 8.0;
+        gate.replay(&format!("gate (c) shadowed {label}-kill churn"), || {
+            killed_churn(manager)
+        });
     }
 
     // Ablation: shadow capacity tax vs bandwidth saved across write
@@ -266,54 +170,43 @@ fn main() {
         "Non-exclusive tiering: zero-copy demotion vs exclusive copies",
         &[
             "write_frac",
-            "remap demotions",
-            "remap bytes",
-            "journaled bytes (shadow)",
-            "journaled bytes (excl)",
-            "bytes saved %",
-            "shadow frames held",
-            "shadows retained",
-            "store invalidations",
-            "major p99 ns (shadow)",
-            "major p99 ns (excl)",
-            "accesses/s (shadow)",
-            "accesses/s (excl)",
+            "remap_demotions",
+            "remap_bytes",
+            "journaled_bytes_shadow",
+            "journaled_bytes_excl",
+            "bytes_saved_pct",
+            "shadow_frames_held",
+            "shadows_retained",
+            "store_invalidations",
+            "major_p99_ns_shadow",
+            "major_p99_ns_excl",
+            "rate_shadow",
+            "rate_excl",
         ],
     );
-    let mut csv = String::from(
-        "write_frac,remap_demotions,remap_bytes,journaled_bytes_shadow,journaled_bytes_excl,\
-         bytes_saved_pct,shadow_frames_held,shadows_retained,store_invalidations,\
-         major_p99_ns_shadow,major_p99_ns_excl,rate_shadow,rate_excl\n",
-    );
     for wf in [0.0, 0.1, 0.3, 0.6] {
-        let e = churn_run(churn_machine(false), wf);
-        let s = churn_run(churn_machine(true), wf);
-        sim_secs += (e.sim_ns + s.sim_ns) as f64 / 1e9 + 2.0 * (WARM_MS as f64 / 1e3);
-        let saved_pct =
-            (e.sim.m.stats.migrated_bytes as i128 - s.sim.m.stats.migrated_bytes as i128) * 100
-                / e.sim.m.stats.migrated_bytes.max(1) as i128;
-        let rate = |o: &ChurnOutcome| o.accesses as f64 / (o.sim_ns as f64 / 1e9).max(1e-9);
-        let row = [
+        let e = gate.leg(|| churn_run(churn_machine(false), wf));
+        let s = gate.leg(|| churn_run(churn_machine(true), wf));
+        let saved_pct = (e.0.m.stats.migrated_bytes as i128 - s.0.m.stats.migrated_bytes as i128)
+            * 100
+            / e.0.m.stats.migrated_bytes.max(1) as i128;
+        rep.row(&[
             format!("{wf:.1}"),
-            s.sim.m.shadow.remap_demotions.to_string(),
-            s.sim.m.shadow.remap_demoted_bytes.to_string(),
-            s.sim.m.stats.migrated_bytes.to_string(),
-            e.sim.m.stats.migrated_bytes.to_string(),
+            s.0.m.shadow.remap_demotions.to_string(),
+            s.0.m.shadow.remap_demoted_bytes.to_string(),
+            s.0.m.stats.migrated_bytes.to_string(),
+            e.0.m.stats.migrated_bytes.to_string(),
             saved_pct.to_string(),
-            s.sim.m.nvm_pool.shadow_held_pages().to_string(),
-            s.sim.m.shadow.retained.to_string(),
-            s.sim.m.shadow.invalidated_store.to_string(),
-            p99(&s.sim).to_string(),
-            p99(&e.sim).to_string(),
-            f3(rate(&s)),
-            f3(rate(&e)),
-        ];
-        csv.push_str(&row.join(","));
-        csv.push('\n');
-        rep.row(&row);
+            s.0.m.nvm_pool.shadow_held_pages().to_string(),
+            s.0.m.shadow.retained.to_string(),
+            s.0.m.shadow.invalidated_store.to_string(),
+            p99(&s.0).to_string(),
+            p99(&e.0).to_string(),
+            f3(s.1),
+            f3(e.1),
+        ]);
     }
     rep.emit();
-    write_results("nomadbench.csv", &csv, "nomadbench ablation");
 
-    record_wallclock("nomadbench", wall.elapsed().as_secs_f64(), sim_secs);
+    gate.finish();
 }

@@ -17,11 +17,12 @@
 //!    Nimble and Memory-Mode baselines emit their own policy-lane events.
 
 use hemem_baselines::{AnyBackend, BackendKind};
+use hemem_bench::gate::{assert_identical, hemem_gups, Gate};
 use hemem_bench::{fingerprint, write_results, ExpArgs, Report};
 use hemem_core::runtime::Sim;
 use hemem_core::telemetry::Telemetry;
 use hemem_sim::{trace::validate_chrome, LatencyClass, Ns};
-use hemem_workloads::{Gups, GupsConfig, GupsResult};
+use hemem_workloads::{GupsConfig, GupsResult};
 
 /// One GUPS run; `trace` toggles event capture and nothing else.
 fn run_one(args: &ExpArgs, trace: bool) -> (Sim<AnyBackend>, GupsResult) {
@@ -30,10 +31,7 @@ fn run_one(args: &ExpArgs, trace: bool) -> (Sim<AnyBackend>, GupsResult) {
     cfg.duration = Ns::secs(args.seconds.unwrap_or(2));
     let mut mc = args.machine();
     mc.trace = trace;
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let res = gups.run(&mut sim);
+    let (mut sim, res) = hemem_gups(mc, cfg);
     // Quiesce in-flight migrations so every span closes before export.
     for _ in 0..200 {
         if sim.m.journal.is_empty() {
@@ -74,22 +72,20 @@ fn hist_rows(rep: &mut Report, backend: &str, sim: &Sim<AnyBackend>) {
 
 fn main() {
     let args = ExpArgs::parse();
+    let mut gate = Gate::new("obsbench");
 
-    // Gate 1: tracing has zero observable cost.
-    let (traced, res_t) = run_one(&args, true);
-    let (untraced, res_u) = run_one(&args, false);
-    let (ft, fu) = (fingerprint(&traced), fingerprint(&untraced));
-    assert_eq!(
-        ft, fu,
-        "a traced run must be byte-identical to an untraced one"
-    );
-    assert_eq!(res_t.updates, res_u.updates, "identical workload progress");
+    // Gate 1: tracing has zero observable cost: machine fingerprint and
+    // workload progress (the GUPS digest) match an untraced run.
+    let traced_run = gate.leg(|| run_one(&args, true));
+    let untraced_run = gate.leg(|| run_one(&args, false));
+    assert_identical("traced vs untraced GUPS", &traced_run, &untraced_run);
+    let (traced, untraced) = (traced_run.0, untraced_run.0);
     assert!(
         untraced.m.trace.events().is_empty(),
         "disabled tracer captures no events"
     );
     println!("zero-cost: OK — traced and untraced GUPS runs are byte-identical");
-    println!("  {ft}");
+    println!("  {}", fingerprint(&traced));
 
     // Gate 2: the exported trace is valid Chrome trace-event JSON.
     traced
@@ -135,13 +131,13 @@ fn main() {
     hist_rows(&mut rep, "hemem", &traced);
 
     // Baseline traces: each emits its own policy-lane events.
-    let nimble = baseline_run(&args, BackendKind::Nimble);
+    let nimble = gate.leg(|| baseline_run(&args, BackendKind::Nimble));
     assert!(
         nimble.m.trace.export_chrome().contains("\"nimble_scan\""),
         "nimble trace has scan instants"
     );
     hist_rows(&mut rep, "nimble", &nimble);
-    let mm = baseline_run(&args, BackendKind::MemoryMode);
+    let mm = gate.leg(|| baseline_run(&args, BackendKind::MemoryMode));
     assert!(
         mm.m.trace.export_chrome().contains("\"memory_mode_tick\""),
         "memory-mode trace marks its (single) tick"
@@ -161,4 +157,5 @@ fn main() {
         "telemetry CSV carries percentile and PEBS-controller columns"
     );
     println!("telemetry: OK — percentile columns present ({header})");
+    gate.finish();
 }

@@ -19,11 +19,11 @@
 //!     while the adaptive controller started from the *same* period
 //!     raises itself out of the overload and lands its last decision
 //!     window inside the budget, with a lower cumulative drop fraction.
-//! (c) **Regions-off byte-identity** — with regions and adaptation off
-//!     (the defaults), the tierbench gate (a) configuration must
-//!     reproduce the committed pre-PR baselines byte for byte
-//!     (`results/tierbench_2tier_baseline.txt` /
-//!     `results/tierbench_2tier_telemetry.csv`).
+//! (c) **Regions-off byte-identity** — regions and adaptation default
+//!     off and the 2-tier machine stays byte-identical to its committed
+//!     run. Checked once for every default-off feature by the frozen
+//!     2-tier identity leg (`hemem_bench::gate::two_tier_identity`),
+//!     which tierbench gate (a) runs.
 //! (d) **Kill-replay determinism** — the multi-grain + adaptive churn
 //!     with a seeded manager kill landing mid-split/merge replays
 //!     byte-identically (region and controller counters included) and
@@ -33,19 +33,15 @@
 //! and multi-grain policy-pass costs and the span/split/merge activity
 //! behind them.
 
-use std::path::Path;
-
-use hemem_bench::{f3, fingerprint, record_wallclock, ExpArgs, Report};
+use hemem_bench::gate::{run_batch, Gate};
+use hemem_bench::{assert_silent_audit, f3, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
 use hemem_core::hemem::{HeMem, HeMemConfig, RegionConfig, RegionStats};
 use hemem_core::machine::MachineConfig;
-use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::Telemetry;
+use hemem_core::runtime::Sim;
 use hemem_memdev::GIB;
 use hemem_pebs::AdaptiveConfig;
 use hemem_sim::Ns;
-use hemem_vmm::RegionId;
-use hemem_workloads::{Gups, GupsConfig};
 
 /// Footprints swept by gate (a), in GiB. The machine is fixed and every
 /// point oversubscribes its 1 GiB of DRAM, so the sweep scales only the
@@ -80,17 +76,12 @@ fn scale_machine() -> MachineConfig {
     mc
 }
 
-struct RunOutcome {
-    sim: Sim<HeMem>,
-    accesses: u64,
-    sim_ns: u64,
-}
-
 /// One measured churn run at `footprint_gib` with the given region
 /// config. Two `SPAN_PAGES` hot spans drift across the whole footprint
 /// (a full tour over the run), so hot splits chase the heat while the
-/// cold majority is free to merge back.
-fn region_run(mc: MachineConfig, regions: RegionConfig, footprint_gib: u64) -> RunOutcome {
+/// cold majority is free to merge back. Returns the finished sim and the
+/// churn's accesses per simulated second after warmup.
+fn region_run(mc: MachineConfig, regions: RegionConfig, footprint_gib: u64) -> (Sim<HeMem>, f64) {
     let mut hc = HeMemConfig::scaled_for(&mc);
     hc.tracker.regions = regions;
     let mut sim = Sim::new(mc, HeMem::new(hc));
@@ -117,37 +108,27 @@ fn region_run(mc: MachineConfig, regions: RegionConfig, footprint_gib: u64) -> R
             }
             let hi = (base + SPAN_PAGES).min(pages);
             let batch = AccessBatch::uniform(region, base, hi, BATCH_OPS, 8, 0.1, bytes);
-            sim.submit_batch(0, &batch);
+            run_batch(&mut sim, &batch);
             accesses += BATCH_OPS;
-            loop {
-                match sim.step() {
-                    Some((_, Event::ThreadReady(_))) | None => break,
-                    Some(_) => {}
-                }
-            }
             sim.advance(Ns::millis(25));
         }
     }
     sim.advance(Ns::secs(1));
     let sim_ns = sim.now().saturating_sub(start).as_nanos();
-    RunOutcome {
-        sim,
-        accesses,
-        sim_ns,
-    }
+    (sim, accesses as f64 / (sim_ns as f64 / 1e9).max(1e-9))
 }
 
-fn region_stats(out: &RunOutcome) -> RegionStats {
-    out.sim
-        .backend
+fn region_stats(sim: &Sim<HeMem>) -> RegionStats {
+    sim.backend
         .region_stats()
         .expect("region tracking enabled for sweep runs")
 }
 
-/// The gate (d) run: multi-grain regions plus the adaptive controller,
+/// The gate (d) leg: multi-grain regions plus the adaptive controller,
 /// with a seeded manager kill landing mid-churn — after warmup, while
-/// splits and merges are in full swing.
-fn killed_adaptive_fingerprint() -> (String, usize) {
+/// splits and merges are in full swing — audited silent. Its digest
+/// carries the recovery, region, and controller counters.
+fn killed_adaptive() -> (Sim<HeMem>, String) {
     let mut mc = scale_machine();
     mc.pebs.sample_period = HOT_PERIOD;
     mc.pebs.adaptive = Some(AdaptiveConfig {
@@ -155,84 +136,20 @@ fn killed_adaptive_fingerprint() -> (String, usize) {
         ..AdaptiveConfig::default()
     });
     mc.chaos.manager_kill_at = vec![Ns::millis(WARM_MS + 300)];
-    let mut out = region_run(mc, RegionConfig::multi_grain(), 2);
-    let violations = out.sim.run_audit(false);
-    let fp = format!(
-        "{}|{:?}|{:?}|{:?}",
-        fingerprint(&out.sim),
-        out.sim.m.recovery,
-        region_stats(&out),
-        out.sim.m.pebs.adapt_stats(),
+    let (mut sim, _) = region_run(mc, RegionConfig::multi_grain(), 2);
+    assert_silent_audit(&mut sim, "gate (d) kill recovery");
+    let digest = format!(
+        "{:?}|{:?}|{:?}",
+        sim.m.recovery,
+        region_stats(&sim),
+        sim.m.pebs.adapt_stats(),
     );
-    (fp, violations.len())
-}
-
-/// Replays the frozen tierbench gate (a) runs with the (default)
-/// regions-off, adaptation-off config and checks them against the
-/// committed baselines. Byte drift here means one of the new features is
-/// not a no-op when off.
-fn gate_regions_off_identity() {
-    let args = ExpArgs {
-        scale: 96,
-        ..ExpArgs::default()
-    };
-    let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
-    cfg.warmup = Ns::secs(2);
-    cfg.duration = Ns::secs(2);
-    let mc = args.machine();
-    assert!(mc.pebs.adaptive.is_none(), "adaptation must default off");
-    assert!(
-        !HeMemConfig::scaled_for(&mc).tracker.regions.enabled,
-        "regions must default off"
-    );
-    let backend = hemem_baselines::BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let _ = gups.run(&mut sim);
-    let fp = format!("{}\n", fingerprint(&sim));
-    compare_baseline("tierbench_2tier_baseline.txt", &fp, "2-tier fingerprint");
-
-    let mc = args.machine();
-    let backend = hemem_baselines::BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let id: RegionId = sim.mmap(2 * sim.m.cfg.dram.capacity);
-    sim.populate(id, true);
-    let mut t = Telemetry::new(id, Ns::millis(50));
-    for _ in 0..30 {
-        t.maybe_sample(&sim);
-        sim.advance(Ns::millis(50));
-    }
-    t.maybe_sample(&sim);
-    compare_baseline(
-        "tierbench_2tier_telemetry.csv",
-        &t.csv(),
-        "2-tier telemetry",
-    );
-}
-
-/// Compares `contents` against the committed tierbench baseline —
-/// scalebench never seeds these files; they are the pre-PR capture and
-/// must match exactly.
-fn compare_baseline(filename: &str, contents: &str, what: &str) {
-    let path = Path::new("results").join(filename);
-    let baseline = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("gate (c) needs committed baseline {}: {e}", path.display()));
-    assert_eq!(
-        baseline,
-        contents,
-        "gate (c) failed: regions-off {what} drifted from committed baseline {}",
-        path.display()
-    );
-    println!(
-        "gate (c): regions-off {what} byte-identical to {}",
-        path.display()
-    );
+    (sim, digest)
 }
 
 fn main() {
     let _args = ExpArgs::parse(); // accepted for CLI uniformity; gates are fixed
-    let wall = std::time::Instant::now();
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("scalebench");
 
     // Gate (a): flat vs multi-grain policy-pass cost across the sweep.
     let mut rep = Report::new(
@@ -252,15 +169,13 @@ fn main() {
     let mut flat_costs = Vec::new();
     let mut multi_costs = Vec::new();
     for gib in FOOTPRINTS_GIB {
-        let flat = region_run(scale_machine(), RegionConfig::flat_baseline(), gib);
-        let multi = region_run(scale_machine(), RegionConfig::multi_grain(), gib);
-        sim_secs += (flat.sim_ns + multi.sim_ns) as f64 / 1e9 + 2.0 * (WARM_MS as f64 / 1e3);
-        let (fs, ms) = (region_stats(&flat), region_stats(&multi));
+        let flat = gate.leg(|| region_run(scale_machine(), RegionConfig::flat_baseline(), gib));
+        let multi = gate.leg(|| region_run(scale_machine(), RegionConfig::multi_grain(), gib));
+        let (fs, ms) = (region_stats(&flat.0), region_stats(&multi.0));
         let (fc, mc_) = (fs.policy_cost_per_period(), ms.policy_cost_per_period());
         flat_costs.push(fc);
         multi_costs.push(mc_);
-        let pages = gib * GIB / flat.sim.m.cfg.managed_page.bytes();
-        let rate = multi.accesses as f64 / (multi.sim_ns as f64 / 1e9).max(1e-9);
+        let pages = gib * GIB / flat.0.m.cfg.managed_page.bytes();
         rep.row(&[
             gib.to_string(),
             pages.to_string(),
@@ -269,7 +184,7 @@ fn main() {
             ms.spans.to_string(),
             ms.splits.to_string(),
             ms.merges.to_string(),
-            f3(rate),
+            f3(multi.1),
         ]);
     }
     rep.emit();
@@ -315,15 +230,14 @@ fn main() {
         ..AdaptiveConfig::default()
     });
     let target = AdaptiveConfig::default().target_drop_milli;
-    let fixed = region_run(fixed_mc, RegionConfig::multi_grain(), top);
-    let adapt = region_run(adapt_mc, RegionConfig::multi_grain(), top);
-    sim_secs += (fixed.sim_ns + adapt.sim_ns) as f64 / 1e9 + 2.0 * (WARM_MS as f64 / 1e3);
-    let drop_milli = |o: &RunOutcome| {
-        let p = o.sim.m.pebs.stats();
+    let fixed = gate.leg(|| region_run(fixed_mc, RegionConfig::multi_grain(), top));
+    let adapt = gate.leg(|| region_run(adapt_mc, RegionConfig::multi_grain(), top));
+    let drop_milli = |o: &(Sim<HeMem>, f64)| {
+        let p = o.0.m.pebs.stats();
         p.dropped * 1_000 / p.generated.max(1)
     };
     let (fixed_drop, adapt_drop) = (drop_milli(&fixed), drop_milli(&adapt));
-    let a = adapt.sim.m.pebs.adapt_stats();
+    let a = adapt.0.m.pebs.adapt_stats();
     assert!(
         fixed_drop > target,
         "gate (b) failed: fixed period {HOT_PERIOD} only dropped {fixed_drop} milli — \
@@ -346,30 +260,17 @@ fn main() {
         "gate (b): fixed period {HOT_PERIOD} dropped {fixed_drop} milli at {top} GiB; \
          adaptive ended at period {} ({} raises, {} lowers), last window {} milli, \
          cumulative {adapt_drop} milli",
-        adapt.sim.m.pebs.sample_period(),
+        adapt.0.m.pebs.sample_period(),
         a.raises,
         a.lowers,
         a.last_window_drop_milli
     );
 
-    // Gate (c): both features off are byte-invisible.
-    gate_regions_off_identity();
-    sim_secs += 4.0 + 1.5;
-
-    // Gate (d): the seeded kill replays byte-identically, audit silent.
-    let (fp1, v1) = killed_adaptive_fingerprint();
-    let (fp2, v2) = killed_adaptive_fingerprint();
-    assert_eq!(
-        fp1, fp2,
-        "gate (d) failed: seeded regions+adaptive kill-run replay diverged"
+    // Gate (d): the seeded kill replays byte-identically (recovery,
+    // region, and controller counters included), audit silent.
+    gate.replay(
+        "gate (d) regions+adaptive manager-kill run",
+        killed_adaptive,
     );
-    assert_eq!(
-        v1 + v2,
-        0,
-        "gate (d) failed: kill recovery left audit violations"
-    );
-    println!("gate (d): manager-kill replay byte-identical, audit silent");
-    sim_secs += 2.0 * 3.0;
-
-    record_wallclock("scalebench", wall.elapsed().as_secs_f64(), sim_secs);
+    gate.finish();
 }

@@ -4,11 +4,12 @@
 //!
 //! Gates:
 //!
-//! (a) **2-tier byte-identity** — a fixed 2-tier GUPS configuration is
-//!     replayed and its stats fingerprint plus telemetry CSV are compared
-//!     against the committed pre-PR results
-//!     (`results/tierbench_2tier_baseline.txt` /
-//!     `results/tierbench_2tier_telemetry.csv`). Any drift in RNG draw
+//! (a) **2-tier byte-identity** — the frozen 2-tier identity leg
+//!     ([`hemem_bench::gate::two_tier_identity`]): with every default-off
+//!     feature off, a fixed 2-tier GUPS run's stats fingerprint and a
+//!     telemetry CSV must match the committed
+//!     `results/tierbench_2tier_baseline.txt` /
+//!     `results/tierbench_2tier_telemetry.csv`. Any drift in RNG draw
 //!     order, event ordering, or counter layout fails the gate.
 //! (b) **Managed beats spill** — GUPS at 1.5x (DRAM+NVM)
 //!     oversubscription on a 3-tier machine: HeMem with the SSD tier
@@ -21,69 +22,23 @@
 //! committed baselines stay comparable; CLI flags are accepted for
 //! uniformity with the other benches but do not affect the gates.
 
-use std::path::Path;
-
 use hemem_baselines::{AnyBackend, BackendKind};
-use hemem_bench::{f3, fingerprint, record_wallclock, write_results, ExpArgs, Report};
+use hemem_bench::gate::{frozen_args, run_batch, two_tier_identity, Gate};
+use hemem_bench::{f3, write_results, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::MachineConfig;
-use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::{Telemetry, TierTelemetry};
+use hemem_core::runtime::Sim;
+use hemem_core::telemetry::TierTelemetry;
 use hemem_memdev::GIB;
 use hemem_sim::{LatencyClass, Ns};
-use hemem_workloads::{Gups, GupsConfig, GupsResult};
-
-/// Machine scale divisor for every gate (2 GiB DRAM + 8 GiB NVM).
-const SCALE: u64 = 96;
-
-/// Fixed args for the gate runs: CLI flags must not move the baseline.
-fn gate_args() -> ExpArgs {
-    ExpArgs {
-        scale: SCALE,
-        ..ExpArgs::default()
-    }
-}
-
-/// The frozen 2-tier configuration replayed for gate (a): crashbench's
-/// GUPS shape without kills.
-fn two_tier_run() -> (Sim<AnyBackend>, GupsResult) {
-    let args = gate_args();
-    let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
-    cfg.warmup = Ns::secs(2);
-    cfg.duration = Ns::secs(2);
-    let mc = args.machine();
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let res = gups.run(&mut sim);
-    (sim, res)
-}
-
-/// The frozen 2-tier telemetry time series for gate (a): a
-/// DRAM-overcommitted region demoting toward the watermark, sampled
-/// every 50 ms (crashbench's telemetry shape without the kill).
-fn two_tier_telemetry() -> String {
-    let args = gate_args();
-    let mc = args.machine();
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let id = sim.mmap(2 * sim.m.cfg.dram.capacity);
-    sim.populate(id, true);
-    let mut t = Telemetry::new(id, Ns::millis(50));
-    for _ in 0..30 {
-        t.maybe_sample(&sim);
-        sim.advance(Ns::millis(50));
-    }
-    t.maybe_sample(&sim);
-    t.csv()
-}
+use hemem_workloads::{run_gups, GupsConfig, GupsResult};
 
 /// The 3-tier gate machine: the gate (a) socket plus a 16 GiB swap
 /// device. `seeded_faults` arms the SSD media-error hooks for the
 /// replay half of gate (c).
 fn three_tier_machine(seeded_faults: bool) -> MachineConfig {
-    let mut mc = gate_args().machine().with_tier3(16 * GIB);
+    let mut mc = frozen_args().machine().with_tier3(16 * GIB);
     if seeded_faults {
         mc.chaos.ssd_media_error = 2e-4;
         mc.chaos.ssd_media_wear_scale = 1e-9;
@@ -117,21 +72,25 @@ fn oversubscribed_gups(mc: &MachineConfig) -> GupsConfig {
     cfg
 }
 
-/// Runs oversubscribed GUPS on the 3-tier machine with the given
-/// backend, returning the finished sim plus the workload result.
-fn three_tier_run(backend: AnyBackend, seeded_faults: bool) -> (Sim<AnyBackend>, GupsResult) {
+/// Runs oversubscribed GUPS on the 3-tier machine with the backend
+/// `build` makes for it, returning the finished sim plus the workload
+/// result.
+fn three_tier_run(
+    build: fn(&MachineConfig) -> AnyBackend,
+    seeded_faults: bool,
+) -> (Sim<AnyBackend>, GupsResult) {
     let mc = three_tier_machine(seeded_faults);
     let cfg = oversubscribed_gups(&mc);
+    let backend = build(&mc);
     let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let res = gups.run(&mut sim);
+    let res = run_gups(&mut sim, cfg);
     (sim, res)
 }
 
 /// The 3-tier telemetry time series: an oversubscribed region under
 /// uniform churn, sampled every 50 ms, recording per-tier residency and
 /// the major-fault tail.
-fn three_tier_telemetry() -> String {
+fn three_tier_telemetry() -> (Sim<AnyBackend>, String) {
     let mc = three_tier_machine(false);
     let backend = managed_backend(&mc);
     let bytes = (mc.dram.capacity + mc.nvm.capacity) * 3 / 2;
@@ -143,58 +102,35 @@ fn three_tier_telemetry() -> String {
     for _ in 0..30 {
         t.maybe_sample(&sim);
         let batch = AccessBatch::uniform(id, 0, pages, 20_000, 8, 0.5, bytes);
-        sim.submit_batch(0, &batch);
-        loop {
-            match sim.step() {
-                Some((_, Event::ThreadReady(_))) | None => break,
-                Some(_) => {}
-            }
-        }
+        run_batch(&mut sim, &batch);
         sim.advance(Ns::millis(50));
     }
     t.maybe_sample(&sim);
-    t.csv()
-}
-
-/// Compares `contents` against the committed baseline at
-/// `results/<filename>`, seeding the file when it does not exist yet
-/// (the pre-PR capture step). Panics on drift.
-fn compare_or_seed(filename: &str, contents: &str, what: &str) {
-    let path = Path::new("results").join(filename);
-    match std::fs::read_to_string(&path) {
-        Ok(baseline) => {
-            assert_eq!(
-                baseline,
-                contents,
-                "{what} drifted from committed pre-PR baseline {}",
-                path.display()
-            );
-            println!("gate (a): {what} byte-identical to {}", path.display());
-        }
-        Err(_) => {
-            write_results(filename, contents, what);
-            println!("gate (a): seeded {what} baseline at {}", path.display());
-        }
-    }
+    (sim, t.csv())
 }
 
 fn main() {
     let _args = ExpArgs::parse(); // accepted for CLI uniformity; gates are fixed
-    let wall = std::time::Instant::now();
-    // Every gate/telemetry run simulates 2 s warmup + 2 s measured.
-    const RUN_SECS: f64 = 4.0;
-    let mut sim_secs = 0.0f64;
+    let mut gate = Gate::new("tierbench");
 
-    // Gate (a): the 2-tier machine is byte-identical to the pre-PR build.
-    let (sim2, res2) = two_tier_run();
-    let fp2 = format!("{}\n", fingerprint(&sim2));
-    compare_or_seed("tierbench_2tier_baseline.txt", &fp2, "2-tier fingerprint");
-    let csv2 = two_tier_telemetry();
-    compare_or_seed("tierbench_2tier_telemetry.csv", &csv2, "2-tier telemetry");
+    // Gate (a): the 2-tier machine is byte-identical to the committed run.
+    let (sim2, res2) = two_tier_identity(&mut gate);
+
+    // Gate (c): the managed 3-tier run replays byte-identically, with
+    // and without the seeded SSD fault plan.
+    let (sim3, res3) = gate.replay("gate (c) managed 3-tier", || {
+        three_tier_run(managed_backend, false)
+    });
+    let (simf, _) = gate.replay("gate (c) seeded-fault 3-tier", || {
+        three_tier_run(managed_backend, true)
+    });
+    println!(
+        "gate (c): {} injected media errors in the seeded-fault replay",
+        simf.m.chaos.stats().nvm_media_errors
+    );
 
     // Gate (b): the managed 3-tier policy beats spill-at-allocation.
-    let (sim3, res3) = three_tier_run(managed_backend(&three_tier_machine(false)), false);
-    let (sims, ress) = three_tier_run(BackendKind::Spill3.build(&three_tier_machine(false)), false);
+    let (sims, ress) = gate.leg(|| three_tier_run(|mc| BackendKind::Spill3.build(mc), false));
     assert!(
         res3.gups > ress.gups,
         "gate (b) failed: managed 3-tier GUPS {} <= spill-at-allocation {}",
@@ -205,26 +141,6 @@ fn main() {
         "gate (b): managed 3-tier GUPS {} beats spill-at-allocation {}",
         f3(res3.gups),
         f3(ress.gups)
-    );
-
-    // Gate (c): the managed 3-tier run replays byte-identically, with
-    // and without the seeded SSD fault plan.
-    let (sim3b, _) = three_tier_run(managed_backend(&three_tier_machine(false)), false);
-    assert_eq!(
-        fingerprint(&sim3),
-        fingerprint(&sim3b),
-        "gate (c) failed: managed 3-tier replay diverged"
-    );
-    let (simf1, _) = three_tier_run(managed_backend(&three_tier_machine(true)), true);
-    let (simf2, _) = three_tier_run(managed_backend(&three_tier_machine(true)), true);
-    assert_eq!(
-        fingerprint(&simf1),
-        fingerprint(&simf2),
-        "gate (c) failed: seeded-fault 3-tier replay diverged"
-    );
-    println!(
-        "gate (c): 3-tier replays byte-identical (plain + seeded faults, {} injected media errors)",
-        simf1.m.chaos.stats().nvm_media_errors
     );
 
     let mut rep = Report::new(
@@ -241,18 +157,13 @@ fn main() {
         ],
     );
     let major = |s: &Sim<AnyBackend>| s.m.trace.hist(LatencyClass::MajorFault).count().to_string();
-    rep.row(&[
-        "2-tier".to_string(),
-        "HeMem".to_string(),
-        f3(res2.gups),
-        major(&sim2),
-        sim2.m.stats.swap_ins.to_string(),
-        sim2.m.stats.swap_outs.to_string(),
-        sim2.m.stats.migrations_done.to_string(),
-    ]);
-    for (label, s, r) in [("HeMem", &sim3, &res3), ("Spill3", &sims, &ress)] {
+    for (config, label, s, r) in [
+        ("2-tier", "HeMem", &sim2, &res2),
+        ("3-tier 1.5x", "HeMem", &sim3, &res3),
+        ("3-tier 1.5x", "Spill3", &sims, &ress),
+    ] {
         rep.row(&[
-            "3-tier 1.5x".to_string(),
+            config.to_string(),
             label.to_string(),
             f3(r.gups),
             major(s),
@@ -263,14 +174,7 @@ fn main() {
     }
     rep.emit();
 
-    write_results(
-        "tierbench_telemetry.csv",
-        &three_tier_telemetry(),
-        "3-tier telemetry",
-    );
-    // 8 simulated runs: 2-tier gate + its telemetry capture, five 3-tier
-    // runs (managed, spill, replay, 2x seeded-fault), 3-tier telemetry.
-    sim_secs += 8.0 * RUN_SECS;
-
-    record_wallclock("tierbench", wall.elapsed().as_secs_f64(), sim_secs);
+    let (_, csv3) = gate.leg(three_tier_telemetry);
+    write_results("tierbench_telemetry.csv", &csv3, "3-tier telemetry");
+    gate.finish();
 }

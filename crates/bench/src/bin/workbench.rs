@@ -25,7 +25,7 @@ use hemem_workloads::{
 fn usage() -> ! {
     eprintln!(
         "usage: workbench <gups|silo|kvs|bc|stream> [options]\n\
-         common: --backend <hemem|mm|nimble|xmem|dram|nvm|ptsync|ptasync|thermostat>\n\
+         common: --backend <hemem|mm|nimble|xmem|dram|nvm|ptsync|ptasync>\n\
          \x20        --full | --scale N   --seed S   --seconds T   --threads N\n\
          gups:   --ws-gib G --hot-gib G [--zipf THETA] [--write-only-gib G]\n\
          silo:   --warehouses N\n\

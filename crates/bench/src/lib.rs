@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod bc;
+pub mod gate;
 
 use std::fmt::Write as _;
 use std::fs;
@@ -298,54 +299,6 @@ pub fn write_results(filename: &str, contents: &str, note: &str) {
     let path = dir.join(filename);
     match fs::write(&path, contents) {
         Ok(()) => eprintln!("({note} written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Records one benchmark's wall-clock cost into
-/// `BENCH_sim_wallclock.json` at the repository root, alongside the
-/// simulated seconds it covered and the resulting simulation rate
-/// (simulated seconds per wall second). Entries for other benchmarks
-/// already in the file are preserved, so each binary maintains only its
-/// own line. The file is a progress artifact — wall-clock numbers vary
-/// by host and are *not* part of any determinism gate.
-pub fn record_wallclock(bench: &str, wall_seconds: f64, sim_seconds: f64) {
-    let path = Path::new("BENCH_sim_wallclock.json");
-    let mut entries: Vec<(String, String)> = Vec::new();
-    if let Ok(existing) = fs::read_to_string(path) {
-        // The file is always written one `"name": {...}` entry per line
-        // (see below), so a line scan recovers the other benches' rows.
-        for line in existing.lines() {
-            let t = line.trim().trim_end_matches(',');
-            if let Some(rest) = t.strip_prefix('"') {
-                if let Some((name, body)) = rest.split_once("\": ") {
-                    if name != bench {
-                        entries.push((name.to_string(), body.to_string()));
-                    }
-                }
-            }
-        }
-    }
-    let rate = sim_seconds / wall_seconds.max(1e-9);
-    entries.push((
-        bench.to_string(),
-        format!(
-            "{{\"wall_seconds\": {wall_seconds:.3}, \"sim_seconds\": {sim_seconds:.3}, \
-             \"sim_seconds_per_wall_second\": {rate:.2}}}"
-        ),
-    ));
-    entries.sort();
-    let mut out = String::from("{\n");
-    for (i, (name, body)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "  \"{name}\": {body}{comma}");
-    }
-    out.push_str("}\n");
-    match fs::write(path, &out) {
-        Ok(()) => eprintln!(
-            "(wallclock entry for {bench} written to {})",
-            path.display()
-        ),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }

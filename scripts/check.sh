@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Local mirror of CI: build, test, lint, chaos + recovery smoke. Run
-# from anywhere.
+# The whole check, as CI runs it: format, build, test, lint, the ten
+# gate benches, the paper-figure drift gate, the source hygiene gates,
+# the wall-clock gate, and a clean-tree check. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+porcelain_before=$(git status --porcelain)
 
 echo "== cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -41,95 +43,43 @@ cargo test -q --offline --manifest-path simbench/Cargo.toml
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== chaos smoke"
-cargo build --release -p hemem-bench --bin chaosbench
-./target/release/chaosbench --scale 96 --seconds 4
+# The ten gate benches. Each asserts its gates internally (listed in the
+# module doc of crates/bench/src/bin/<name>.rs) and aborts on a
+# violation. All of them run from one scratch directory, so what they
+# write to ./results and ./BENCH_sim_wallclock.json stays out of the
+# tree; fixed-config gates compare against the committed results/ by
+# absolute path.
+echo "== gate benches"
+bin_dir="${CARGO_TARGET_DIR:-$PWD/target}/release"
+gates=$(mktemp -d)
+trap 'rm -rf "$gates"' EXIT
+while read -r name args; do
+  echo "   $name $args"
+  # shellcheck disable=SC2086 # $args is a word list
+  (cd "$gates" && "$bin_dir/$name" $args </dev/null)
+done <<'LIST'
+chaosbench --scale 96 --seconds 4
+crashbench --seed 7 --scale 96 --seconds 3
+obsbench --scale 96 --seconds 1
+colobench --scale 96 --seconds 3
+tierbench
+churnbench
+failbench
+nomadbench
+scalebench
+fleetbench
+LIST
 
-# crashbench asserts internally that every kill schedule recovers,
-# audits clean, completes, and replays byte-identically; a violation
-# aborts the run and fails this step.
-echo "== recovery smoke"
-cargo build --release -p hemem-bench --bin crashbench
-./target/release/crashbench --seed 7 --scale 96 --seconds 3
-
-# obsbench asserts internally that a traced GUPS run is byte-identical
-# to an untraced one, that the exported Chrome-trace JSON parses with
-# monotone timestamps and matched span begin/ends, and that migration,
-# fault, policy-pass, and PEBS events all appear.
-echo "== observability smoke"
-cargo build --release -p hemem-bench --bin obsbench
-./target/release/obsbench --scale 96 --seconds 1
-
-# colobench asserts internally that a one-tenant run under the arbiter
-# is byte-identical to the single-process manager, that the two-tenant
-# mix replays byte-identically, that every run passes the tenant-scoped
-# audit, and that greedy arbitration strictly beats static equal shares
-# on the hot + cold mix.
-echo "== colocation smoke"
-cargo build --release -p hemem-bench --bin colobench
-./target/release/colobench --scale 96 --seconds 3
-
-# tierbench asserts internally that (a) the 2-tier machine is
-# byte-identical to the committed pre-SSD baseline, (b) the managed
-# 3-tier policy beats spill-at-allocation under 1.5x oversubscription,
-# and (c) 3-tier runs (plain and with seeded SSD faults) replay
-# byte-identically.
-echo "== tier-3 smoke"
-cargo build --release -p hemem-bench --bin tierbench
-./target/release/tierbench
-
-# churnbench asserts internally that (a) the seeded arrival/kill/balloon
-# schedule replays byte-identically under a media+PEBS storm, (b) every
-# kill drains to zero frames with the quota returned and the audit
-# silent, (c) a storm-afflicted neighbor cannot push the surviving
-# anchor's major-fault p99 past 2x the storm-free run (and the
-# per-tenant circuit breaker actually trips), and (d) tracing the
-# lifecycle instants leaves the run byte-identical.
-echo "== tenant churn smoke"
-cargo build --release -p hemem-bench --bin churnbench
-./target/release/churnbench
-
-# failbench asserts internally that (a) seeded mid-run NVM and SSD
-# failures replay byte-identically, (b) the failed tier drains to zero
-# frames through the journaled evacuation with a silent audit and the
-# survivors' major-fault p99 within 4x of the clean leg, (c) evacuating
-# strictly beats abandoning the tier's contents on completed ops, and
-# (d) tracing the health instants is byte-transparent.
-echo "== tier failure smoke"
-cargo build --release -p hemem-bench --bin failbench
-./target/release/failbench
-
-# nomadbench asserts internally that (a) non-exclusive tiering turns a
-# demotion-heavy oversubscribed churn into zero-copy remaps (>= 30% of
-# journaled migration bytes saved, major-fault p99 no worse), (b) the
-# shadows-off config is byte-identical to the committed tierbench
-# baselines, and (c) shadowed runs with seeded manager/tenant kills
-# replay byte-identically with a silent audit.
-echo "== non-exclusive tiering smoke"
-cargo build --release -p hemem-bench --bin nomadbench
-./target/release/nomadbench
-
-# scalebench asserts internally that (a) the multi-grain region policy
-# pass is sublinear across a 2-16 GiB footprint sweep while the flat
-# per-page comparator grows ~linearly, (b) the adaptive PEBS controller
-# holds the sample-drop fraction where the same fixed period blows the
-# budget, (c) the regions-off config is byte-identical to the committed
-# tierbench baselines, and (d) killed multi-grain+adaptive runs replay
-# byte-identically with a silent audit.
-echo "== footprint-scaling smoke"
-cargo build --release -p hemem-bench --bin scalebench
-./target/release/scalebench
-
-# fleetbench asserts internally that (a) pooled spawn-to-first-touch
-# p99 sits >= 5x below the from-scratch baseline with zero scratch
-# spawns and most admissions landing on recycled slots, (b) a
-# recycled-slot run is byte-identical (fingerprint + stream + telemetry
-# CSV) to the same schedule on fresh slots, and (c) seeded mid-run slot
-# kills replay byte-identically with a silent audit while the committed
-# solo tierbench baseline stays untouched.
-echo "== fleet churn smoke"
-cargo build --release -p hemem-bench --bin fleetbench
-./target/release/fleetbench
+# tier, churn, fail, nomad, scale and fleet ignore CLI flags, so every
+# file they write must match the committed copy byte for byte.
+echo "== gate outputs vs results/"
+for f in "$gates"/results/{tier,churn,fail,nomad,scale,fleet}bench*; do
+  if ! cmp -s "$f" "results/${f##*/}"; then
+    echo "drift: ${f##*/} differs from the committed results/${f##*/}"
+    exit 1
+  fi
+  echo "   ${f##*/}"
+done
 
 # reprocheck runs every paper figure, table, and ablation binary with
 # default args from a scratch directory and fails unless each file it
@@ -169,25 +119,33 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
-# Wall-clock regression gate: the gate benches above each rewrote their
-# entry in BENCH_sim_wallclock.json. Compare against the committed
-# baseline with a 3x tolerance — machine-to-machine variance is real,
-# but an order-of-magnitude simulator slowdown is a bug. Benches with
-# no committed entry yet are skipped.
+# Wall-clock regression gate: every gate bench wrote its row (counted
+# simulated seconds, wall seconds) to the scratch directory's
+# BENCH_sim_wallclock.json. Compare against the committed file with a 3x
+# tolerance — machine-to-machine variance is real, but an
+# order-of-magnitude simulator slowdown is a bug. A committed row with
+# no wall_seconds (obsbench and crashbench, which finish in under ~60 ms,
+# where 3x is within host noise) records only the counted seconds and
+# is not gated.
 echo "== sim wall-clock regression gate"
-if git show HEAD:BENCH_sim_wallclock.json >target/wallclock_base.json 2>/dev/null; then
-  jq -r 'to_entries[] | "\(.key) \(.value.wall_seconds)"' BENCH_sim_wallclock.json \
-  | while read -r bench fresh; do
-      base=$(jq -r --arg b "$bench" '.[$b].wall_seconds // empty' target/wallclock_base.json)
-      [ -z "$base" ] && { echo "   $bench: ${fresh}s (no baseline, skipped)"; continue; }
-      if awk -v f="$fresh" -v b="$base" 'BEGIN { exit !(f > 3 * b) }'; then
-        echo "wall-clock regression: $bench took ${fresh}s vs committed ${base}s (>3x)"
-        exit 1
-      fi
-      echo "   $bench: ${fresh}s vs baseline ${base}s"
-    done
-else
-  echo "   no committed BENCH_sim_wallclock.json; skipping"
+jq -r 'to_entries[] | "\(.key) \(.value.wall_seconds)"' "$gates/BENCH_sim_wallclock.json" \
+| while read -r bench fresh; do
+    base=$(jq -r --arg b "$bench" '.[$b].wall_seconds // empty' BENCH_sim_wallclock.json)
+    [ -z "$base" ] && { echo "   $bench: ${fresh}s (no committed wall_seconds, not gated)"; continue; }
+    if awk -v f="$fresh" -v b="$base" 'BEGIN { exit !(f > 3 * b) }'; then
+      echo "wall-clock regression: $bench took ${fresh}s vs committed ${base}s (>3x)"
+      exit 1
+    fi
+    echo "   $bench: ${fresh}s vs baseline ${base}s"
+  done
+
+# Nothing above may touch the tree: builds go to target/ (ignored) and
+# every bench runs from a scratch directory.
+echo "== clean tree"
+if [ "$(git status --porcelain)" != "$porcelain_before" ]; then
+  echo "check.sh changed the working tree:"
+  diff <(echo "$porcelain_before") <(git status --porcelain) || true
+  exit 1
 fi
 
 echo "== all checks passed"

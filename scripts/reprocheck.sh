@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Paper-figure drift gate. Runs every paper figure, table, and ablation
 # binary (fig*, table*, ablate_*) with default args from a scratch
-# directory and compares each file it writes byte for byte against the
-# committed copy under results/, which is the golden set. Fails on any
-# difference, on a binary that exits non-zero, and on a binary that
-# writes nothing. Run from anywhere:
+# directory and compares each file it writes, and the table it prints
+# to stdout, byte for byte against the committed copies under results/
+# (`results/<name>.md` holds the printed table), which are the golden
+# set. Fails on any difference, on a binary that exits non-zero, and on
+# a binary that writes nothing. Run from anywhere:
 #
 #   scripts/reprocheck.sh
 #
@@ -46,6 +47,11 @@ for src in crates/bench/src/bin/{fig,table,ablate_}*.rs; do
       fail=1
     fi
   done
+  if ! cmp -s "$dir/stdout" "$root/results/$name.md"; then
+    echo "FAIL $name: printed table differs from results/$name.md"
+    diff "$root/results/$name.md" "$dir/stdout" | head -n 10 || true
+    fail=1
+  fi
   checked=$((checked + 1))
   echo "   $name: $(echo "$files" | wc -w) file(s), $((SECONDS - start)) s"
 done
