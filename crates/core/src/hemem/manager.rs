@@ -596,8 +596,7 @@ impl TieredBackend for HeMem {
             let ts = &mut self.pool.slots[0];
             for s in samples {
                 if let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) {
-                    if ts.tracker.tracks(page.region) {
-                        ts.tracker.record(page, s.kind.is_store(), now);
+                    if ts.tracker.record(page, s.kind.is_store(), now) {
                         ts.note_sample(s.kind);
                         self.stats.samples_applied += 1;
                     }
@@ -621,13 +620,15 @@ impl TieredBackend for HeMem {
                 // Quarantined tenants consume no stream budget: a dying
                 // tenant mid-PEBS-storm cannot crowd out the survivors'
                 // classifiers.
-                if ts.lifecycle == Lifecycle::Live
-                    && ts.tracker.tracks(page.region)
-                    && demux.admit(idx)
-                {
-                    ts.tracker.record(page, s.kind.is_store(), now);
-                    ts.note_sample(s.kind);
-                    self.stats.samples_applied += 1;
+                if ts.lifecycle != Lifecycle::Live {
+                    continue;
+                }
+                if let Some(slot) = ts.tracker.slot(page) {
+                    if demux.admit(idx) {
+                        ts.tracker.record_at(slot, page, s.kind.is_store(), now);
+                        ts.note_sample(s.kind);
+                        self.stats.samples_applied += 1;
+                    }
                 }
             }
         }

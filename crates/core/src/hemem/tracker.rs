@@ -11,7 +11,7 @@
 //! lazily cooled (counters halved) the next time it is touched, avoiding
 //! a full traversal of the queues.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hemem_sim::list::{FifoArena, FifoList, Slot};
 use hemem_sim::Ns;
@@ -132,7 +132,7 @@ pub struct PageTracker {
     queues: [FifoList; 4],
     meta: Vec<PageMeta>,
     slot_page: Vec<PageId>,
-    regions: HashMap<RegionId, (u32, u64)>, // base slot, page count
+    regions: BTreeMap<RegionId, (u32, u64)>, // base slot, page count
     region_view: Option<RegionTracker>,
     /// Per-period selection cursors (promotion; demotion cold pass,
     /// demotion any-DRAM pass): a span scanned dry this period is not
@@ -165,7 +165,7 @@ impl PageTracker {
             ],
             meta: Vec::new(),
             slot_page: Vec::new(),
-            regions: HashMap::new(),
+            regions: BTreeMap::new(),
             promo_cursor: None,
             demo_cursors: [None, None],
             cool_clock: 0,
@@ -180,8 +180,8 @@ impl PageTracker {
     }
 
     /// Resets the tracker to its just-constructed state — no regions,
-    /// empty queues, zeroed counters and cursors — while keeping every
-    /// container's allocated capacity. This is the slot-pool scrub: a
+    /// empty queues, zeroed counters and cursors — while keeping the
+    /// per-page containers' allocated capacity. This is the slot-pool scrub: a
     /// recycled tenant slot must behave byte-identically to a fresh
     /// `PageTracker::new(cfg)` without rebuilding heap state per spawn.
     pub fn reset(&mut self) {
@@ -406,9 +406,19 @@ impl PageTracker {
     }
 
     /// Records one sampled access (from PEBS or a page-table scan) at
-    /// virtual time `now`.
-    pub fn record(&mut self, page: PageId, is_write: bool, now: Ns) {
-        let Some(slot) = self.slot(page) else { return };
+    /// virtual time `now`; returns whether `page` is tracked (an
+    /// untracked page's sample is ignored).
+    pub fn record(&mut self, page: PageId, is_write: bool, now: Ns) -> bool {
+        let Some(slot) = self.slot(page) else {
+            return false;
+        };
+        self.record_at(slot, page, is_write, now);
+        true
+    }
+
+    /// [`PageTracker::record`] for a page whose `slot` the caller already
+    /// looked up.
+    pub fn record_at(&mut self, slot: Slot, page: PageId, is_write: bool, now: Ns) {
         self.stats.records += 1;
         if let Some(rv) = self.region_view.as_mut() {
             rv.note_sample(page.region, page.index, is_write);
@@ -627,13 +637,10 @@ impl PageTracker {
     /// Tracked regions in a deterministic (id) order, with their base slot
     /// and page count.
     fn regions_sorted(&self) -> Vec<(RegionId, u32, u64)> {
-        let mut v: Vec<(RegionId, u32, u64)> = self
-            .regions
+        self.regions
             .iter()
             .map(|(&r, &(base, pages))| (r, base, pages))
-            .collect();
-        v.sort_unstable_by_key(|&(r, _, _)| r.0);
-        v
+            .collect()
     }
 
     /// Rebuilds every queue from the authoritative address space after a

@@ -87,6 +87,14 @@ pub struct BatchReceipt {
     pub mean_access_latency: Ns,
 }
 
+/// Per-tier page counts of one segment, read once per [`Sim::fire_pebs`].
+#[derive(Debug, Clone, Copy)]
+struct Residency {
+    dram: u64,
+    mapped: u64,
+    ssd: u64,
+}
+
 /// The simulation: machine + backend + event queue.
 pub struct Sim<B: TieredBackend> {
     /// Machine state (public: workloads and experiments read counters).
@@ -126,6 +134,9 @@ pub struct Sim<B: TieredBackend> {
     /// one surfaces a typed poisoned-page error to the owning tenant
     /// before a fresh zero page is mapped — never a silent wrong read.
     poisoned: std::collections::BTreeSet<PageId>,
+    /// PEBS records handed straight to the backend, reused across
+    /// batches (empty between [`Sim::fire_pebs`] calls).
+    direct: Vec<SampleRecord>,
 }
 
 impl<B: TieredBackend> Sim<B> {
@@ -151,6 +162,7 @@ impl<B: TieredBackend> Sim<B> {
             active_tenant: hemem_vmm::TenantId::SOLO,
             evac: None,
             poisoned: std::collections::BTreeSet::new(),
+            direct: Vec::new(),
         };
         sim.queue.push_at(Ns::ZERO, Event::BackendTick);
         if sim.backend.uses_pebs() {
@@ -1987,13 +1999,28 @@ impl<B: TieredBackend> Sim<B> {
             (SampleType::DramLoad, dram_loads),
             (SampleType::Store, all_stores),
         ];
-        let mut direct = Vec::new();
+        // Residency cannot change until `on_samples` below, so the
+        // segment's counts are read once, before its first record.
+        let mut counts = None;
+        let mut direct = std::mem::take(&mut self.direct);
         for (ty, expect) in plan {
             let events = self.m.rng.round_stochastic(expect);
             let fired = self.m.pebs.events(ty, events);
             let room = self.m.pebs.burst_room(window);
             let kept = fired.min(room).min(MAX_RECORDS);
             self.m.pebs.drop_n(fired - kept);
+            if kept == 0 {
+                continue;
+            }
+            let counts = *counts.get_or_insert_with(|| {
+                let region = self.m.space.region(seg.region);
+                let (lo, hi) = (seg.lo_page, seg.hi_page);
+                Residency {
+                    dram: region.dram_pages_in(lo, hi),
+                    mapped: region.mapped_pages_in(lo, hi),
+                    ssd: region.ssd_pages_in(lo, hi),
+                }
+            });
             // The records are produced across the batch's whole service
             // window. What fits in the buffer right now is queued for the
             // PEBS thread; the remainder — justified by the drain rate
@@ -2001,12 +2028,12 @@ impl<B: TieredBackend> Sim<B> {
             // consumed while the batch is still running.
             let buffered = kept.min(self.m.pebs.free_space());
             for _ in 0..buffered {
-                if let Some(vaddr) = self.draw_sample_addr(seg, ty) {
+                if let Some(vaddr) = self.draw_sample_addr(seg, counts, ty) {
                     self.m.pebs.push(SampleRecord { vaddr, kind: ty });
                 }
             }
             for _ in 0..kept - buffered {
-                if let Some(vaddr) = self.draw_sample_addr(seg, ty) {
+                if let Some(vaddr) = self.draw_sample_addr(seg, counts, ty) {
                     direct.push(SampleRecord { vaddr, kind: ty });
                 }
             }
@@ -2016,7 +2043,9 @@ impl<B: TieredBackend> Sim<B> {
             let now = self.now();
             self.m.invalidate_shadows_on_stores(&direct);
             self.backend.on_samples(&mut self.m, &direct, now);
+            direct.clear();
         }
+        self.direct = direct;
     }
 
     /// Picks a concrete virtual address within `seg` whose page residency
@@ -2024,15 +2053,13 @@ impl<B: TieredBackend> Sim<B> {
     fn draw_sample_addr(
         &mut self,
         seg: &crate::backend::SegmentAccess,
+        Residency { dram, mapped, ssd }: Residency,
         ty: SampleType,
     ) -> Option<u64> {
         let region = self.m.space.region(seg.region);
         let (lo, hi) = (seg.lo_page, seg.hi_page);
-        let dram = region.dram_pages_in(lo, hi);
-        let mapped = region.mapped_pages_in(lo, hi);
         // SSD-resident pages never appear in PEBS records: their accesses
         // trap as major faults before any load/store can retire.
-        let ssd = region.ssd_pages_in(lo, hi);
         let idx = match ty {
             SampleType::NvmLoad => {
                 let nvm = mapped - dram - ssd;
@@ -2063,7 +2090,6 @@ impl<B: TieredBackend> Sim<B> {
                 }
             }
         };
-        let region = self.m.space.region(seg.region);
         let base = region.page_addr(idx).0;
         let off = self.m.rng.gen_range(region.page_size().bytes());
         Some(base + off)

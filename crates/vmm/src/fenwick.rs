@@ -3,6 +3,11 @@
 //! Access batches cover arbitrary virtual sub-ranges; to split a batch's
 //! traffic between tiers the machine needs "how many pages of `[lo, hi)`
 //! are DRAM-resident" in O(log n), with O(log n) updates as pages migrate.
+//! The inverse, "which page is the `k`-th DRAM-resident one", is one
+//! O(log n) top-down descent (`select_by`). Prefix sums and the descent
+//! read the tree only through a node function, so a residency class with
+//! no tree of its own (NVM is mapped − DRAM − SSD, unmapped is the node's
+//! span − mapped) is selected by combining other trees' nodes.
 
 /// A Fenwick tree of 0/1 page flags with prefix-sum range queries.
 #[derive(Debug, Clone)]
@@ -49,13 +54,14 @@ impl FlagTree {
         }
     }
 
-    fn prefix(&self, mut idx: usize) -> u64 {
-        let mut s = 0u64;
-        while idx > 0 {
-            s += self.tree[idx] as u64;
-            idx -= idx & idx.wrapping_neg();
-        }
-        s
+    /// Fenwick node `i` (1-based, `i <= len`): the set flags among pages
+    /// `[i - lowbit(i), i)`.
+    pub(crate) fn node(&self, i: usize) -> u64 {
+        self.tree[i] as u64
+    }
+
+    fn prefix(&self, idx: usize) -> u64 {
+        prefix_by(idx, |i| self.node(i))
     }
 
     /// Number of set flags among pages `[lo, hi)`.
@@ -72,30 +78,58 @@ impl FlagTree {
         self.prefix(self.flags.len())
     }
 
-    /// Index of the first set flag in `[lo, len)`, or `None`. O(log²n):
-    /// a binary search over prefix sums — the region tracker walks its
-    /// candidate index with this instead of scanning pages.
+    /// Index of the `k`-th (0-based) set flag, or `None` if at most `k`
+    /// are set. O(log n).
+    pub fn select(&self, k: u64) -> Option<usize> {
+        select_by(self.len(), k, |i| self.node(i))
+    }
+
+    /// Index of the first set flag in `[lo, len)`, or `None`. O(log n):
+    /// the region tracker walks its candidate index with this instead of
+    /// scanning pages.
     pub fn first_set_in(&self, lo: usize) -> Option<usize> {
-        let n = self.flags.len();
-        if lo >= n {
+        if lo >= self.len() {
             return None;
         }
-        let base = self.prefix(lo);
-        if self.prefix(n) == base {
-            return None;
-        }
-        // Smallest hi with prefix(hi) > base; the set flag is hi - 1.
-        let (mut left, mut right) = (lo + 1, n);
-        while left < right {
-            let mid = left + (right - left) / 2;
-            if self.prefix(mid) > base {
-                right = mid;
-            } else {
-                left = mid + 1;
+        self.select(self.prefix(lo))
+    }
+}
+
+/// Lowest set bit of `i`: the number of pages Fenwick node `i` spans.
+pub(crate) fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
+}
+
+/// Sum of `node` over the Fenwick nodes that cover pages `[0, idx)`.
+pub(crate) fn prefix_by(mut idx: usize, node: impl Fn(usize) -> u64) -> u64 {
+    let mut s = 0u64;
+    while idx > 0 {
+        s += node(idx);
+        idx -= lowbit(idx);
+    }
+    s
+}
+
+/// Fenwick descent over a tree of `len` pages whose node `i` counts
+/// `node(i)` pages: the index of the `k`-th (0-based) counted page, or
+/// `None` if at most `k` are counted. O(log n) node reads, top-down from
+/// the largest power of two, keeping the longest prefix whose count is
+/// still `<= k`.
+pub(crate) fn select_by(len: usize, mut k: u64, node: impl Fn(usize) -> u64) -> Option<usize> {
+    let mut pos = 0;
+    let mut step = if len == 0 { 0 } else { 1 << len.ilog2() };
+    while step > 0 {
+        let next = pos + step;
+        if next <= len {
+            let c = node(next);
+            if c <= k {
+                pos = next;
+                k -= c;
             }
         }
-        Some(left - 1)
+        step >>= 1;
     }
+    (pos < len).then_some(pos)
 }
 
 #[cfg(test)]
@@ -147,6 +181,20 @@ mod tests {
         assert_eq!(t.first_set_in(4), Some(7));
         assert_eq!(t.first_set_in(8), None);
         assert_eq!(t.first_set_in(99), None);
+    }
+
+    #[test]
+    fn select_counts_from_zero() {
+        let mut t = FlagTree::new(10);
+        assert_eq!(t.select(0), None);
+        t.set(3, true);
+        t.set(7, true);
+        t.set(9, true);
+        assert_eq!(t.select(0), Some(3));
+        assert_eq!(t.select(1), Some(7));
+        assert_eq!(t.select(2), Some(9));
+        assert_eq!(t.select(3), None);
+        assert_eq!(FlagTree::new(0).select(0), None);
     }
 
     #[test]

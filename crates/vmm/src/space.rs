@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use crate::addr::{PageId, PageSize, RegionId, TenantId, Tier, VirtAddr, VirtRange};
-use crate::fenwick::FlagTree;
+use crate::fenwick::{lowbit, prefix_by, select_by, FlagTree};
 use crate::ledger::AccessLedger;
 use crate::pool::PhysPage;
 
@@ -404,59 +404,38 @@ impl Region {
     /// Index of the `k`-th (0-based) DRAM-resident page within `[lo, hi)`,
     /// or `None` if fewer than `k + 1` exist.
     pub fn kth_dram_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |r, l, h| {
-            r.dram_idx.count_range(l as usize, h as usize)
-        })
+        self.kth_by(lo, hi, k, |i| self.dram_idx.node(i))
     }
 
     /// Index of the `k`-th NVM-resident page within `[lo, hi)` (the
     /// mapped pages on neither the DRAM nor the SSD index).
     pub fn kth_nvm_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |r, l, h| {
-            r.mapped_idx.count_range(l as usize, h as usize)
-                - r.dram_idx.count_range(l as usize, h as usize)
-                - r.ssd_idx.count_range(l as usize, h as usize)
+        self.kth_by(lo, hi, k, |i| {
+            self.mapped_idx.node(i) - self.dram_idx.node(i) - self.ssd_idx.node(i)
         })
     }
 
     /// Index of the `k`-th SSD-resident page within `[lo, hi)`.
     pub fn kth_ssd_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |r, l, h| {
-            r.ssd_idx.count_range(l as usize, h as usize)
-        })
+        self.kth_by(lo, hi, k, |i| self.ssd_idx.node(i))
     }
 
     /// Index of the `k`-th unmapped page within `[lo, hi)`.
     pub fn kth_unmapped_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |r, l, h| {
-            (h - l) - r.mapped_idx.count_range(l as usize, h as usize)
-        })
+        self.kth_by(lo, hi, k, |i| lowbit(i) as u64 - self.mapped_idx.node(i))
     }
 
-    /// Generic order-statistics search over a monotone range-count
-    /// function: smallest `p` such that `count(lo, p + 1) == k + 1`.
-    fn kth_by(
-        &self,
-        lo: u64,
-        hi: u64,
-        k: u64,
-        count: impl Fn(&Region, u64, u64) -> u64,
-    ) -> Option<u64> {
+    /// Order statistic over a residency class given by its per-node
+    /// counts: one Fenwick descent for the `(k + pages of the class below
+    /// lo)`-th page of the class, kept if it lies below `hi`.
+    fn kth_by(&self, lo: u64, hi: u64, k: u64, node: impl Fn(usize) -> u64) -> Option<u64> {
         let hi = hi.min(self.page_count());
-        if hi <= lo || count(self, lo, hi) <= k {
+        if hi <= lo {
             return None;
         }
-        let (mut a, mut b) = (lo, hi - 1);
-        // Invariant: count(lo, b + 1) >= k + 1.
-        while a < b {
-            let mid = a + (b - a) / 2;
-            if count(self, lo, mid + 1) > k {
-                b = mid;
-            } else {
-                a = mid + 1;
-            }
-        }
-        Some(a)
+        let below = prefix_by(lo as usize, &node);
+        let p = select_by(self.states.len(), k + below, &node)? as u64;
+        (p < hi).then_some(p)
     }
 
     /// Virtual address of the start of page `index`.
