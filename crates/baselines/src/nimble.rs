@@ -122,7 +122,7 @@ impl TieredBackend for Nimble {
 
     fn place(&mut self, m: &mut MachineCore, _page: PageId, _is_write: bool) -> Tier {
         // First-touch NUMA policy: local (DRAM) node until full.
-        if m.dram_pool.free_pages() > 0 {
+        if m.pool(Tier::Dram).free_pages() > 0 {
             Tier::Dram
         } else {
             Tier::Nvm

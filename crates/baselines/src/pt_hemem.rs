@@ -115,7 +115,7 @@ impl TieredBackend for HeMemPt {
     }
 
     fn place(&mut self, m: &mut MachineCore, _page: PageId, _is_write: bool) -> Tier {
-        if m.dram_pool.free_pages() > 0 {
+        if m.pool(Tier::Dram).free_pages() > 0 {
             Tier::Dram
         } else {
             Tier::Nvm

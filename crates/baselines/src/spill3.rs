@@ -61,11 +61,11 @@ impl TieredBackend for SpillTier3 {
         {
             return Tier::Ssd;
         }
-        if m.dram_pool.free_pages() > 0 {
+        if m.pool(Tier::Dram).free_pages() > 0 {
             Tier::Dram
-        } else if m.nvm_pool.free_pages() > 0 {
+        } else if m.pool(Tier::Nvm).free_pages() > 0 {
             Tier::Nvm
-        } else if m.has_ssd() && m.ssd_pool.free_pages() > 0 {
+        } else if m.has_ssd() && m.pool(Tier::Ssd).free_pages() > 0 {
             Tier::Ssd
         } else {
             // Everything full (or no tier-3 device): let the fault path's
@@ -109,7 +109,7 @@ mod tests {
         let r = s.m.space.region(id);
         assert_eq!(r.mapped_pages(), 2048, "every page mapped somewhere");
         assert_eq!(r.dram_pages(), 512, "DRAM filled first");
-        assert_eq!(s.m.nvm_pool.free_pages(), 0, "NVM filled second");
+        assert_eq!(s.m.pool(Tier::Nvm).free_pages(), 0, "NVM filled second");
         assert_eq!(r.ssd_pages(), 512, "overflow spilled to the SSD");
     }
 

@@ -146,7 +146,7 @@ mod tests {
         let id = s.mmap(2 * GIB);
         s.populate(id, true);
         assert_eq!(s.m.space.region(id).dram_pages(), 1024);
-        assert_eq!(s.m.nvm_pool.allocated_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Nvm).allocated_pages(), 0);
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         let id = s.mmap(2 * GIB);
         s.populate(id, true);
         assert_eq!(s.m.space.region(id).dram_pages(), 0);
-        assert_eq!(s.m.nvm_pool.allocated_pages(), 1024);
+        assert_eq!(s.m.pool(Tier::Nvm).allocated_pages(), 1024);
     }
 
     #[test]

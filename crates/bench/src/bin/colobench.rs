@@ -32,7 +32,7 @@ use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::runtime::Sim;
 use hemem_core::telemetry::{Telemetry, TenantTelemetry};
 use hemem_sim::Ns;
-use hemem_vmm::RegionKind;
+use hemem_vmm::{RegionKind, Tier};
 use hemem_workloads::{run_colo_with, ColoConfig, ColoResult, GupsConfig, TenantKind, TenantSpec};
 
 /// One GUPS tenant; `hot_set = 0` means uniform access. The colo loop
@@ -82,7 +82,7 @@ fn run_mix(
     let mut sim = Sim::new(mc, HeMem::multi_tenant(hc, n, policy));
     // A colocation run is a few seconds; step quota fast enough that the
     // arbiter reaches its equilibrium well inside the measured window.
-    let step = (sim.m.dram_pool.total_pages() / 32).max(1);
+    let step = (sim.m.pool(Tier::Dram).total_pages() / 32).max(1);
     sim.backend.set_arbiter_realloc(Ns::millis(50), step);
     let cfg = ColoConfig {
         tenants: specs,
@@ -204,7 +204,7 @@ fn main() {
             "aggregate".to_string(),
             total_ops.to_string(),
             f3(res.per_tenant.iter().map(|t| t.ops_per_sec).sum()),
-            sim.m.dram_pool.allocated_pages().to_string(),
+            sim.m.pool(Tier::Dram).allocated_pages().to_string(),
             arb.total_pages().to_string(),
             arb.reallocations().to_string(),
         ]);

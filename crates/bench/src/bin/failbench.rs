@@ -225,7 +225,7 @@ fn main() {
     assert_eq!(ra.evacuating(), None, "gate (b): evacuation finished");
     assert!(ra.m.health.evac_done[Tier::Nvm.rank()]);
     assert_eq!(
-        ra.m.nvm_pool.allocated_pages(),
+        ra.m.pool(Tier::Nvm).allocated_pages(),
         0,
         "gate (b) failed: frames left on the offline NVM tier"
     );
@@ -351,8 +351,8 @@ fn main() {
             r.m.health.poisoned_pages.to_string(),
             r.m.health.poison_faults.to_string(),
             p99(r).to_string(),
-            r.m.nvm_pool.allocated_pages().to_string(),
-            r.m.ssd_pool.allocated_pages().to_string(),
+            r.m.pool(Tier::Nvm).allocated_pages().to_string(),
+            r.m.pool(Tier::Ssd).allocated_pages().to_string(),
         ]);
     }
     rep.emit();

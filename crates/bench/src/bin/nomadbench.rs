@@ -32,6 +32,7 @@ use hemem_core::backend::AccessBatch;
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::Sim;
 use hemem_sim::{LatencyClass, Ns, TenantKill};
+use hemem_vmm::Tier;
 
 /// Pages per churn span and accesses per batch: narrow, hot spans build
 /// PEBS heat fast enough that the drifting set keeps the promotion and
@@ -110,7 +111,7 @@ fn killed_churn(manager: bool) -> (Sim<AnyBackend>, String) {
         "{:?}|{:?}|{}",
         sim.m.shadow,
         sim.m.recovery,
-        sim.m.nvm_pool.shadow_held_pages(),
+        sim.m.pool(Tier::Nvm).shadow_held_pages(),
     );
     (sim, digest)
 }
@@ -197,7 +198,7 @@ fn main() {
             s.0.m.stats.migrated_bytes.to_string(),
             e.0.m.stats.migrated_bytes.to_string(),
             saved_pct.to_string(),
-            s.0.m.nvm_pool.shadow_held_pages().to_string(),
+            s.0.m.pool(Tier::Nvm).shadow_held_pages().to_string(),
             s.0.m.shadow.retained.to_string(),
             s.0.m.shadow.invalidated_store.to_string(),
             p99(&s.0).to_string(),

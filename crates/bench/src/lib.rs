@@ -26,6 +26,7 @@ use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::Sim;
 use hemem_memdev::GIB;
 use hemem_sim::LatencyClass;
+use hemem_vmm::Tier;
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -167,20 +168,20 @@ pub fn fingerprint<B: TieredBackend>(sim: &Sim<B>) -> String {
         sim.m.trace.policy,
         sim.m.dma.stats(),
         sim.m.pebs.stats(),
-        sim.m.dram_pool.free_pages(),
-        sim.m.dram_pool.allocated_pages(),
-        sim.m.nvm_pool.free_pages(),
-        sim.m.nvm_pool.allocated_pages(),
-        sim.m.nvm_pool.retired_pages(),
+        sim.m.pool(Tier::Dram).free_pages(),
+        sim.m.pool(Tier::Dram).allocated_pages(),
+        sim.m.pool(Tier::Nvm).free_pages(),
+        sim.m.pool(Tier::Nvm).allocated_pages(),
+        sim.m.pool(Tier::Nvm).retired_pages(),
     );
     // The tier-3 pool segment only appears on tier-3 machines, keeping
     // two-tier fingerprints byte-identical to their pre-SSD baselines.
     if sim.m.has_ssd() {
         s.push_str(&format!(
             "|ssd:{}/{}/{}",
-            sim.m.ssd_pool.free_pages(),
-            sim.m.ssd_pool.allocated_pages(),
-            sim.m.ssd_pool.retired_pages(),
+            sim.m.pool(Tier::Ssd).free_pages(),
+            sim.m.pool(Tier::Ssd).allocated_pages(),
+            sim.m.pool(Tier::Ssd).retired_pages(),
         ));
     }
     // The failure-domain segment only appears when the config seeds tier

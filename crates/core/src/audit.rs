@@ -500,7 +500,7 @@ pub fn audit_machine(m: &MachineCore, expect_quiescent: bool) -> Vec<AuditViolat
         v.push(AuditViolation::StaleShadowMapped { page, primary });
     }
     v.extend(stale_slots);
-    let pool_held = m.nvm_pool.shadow_held_pages();
+    let pool_held = m.pool(Tier::Nvm).shadow_held_pages();
     if pool_held != shadow_mapped {
         v.push(AuditViolation::ShadowFrameLeak {
             pool_held,
@@ -613,7 +613,7 @@ mod tests {
         let id = m
             .space
             .mmap(4 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        let phys = m.dram_pool.alloc().expect("frame");
+        let phys = m.pool_mut(Tier::Dram).alloc().expect("frame");
         m.space.region_mut(id).map_page(0, Tier::Dram, phys);
         (id, phys)
     }
@@ -645,7 +645,7 @@ mod tests {
     fn leaked_frame_is_an_allocation_mismatch() {
         let mut m = machine();
         map_one(&mut m);
-        let _leak = m.dram_pool.alloc().expect("frame"); // never mapped
+        let _leak = m.pool_mut(Tier::Dram).alloc().expect("frame"); // never mapped
         let v = audit_machine(&m, true);
         assert_eq!(
             v,
@@ -687,9 +687,9 @@ mod tests {
     fn clean_shadow_on_a_dram_page_audits_clean() {
         let mut m = machine();
         let (id, _) = map_one(&mut m);
-        let shadow = m.nvm_pool.alloc().expect("frame");
+        let shadow = m.pool_mut(Tier::Nvm).alloc().expect("frame");
         m.space.region_mut(id).set_shadow(0, shadow);
-        m.nvm_pool.note_shadow();
+        m.pool_mut(Tier::Nvm).note_shadow();
         assert_eq!(audit_machine(&m, true), Vec::new());
     }
 
@@ -698,9 +698,9 @@ mod tests {
         let mut m = machine();
         let (id, _) = map_one(&mut m);
         // Shadow on a page that was never mapped: primary is None.
-        let shadow = m.nvm_pool.alloc().expect("frame");
+        let shadow = m.pool_mut(Tier::Nvm).alloc().expect("frame");
         m.space.region_mut(id).set_shadow(1, shadow);
-        m.nvm_pool.note_shadow();
+        m.pool_mut(Tier::Nvm).note_shadow();
         let v = audit_machine(&m, true);
         assert!(v.contains(&AuditViolation::StaleShadowMapped {
             page: PageId {
@@ -716,7 +716,7 @@ mod tests {
         let mut m = machine();
         let (id, _) = map_one(&mut m);
         // Shadow recorded in the space but never counted by the pool.
-        let shadow = m.nvm_pool.alloc().expect("frame");
+        let shadow = m.pool_mut(Tier::Nvm).alloc().expect("frame");
         m.space.region_mut(id).set_shadow(0, shadow);
         let v = audit_machine(&m, true);
         assert!(v.contains(&AuditViolation::ShadowFrameLeak {
@@ -733,8 +733,8 @@ mod tests {
             region: id,
             index: 0,
         };
-        let d1 = m.nvm_pool.alloc().expect("frame");
-        let d2 = m.nvm_pool.alloc().expect("frame");
+        let d1 = m.pool_mut(Tier::Nvm).alloc().expect("frame");
+        let d2 = m.pool_mut(Tier::Nvm).alloc().expect("frame");
         m.journal
             .prepare(0, page, TenantId::SOLO, Tier::Dram, src_phys, Tier::Nvm, d1);
         m.journal
@@ -751,7 +751,7 @@ mod tests {
             region: id,
             index: 0,
         };
-        let dst = m.nvm_pool.alloc().expect("frame");
+        let dst = m.pool_mut(Tier::Nvm).alloc().expect("frame");
         m.journal.prepare(
             7,
             page,
@@ -782,7 +782,7 @@ mod tests {
     fn prepared_journal_entry_accounts_for_its_frame() {
         let mut m = machine();
         let (id, src_phys) = map_one(&mut m);
-        let dst = m.nvm_pool.alloc().expect("frame");
+        let dst = m.pool_mut(Tier::Nvm).alloc().expect("frame");
         let page = PageId {
             region: id,
             index: 0,

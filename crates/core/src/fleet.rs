@@ -274,11 +274,6 @@ impl SlotPool {
         self.free.last().map(|&i| TenantId(i))
     }
 
-    /// Whether slot `t` is parked on the free list.
-    pub fn is_free(&self, t: TenantId) -> bool {
-        self.free.contains(&t.0)
-    }
-
     /// Parked slot indices (descending), for the audit's scrub check.
     pub(crate) fn free_list(&self) -> &[u32] {
         &self.free

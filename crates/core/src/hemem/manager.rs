@@ -6,7 +6,7 @@
 //! PEBS samples processed by a dedicated thread, and migrates pages
 //! asynchronously under the 10 ms policy thread using DMA offload.
 
-use hemem_pebs::{SampleRecord, TenantDemux, TenantStreamStats};
+use hemem_pebs::{SampleRecord, TenantDemux};
 use hemem_sim::Ns;
 use hemem_vmm::{PageId, RegionId, TenantId, Tier, VirtAddr};
 
@@ -127,7 +127,8 @@ pub struct HeMem {
     /// Global DRAM arbiter; created lazily on the first callback that
     /// sees the machine (quotas need the pool's capacity).
     arbiter: Option<DramArbiter>,
-    arbiter_policy: Option<ArbiterPolicy>,
+    /// The arbiter's starting state, fixed at construction.
+    start: ArbiterStart,
     /// Arbiter knob overrides applied at creation.
     realloc_period_ns: Option<u64>,
     realloc_step_pages: Option<u64>,
@@ -143,30 +144,25 @@ pub struct HeMem {
     /// high-priority instance keeps all its data in fast memory).
     pin_new_regions: bool,
     pinned: std::collections::HashSet<RegionId>,
-    /// Churn mode: the arbiter starts with every page in the host
-    /// reserve and tenants join via [`HeMem::admit_tenant`].
-    deferred_admission: bool,
+}
+
+/// How the DRAM arbiter starts once the machine is known.
+#[derive(Debug, Clone, Copy)]
+enum ArbiterStart {
+    /// Single tenant: no arbiter, the solo policy scope.
+    None,
+    /// Every slot live with an equal split of the fast tier.
+    Equal(ArbiterPolicy),
+    /// Every slot parked with the whole tier in the host reserve;
+    /// tenants join through [`HeMem::admit_tenant`].
+    Parked(ArbiterPolicy),
 }
 
 impl HeMem {
     /// Creates a single-tenant HeMem instance with the given
     /// configuration.
     pub fn new(cfg: HeMemConfig) -> HeMem {
-        let pool = SlotPool::new(cfg.tracker.clone(), 1, true);
-        HeMem {
-            pool,
-            cfg,
-            arbiter: None,
-            arbiter_policy: None,
-            realloc_period_ns: None,
-            realloc_step_pages: None,
-            demux: None,
-            stats: HeMemStats::default(),
-            small_growth: 0,
-            pin_new_regions: false,
-            pinned: std::collections::HashSet::new(),
-            deferred_admission: false,
-        }
+        HeMem::build(cfg, 1, ArbiterStart::None)
     }
 
     /// Creates a multi-tenant HeMem instance: `tenants` per-tenant
@@ -175,11 +171,7 @@ impl HeMem {
     /// 1-tenant instance built this way behaves byte-identically to
     /// [`HeMem::new`].
     pub fn multi_tenant(cfg: HeMemConfig, tenants: usize, policy: ArbiterPolicy) -> HeMem {
-        assert!(tenants > 0, "need at least one tenant");
-        let mut h = HeMem::new(cfg);
-        h.pool = SlotPool::new(h.cfg.tracker.clone(), tenants, true);
-        h.arbiter_policy = Some(policy);
-        h
+        HeMem::build(cfg, tenants, ArbiterStart::Equal(policy))
     }
 
     /// Creates a churn-capable instance: `capacity` tenant slots, none
@@ -189,10 +181,26 @@ impl HeMem {
     /// retirement). This is the entry point for open-loop
     /// arrival/kill/balloon experiments.
     pub fn churn(cfg: HeMemConfig, capacity: usize, policy: ArbiterPolicy) -> HeMem {
-        let mut h = HeMem::multi_tenant(cfg, capacity, policy);
-        h.pool = SlotPool::new(h.cfg.tracker.clone(), capacity, false);
-        h.deferred_admission = true;
-        h
+        HeMem::build(cfg, capacity, ArbiterStart::Parked(policy))
+    }
+
+    /// The one constructor: `slots` pool slots, live unless the arbiter
+    /// starts parked.
+    fn build(cfg: HeMemConfig, slots: usize, start: ArbiterStart) -> HeMem {
+        let live = !matches!(start, ArbiterStart::Parked(_));
+        HeMem {
+            pool: SlotPool::new(cfg.tracker.clone(), slots, live),
+            cfg,
+            arbiter: None,
+            start,
+            realloc_period_ns: None,
+            realloc_step_pages: None,
+            demux: None,
+            stats: HeMemStats::default(),
+            small_growth: 0,
+            pin_new_regions: false,
+            pinned: std::collections::HashSet::new(),
+        }
     }
 
     /// Overrides the arbiter's reallocation period and greedy step
@@ -207,17 +215,16 @@ impl HeMem {
     }
 
     /// Creates the arbiter once the machine (and so the DRAM capacity)
-    /// is known. No-op for single-instance configurations without an
-    /// arbiter policy.
+    /// is known. No-op for a solo instance.
     fn ensure_arbiter(&mut self, m: &MachineCore) {
-        if self.arbiter.is_some() || self.arbiter_policy.is_none() {
+        if self.arbiter.is_some() {
             return;
         }
-        let policy = self.arbiter_policy.expect("checked above");
-        let mut arb = if self.deferred_admission {
-            DramArbiter::deferred(policy, m.dram_pool.total_pages(), self.pool.slots.len())
-        } else {
-            DramArbiter::new(policy, m.dram_pool.total_pages(), self.pool.slots.len())
+        let (total, slots) = (m.pool(Tier::Dram).total_pages(), self.pool.slots.len());
+        let mut arb = match self.start {
+            ArbiterStart::None => return,
+            ArbiterStart::Equal(policy) => DramArbiter::new(policy, total, slots),
+            ArbiterStart::Parked(policy) => DramArbiter::deferred(policy, total, slots),
         };
         if let Some(ns) = self.realloc_period_ns {
             arb.set_realloc_period_ns(ns);
@@ -273,11 +280,6 @@ impl HeMem {
     /// / Table 4).
     pub fn set_priority(&mut self, enabled: bool) {
         self.pin_new_regions = enabled;
-    }
-
-    /// Whether `region` is pinned to DRAM.
-    pub fn is_pinned(&self, region: RegionId) -> bool {
-        self.pinned.contains(&region)
     }
 
     /// Admits tenant `t` (dynamic join): asks the arbiter for a quota
@@ -367,11 +369,6 @@ impl HeMem {
             .unwrap_or(false)
     }
 
-    /// Paper-default HeMem.
-    pub fn paper() -> HeMem {
-        HeMem::new(HeMemConfig::paper())
-    }
-
     /// Manager statistics.
     pub fn stats(&self) -> &HeMemStats {
         &self.stats
@@ -428,15 +425,6 @@ impl HeMem {
     /// Samples applied to tenant `t`'s tracker.
     pub fn tenant_samples(&self, t: TenantId) -> u64 {
         self.pool.slots[t.0 as usize].samples_applied
-    }
-
-    /// Tenant `t`'s PEBS stream counters (zero when the single-tenant
-    /// path bypasses the demux).
-    pub fn tenant_stream_stats(&self, t: TenantId) -> TenantStreamStats {
-        self.demux
-            .as_ref()
-            .map(|d| d.stream_stats(t.0 as usize))
-            .unwrap_or_default()
     }
 
     /// Configuration in effect.
@@ -541,7 +529,7 @@ impl TieredBackend for HeMem {
                 let seen = tracker.note_fault(page, is_write);
                 // An offline SSD cannot keep its second-chance pages:
                 // anything faulting off it promotes at least one hop.
-                return if tracker.is_hot_page(page) && m.dram_pool.free_pages() > 0 {
+                return if tracker.is_hot_page(page) && m.pool(Tier::Dram).free_pages() > 0 {
                     Tier::Dram
                 } else if seen >= 2 || !m.tier_online(Tier::Ssd) {
                     // N-1 cascade: with the NVM tier offline the one-hop
@@ -564,7 +552,7 @@ impl TieredBackend for HeMem {
         // arbiter, a tenant whose DRAM claim has reached its quota spills
         // to NVM even while the pool has free pages — that headroom
         // belongs to the other tenants.
-        if m.dram_pool.free_pages() == 0 {
+        if m.pool(Tier::Dram).free_pages() == 0 {
             return spill_tier(m);
         }
         if self.pool.slots.len() > 1 {
@@ -738,7 +726,7 @@ impl TieredBackend for HeMem {
             let mut need = self
                 .cfg
                 .nvm_watermark
-                .saturating_sub(m.nvm_pool.free_bytes().saturating_add(pending));
+                .saturating_sub(m.pool(Tier::Nvm).free_bytes().saturating_add(pending));
             // Shadow frames are free NVM capacity in disguise: reclaim
             // them to cover the deficit before paying for even one
             // NVM→SSD copy. The primaries stay mapped in DRAM, so this
@@ -1187,7 +1175,7 @@ mod tests {
         let r = s.m.space.region(id);
         assert_eq!(r.mapped_pages(), 1024);
         assert_eq!(r.dram_pages(), 512, "DRAM filled first");
-        assert_eq!(s.m.dram_pool.free_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Dram).free_pages(), 0);
     }
 
     #[test]
@@ -1251,7 +1239,7 @@ mod tests {
         let r = s.m.space.region(id);
         assert_eq!(r.mapped_pages(), 1024, "no page lost in migration");
         let dram = r.dram_pages();
-        let alloc_d = s.m.dram_pool.allocated_pages();
+        let alloc_d = s.m.pool(Tier::Dram).allocated_pages();
         assert_eq!(dram, alloc_d, "pool accounting consistent");
     }
 
@@ -1285,7 +1273,7 @@ mod tests {
 
     #[test]
     fn background_threads_counted() {
-        let h = HeMem::paper();
+        let h = HeMem::new(HeMemConfig::paper());
         assert_eq!(h.background_threads(), 2);
         let mut cfg = HeMemConfig::paper();
         cfg.policy.use_dma = false;
@@ -1324,11 +1312,11 @@ mod tier3_tests {
         let r = s.m.space.region(id);
         assert!(r.ssd_pages() > 0, "cold NVM pages demoted to the SSD");
         assert_eq!(r.mapped_pages(), 1536, "demoted pages stay mapped");
-        assert_eq!(s.m.ssd_pool.allocated_pages(), r.ssd_pages());
+        assert_eq!(s.m.pool(Tier::Ssd).allocated_pages(), r.ssd_pages());
         assert!(
-            s.m.nvm_pool.free_bytes() > 0,
+            s.m.pool(Tier::Nvm).free_bytes() > 0,
             "demotion restored NVM headroom: {} free",
-            s.m.nvm_pool.free_bytes()
+            s.m.pool(Tier::Nvm).free_bytes()
         );
         assert_eq!(s.run_audit(true), Vec::new());
     }
@@ -1374,7 +1362,7 @@ mod tier3_tests {
         s.advance(Ns::secs(2));
         assert_eq!(s.m.stats.swap_outs, 0, "no SSD tier, no demotion");
         assert_eq!(s.m.space.region(id).ssd_pages(), 0);
-        assert_eq!(s.m.ssd_pool.allocated_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Ssd).allocated_pages(), 0);
     }
 
     #[test]
@@ -1387,7 +1375,7 @@ mod tier3_tests {
         let on_ssd = s.m.space.region(id).ssd_pages();
         assert!(on_ssd > 0, "the SSD took what it could");
         assert!(on_ssd <= 32, "bounded by the SSD tier: {on_ssd}");
-        assert_eq!(s.m.ssd_pool.free_pages(), 32 - on_ssd);
+        assert_eq!(s.m.pool(Tier::Ssd).free_pages(), 32 - on_ssd);
         assert_eq!(s.m.space.region(id).mapped_pages(), 1536);
     }
 
@@ -1427,11 +1415,11 @@ mod tier3_tests {
         }
         s.inject_tier_fail(Tier::Ssd);
         s.advance(Ns::millis(100));
-        assert_eq!(s.m.dram_pool.free_pages(), 0);
-        assert_eq!(s.m.nvm_pool.free_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Dram).free_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Nvm).free_pages(), 0);
         let allocated = (
-            s.m.dram_pool.allocated_pages(),
-            s.m.nvm_pool.allocated_pages(),
+            s.m.pool(Tier::Dram).allocated_pages(),
+            s.m.pool(Tier::Nvm).allocated_pages(),
         );
         let extra = s.mmap(64 << 20);
         let page = PageId {
@@ -1446,8 +1434,8 @@ mod tier3_tests {
         assert_eq!(s.m.space.region(extra).mapped_pages(), 0);
         assert_eq!(
             (
-                s.m.dram_pool.allocated_pages(),
-                s.m.nvm_pool.allocated_pages()
+                s.m.pool(Tier::Dram).allocated_pages(),
+                s.m.pool(Tier::Nvm).allocated_pages()
             ),
             allocated,
             "no frame leaked"
@@ -1565,7 +1553,7 @@ mod lifecycle_tests {
         // Balloon tenant 0 down to an eighth of the tier with a 100 ms
         // drain deadline; watermark demotion plus post-deadline forced
         // demotion must bring the claim under target.
-        let target = s.m.dram_pool.total_pages() / 8;
+        let target = s.m.pool(Tier::Dram).total_pages() / 8;
         let now = s.now();
         let deadline = now + Ns::millis(100);
         let q = s

@@ -8,9 +8,10 @@
 //! # Examples
 //!
 //! ```
-//! use hemem_core::{hemem::HeMem, machine::MachineConfig, runtime::Sim};
+//! use hemem_core::hemem::{HeMem, HeMemConfig};
+//! use hemem_core::{machine::MachineConfig, runtime::Sim};
 //!
-//! let mut sim = Sim::new(MachineConfig::small(1, 4), HeMem::paper());
+//! let mut sim = Sim::new(MachineConfig::small(1, 4), HeMem::new(HeMemConfig::paper()));
 //! let region = sim.mmap(2 << 30); // 2 GiB managed heap
 //! sim.populate(region, true);
 //! assert_eq!(sim.m.space.region(region).mapped_pages(), 1024);

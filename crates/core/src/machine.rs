@@ -13,8 +13,8 @@ use hemem_memdev::{
 use hemem_pebs::{Pebs, PebsConfig, SampleRecord, SampleType};
 use hemem_sim::{CoreModel, FaultPlan, FaultPlanConfig, Histogram, Ns, Rng, Tracer};
 use hemem_vmm::{
-    AddressSpace, FaultConfig, FaultStats, FaultThread, PageId, PageSize, PageState, PhysPool,
-    ScanConfig, Tier, Tlb, TlbConfig,
+    AddressSpace, FaultConfig, FaultStats, FaultThread, PageId, PageSize, PageState, PhysPage,
+    PhysPool, ScanConfig, Tier, Tlb, TlbConfig,
 };
 
 use crate::backend::Traffic;
@@ -148,22 +148,10 @@ impl MachineConfig {
         self
     }
 
-    /// Enables structured trace capture.
-    pub fn with_trace(mut self) -> MachineConfig {
-        self.trace = true;
-        self
-    }
-
     /// Adds a third capacity tier: an NVMe swap device of `capacity`
     /// bytes that holds mapped `Tier::Ssd` pages.
     pub fn with_tier3(mut self, capacity: u64) -> MachineConfig {
         self.ssd = Some(SsdConfig::nvme(capacity));
-        self
-    }
-
-    /// Installs a fault-injection plan.
-    pub fn with_chaos(mut self, chaos: FaultPlanConfig) -> MachineConfig {
-        self.chaos = chaos;
         self
     }
 
@@ -331,13 +319,11 @@ pub struct MachineCore {
     pub tlb: Tlb,
     /// I/OAT DMA engine.
     pub dma: DmaEngine,
-    /// DRAM physical page pool (managed-page granularity).
-    pub dram_pool: PhysPool,
-    /// NVM physical page pool.
-    pub nvm_pool: PhysPool,
-    /// Tier-3 swap-frame pool. Always present so tier dispatch never
-    /// branches on configuration; zero pages when no SSD is configured.
-    pub ssd_pool: PhysPool,
+    /// Physical page pools (managed-page granularity), indexed by
+    /// [`Tier::rank`]. The SSD pool is always present so tier dispatch
+    /// never branches on configuration; it has zero pages when no SSD is
+    /// configured.
+    pools: [PhysPool; 3],
     /// The process address space under management.
     pub space: AddressSpace,
     /// PEBS unit.
@@ -391,13 +377,14 @@ impl MachineCore {
             llc: Llc::new(cfg.llc_bytes, Ns::nanos(20)),
             tlb: Tlb::new(cfg.tlb.clone()),
             dma: DmaEngine::new(cfg.dma.clone()),
-            dram_pool: PhysPool::new(Tier::Dram, cfg.dram.capacity, cfg.managed_page),
-            nvm_pool: PhysPool::new(Tier::Nvm, cfg.nvm.capacity, cfg.managed_page),
-            ssd_pool: PhysPool::new(
-                Tier::Ssd,
-                cfg.ssd.as_ref().map_or(0, |s| s.capacity),
-                cfg.managed_page,
-            ),
+            pools: Tier::ALL.map(|tier| {
+                let capacity = match tier {
+                    Tier::Dram => cfg.dram.capacity,
+                    Tier::Nvm => cfg.nvm.capacity,
+                    Tier::Ssd => cfg.ssd.as_ref().map_or(0, |s| s.capacity),
+                };
+                PhysPool::new(tier, capacity, cfg.managed_page)
+            }),
             space: AddressSpace::new(),
             pebs: Pebs::new(cfg.pebs.clone()),
             cores: CoreModel::new(cfg.cores),
@@ -454,20 +441,32 @@ impl MachineCore {
 
     /// Pool for a tier.
     pub fn pool(&self, tier: Tier) -> &PhysPool {
-        match tier {
-            Tier::Dram => &self.dram_pool,
-            Tier::Nvm => &self.nvm_pool,
-            Tier::Ssd => &self.ssd_pool,
-        }
+        &self.pools[tier.rank()]
     }
 
     /// Mutable pool for a tier.
     pub fn pool_mut(&mut self, tier: Tier) -> &mut PhysPool {
-        match tier {
-            Tier::Dram => &mut self.dram_pool,
-            Tier::Nvm => &mut self.nvm_pool,
-            Tier::Ssd => &mut self.ssd_pool,
-        }
+        &mut self.pools[tier.rank()]
+    }
+
+    /// Draws whether a write to frame `phys` of `tier` hits an injected
+    /// media error, from that tier's fault stream; the likelihood grows
+    /// with the frame's recorded wear. DRAM draws nothing.
+    pub fn media_error(&mut self, tier: Tier, phys: PhysPage) -> bool {
+        let draw = match tier {
+            Tier::Dram => return false,
+            Tier::Nvm => FaultPlan::nvm_media_error,
+            Tier::Ssd => FaultPlan::ssd_media_error,
+        };
+        let wear = self.pool(tier).wear(phys);
+        draw(&mut self.chaos, wear)
+    }
+
+    /// Returns a shadow frame to the NVM free list.
+    pub fn free_shadow_frame(&mut self, phys: PhysPage) {
+        let nvm = self.pool_mut(Tier::Nvm);
+        nvm.free(phys);
+        nvm.note_unshadow();
     }
 
     /// Reserves a bulk (page-sized) transfer on any tier's device: the
@@ -542,7 +541,7 @@ impl MachineCore {
 
     /// Bytes free in the DRAM pool.
     pub fn dram_free_bytes(&self) -> u64 {
-        self.dram_pool.free_bytes()
+        self.pool(Tier::Dram).free_bytes()
     }
 
     /// Zero-copy demotion (non-exclusive tiering): if `page` is
@@ -572,7 +571,7 @@ impl MachineCore {
         let (old_tier, old_phys) = region.remap_page(page.index, Tier::Nvm, shadow);
         debug_assert_eq!(old_tier, Tier::Dram, "shadowed page not DRAM-resident");
         self.pool_mut(old_tier).free(old_phys);
-        self.nvm_pool.note_unshadow();
+        self.pool_mut(Tier::Nvm).note_unshadow();
         // No NVM wear: the frame already holds the bytes. Only the TLB
         // pays, exactly like a journaled remap would.
         let cores = self.cores.cores();
@@ -591,8 +590,7 @@ impl MachineCore {
         let Some(phys) = self.space.region_mut(page.region).take_shadow(page.index) else {
             return false;
         };
-        self.nvm_pool.free(phys);
-        self.nvm_pool.note_unshadow();
+        self.free_shadow_frame(phys);
         true
     }
 
@@ -602,7 +600,7 @@ impl MachineCore {
     /// and the NVM watermark call this before spilling, swapping, or
     /// demoting anything real. Returns how many frames came back.
     pub fn reclaim_shadow_frames(&mut self, want: u64) -> u64 {
-        if want == 0 || self.nvm_pool.shadow_held_pages() == 0 {
+        if want == 0 || self.pool(Tier::Nvm).shadow_held_pages() == 0 {
             return 0;
         }
         let ids: Vec<hemem_vmm::RegionId> = self.space.regions().map(|r| r.id()).collect();
@@ -612,8 +610,7 @@ impl MachineCore {
                 let Some((_, phys)) = self.space.region_mut(id).take_first_shadow() else {
                     break;
                 };
-                self.nvm_pool.free(phys);
-                self.nvm_pool.note_unshadow();
+                self.free_shadow_frame(phys);
                 got += 1;
             }
             if got >= want {
@@ -627,15 +624,14 @@ impl MachineCore {
     /// Drops every shadow frame in the machine (the NVM tier went
     /// offline, or a full teardown). Returns how many were freed.
     pub fn drop_all_shadows(&mut self) -> u64 {
-        if self.nvm_pool.shadow_held_pages() == 0 {
+        if self.pool(Tier::Nvm).shadow_held_pages() == 0 {
             return 0;
         }
         let ids: Vec<hemem_vmm::RegionId> = self.space.regions().map(|r| r.id()).collect();
         let mut n = 0;
         for id in ids {
             while let Some((_, phys)) = self.space.region_mut(id).take_first_shadow() {
-                self.nvm_pool.free(phys);
-                self.nvm_pool.note_unshadow();
+                self.free_shadow_frame(phys);
                 n += 1;
             }
         }
@@ -651,7 +647,7 @@ impl MachineCore {
     pub fn invalidate_shadows_on_stores(&mut self, samples: &[SampleRecord]) {
         // Fast path: nothing retained anywhere — the common case with
         // shadows disabled, and the reason this hook costs nothing there.
-        if self.nvm_pool.shadow_held_pages() == 0 && self.journal.retained_intents() == 0 {
+        if self.pool(Tier::Nvm).shadow_held_pages() == 0 && self.journal.retained_intents() == 0 {
             return;
         }
         for s in samples {
@@ -701,8 +697,12 @@ mod tests {
     #[test]
     fn machine_construction_sizes_pools() {
         let m = MachineCore::new(MachineConfig::small(4, 16));
-        assert_eq!(m.dram_pool.total_pages(), 4 * 512, "4 GiB of 2 MiB pages");
-        assert_eq!(m.nvm_pool.total_pages(), 16 * 512);
+        assert_eq!(
+            m.pool(Tier::Dram).total_pages(),
+            4 * 512,
+            "4 GiB of 2 MiB pages"
+        );
+        assert_eq!(m.pool(Tier::Nvm).total_pages(), 16 * 512);
         assert_eq!(m.dram_free_bytes(), 4 * GIB);
     }
 
@@ -768,9 +768,51 @@ mod tests {
         assert!(m.has_ssd());
         assert_eq!(m.tiers(), Tier::ALL);
         assert_eq!(m.pool(Tier::Ssd).total_pages(), 8 * 512);
+        for &t in m.tiers() {
+            let capacity = match t {
+                Tier::Dram => m.cfg.dram.capacity,
+                Tier::Nvm => m.cfg.nvm.capacity,
+                Tier::Ssd => m.cfg.ssd.as_ref().expect("tier-3 config").capacity,
+            };
+            assert_eq!(m.pool(t).tier(), t);
+            assert_eq!(
+                m.pool(t).total_pages(),
+                capacity / m.cfg.managed_page.bytes()
+            );
+        }
         let r = m.reserve_tier_bulk(Ns::ZERO, Tier::Ssd, MemOp::Write, 2 << 20, None);
         assert!(r.finish > Ns::ZERO);
         assert_eq!(m.ssd.as_ref().unwrap().stats().writes, 1);
+    }
+
+    #[test]
+    fn media_error_draws_from_the_frames_tier_stream() {
+        let mut cfg = MachineConfig::small(1, 4).with_tier3(8 * GIB);
+        cfg.chaos.nvm_media_error = 0.3;
+        cfg.chaos.nvm_media_wear_scale = 0.1;
+        cfg.chaos.ssd_media_error = 0.3;
+        cfg.chaos.ssd_media_wear_scale = 0.1;
+        let mut m = MachineCore::new(cfg.clone());
+        let [dram, nvm, ssd] = Tier::ALL.map(|t| m.pool_mut(t).alloc().expect("frame"));
+        m.pool_mut(Tier::Nvm).note_write(nvm, 3);
+        m.pool_mut(Tier::Ssd).note_write(ssd, 5);
+        let before = m.chaos.stats();
+        for _ in 0..64 {
+            assert!(!m.media_error(Tier::Dram, dram), "DRAM never errors");
+        }
+        assert_eq!(m.chaos.stats(), before, "DRAM draws nothing");
+        // Interleaved draws on the machine match a fresh plan drawing each
+        // tier's stream alone, at each frame's own wear: the tiers never
+        // share a stream, and the wear comes from the frame's pool.
+        let (nvm_hits, ssd_hits): (Vec<bool>, Vec<bool>) = (0..64)
+            .map(|_| (m.media_error(Tier::Nvm, nvm), m.media_error(Tier::Ssd, ssd)))
+            .unzip();
+        let mut plan = FaultPlan::new(cfg.chaos);
+        let nvm_alone: Vec<bool> = (0..64).map(|_| plan.nvm_media_error(3)).collect();
+        let ssd_alone: Vec<bool> = (0..64).map(|_| plan.ssd_media_error(5)).collect();
+        assert_eq!(nvm_hits, nvm_alone);
+        assert_eq!(ssd_hits, ssd_alone);
+        assert!(nvm_hits.contains(&true) && nvm_hits.contains(&false));
     }
 
     #[test]

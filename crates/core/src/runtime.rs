@@ -300,8 +300,7 @@ impl<B: TieredBackend> Sim<B> {
                 }
             }
             for (_, phys) in region.shadows() {
-                self.m.nvm_pool.free(phys);
-                self.m.nvm_pool.note_unshadow();
+                self.m.free_shadow_frame(phys);
                 self.m.shadow.dropped += 1;
             }
         }
@@ -592,8 +591,7 @@ impl<B: TieredBackend> Sim<B> {
                     }
                 }
                 for (_, phys) in region.shadows() {
-                    self.m.nvm_pool.free(phys);
-                    self.m.nvm_pool.note_unshadow();
+                    self.m.free_shadow_frame(phys);
                     self.m.shadow.dropped += 1;
                 }
             }
@@ -969,7 +967,7 @@ impl<B: TieredBackend> Sim<B> {
         // verifies rather than trusts. Any stale shadow found here is
         // freed; the audit's `StaleShadowMapped` would flag one we
         // missed.
-        if self.m.nvm_pool.shadow_held_pages() > 0 {
+        if self.m.pool(Tier::Nvm).shadow_held_pages() > 0 {
             let mut stale: Vec<PageId> = Vec::new();
             for r in self.m.space.regions() {
                 for (i, _) in r.shadows() {
@@ -1254,25 +1252,12 @@ impl<B: TieredBackend> Sim<B> {
         let Some(&e) = self.m.journal.entry(id) else {
             return; // rolled back by recovery before the copy landed
         };
-        // Injected media error on the destination write (NVM only; its
+        // Injected media error on the destination write (NVM or SSD; its
         // likelihood grows with the frame's wear). The transaction aborts:
         // the destination frame is poisoned and retired, the journal entry
         // is dropped, and the source mapping — never touched — stays
         // authoritative. The page is restored to the backend intact.
-        let media_error = match e.dst_tier {
-            Tier::Nvm => {
-                let wear = self.m.nvm_pool.wear(e.dst_phys);
-                self.m.chaos.nvm_media_error(wear)
-            }
-            // SSD destination: error likelihood grows with the frame's
-            // recorded program cycles, mirroring the NVM wear coupling.
-            Tier::Ssd => {
-                let wear = self.m.ssd_pool.wear(e.dst_phys);
-                self.m.chaos.ssd_media_error(wear)
-            }
-            Tier::Dram => false,
-        };
-        if media_error {
+        if self.m.media_error(e.dst_tier, e.dst_phys) {
             self.m.journal.abort(id);
             self.m.pool_mut(e.dst_tier).retire(e.dst_phys);
             self.m.stats.pages_retired += 1;
@@ -1313,8 +1298,7 @@ impl<B: TieredBackend> Sim<B> {
             .region_mut(e.page.region)
             .take_shadow(e.page.index);
         if let Some(stale) = stale {
-            self.m.nvm_pool.free(stale);
-            self.m.nvm_pool.note_unshadow();
+            self.m.free_shadow_frame(stale);
             self.m.shadow.dropped += 1;
         }
         let region = self.m.space.region_mut(e.page.region);
@@ -1332,23 +1316,17 @@ impl<B: TieredBackend> Sim<B> {
                 .space
                 .region_mut(e.page.region)
                 .set_shadow(e.page.index, old_phys);
-            self.m.nvm_pool.note_shadow();
+            self.m.pool_mut(Tier::Nvm).note_shadow();
             self.m.shadow.retained += 1;
         } else {
             self.m.pool_mut(old_tier).free(old_phys);
         }
-        match e.dst_tier {
-            Tier::Nvm => {
-                // A migration into NVM writes the whole frame once.
-                self.m.nvm_pool.note_write(e.dst_phys, 1);
-            }
-            Tier::Ssd => {
-                // A demotion onto the SSD programs the frame once and
-                // wears every erase block the frame covers.
-                self.m.ssd_pool.note_write(e.dst_phys, 1);
-                self.note_ssd_block_write(e.dst_phys, bytes);
-            }
-            Tier::Dram => {}
+        // A migration writes the whole destination frame once; a
+        // demotion onto the SSD also wears every erase block the frame
+        // covers.
+        self.m.pool_mut(e.dst_tier).note_write(e.dst_phys, 1);
+        if e.dst_tier == Tier::Ssd {
+            self.note_ssd_block_write(e.dst_phys, bytes);
         }
         let cores = self.m.cores.cores();
         self.m.tlb.shootdown(cores);
@@ -1401,27 +1379,12 @@ impl<B: TieredBackend> Sim<B> {
                 }
                 None => return None,
             };
-            match tier {
-                Tier::Nvm => {
-                    let wear = self.m.nvm_pool.wear(phys);
-                    if self.m.chaos.nvm_media_error(wear) {
-                        self.m.nvm_pool.retire(phys);
-                        self.m.stats.pages_retired += 1;
-                        continue;
-                    }
-                    self.m.nvm_pool.note_write(phys, 1);
-                }
-                Tier::Ssd => {
-                    let wear = self.m.ssd_pool.wear(phys);
-                    if self.m.chaos.ssd_media_error(wear) {
-                        self.m.ssd_pool.retire(phys);
-                        self.m.stats.pages_retired += 1;
-                        continue;
-                    }
-                    self.m.ssd_pool.note_write(phys, 1);
-                }
-                Tier::Dram => {}
+            if self.m.media_error(tier, phys) {
+                self.m.pool_mut(tier).retire(phys);
+                self.m.stats.pages_retired += 1;
+                continue;
             }
+            self.m.pool_mut(tier).note_write(phys, 1);
             return Some(phys);
         }
     }
@@ -2135,7 +2098,7 @@ mod tests {
         fn on_mmap(&mut self, _m: &mut MachineCore, _r: RegionId) {}
         fn on_munmap(&mut self, _m: &mut MachineCore, _r: RegionId) {}
         fn place(&mut self, m: &mut MachineCore, _p: PageId, _w: bool) -> Tier {
-            if m.dram_pool.free_pages() > 0 {
+            if m.pool(Tier::Dram).free_pages() > 0 {
                 Tier::Dram
             } else {
                 Tier::Nvm
@@ -2183,7 +2146,7 @@ mod tests {
         let r = s.m.space.region(id);
         assert_eq!(r.dram_pages(), 512);
         assert_eq!(r.mapped_pages(), 1024);
-        assert_eq!(s.m.nvm_pool.allocated_pages(), 512);
+        assert_eq!(s.m.pool(Tier::Nvm).allocated_pages(), 512);
     }
 
     #[test]
@@ -2347,7 +2310,7 @@ mod tests {
         assert_eq!(r.kind(), RegionKind::SmallAnon);
         assert_eq!(r.dram_pages(), r.mapped_pages());
         assert_eq!(
-            s.m.dram_pool.allocated_pages(),
+            s.m.pool(Tier::Dram).allocated_pages(),
             0,
             "kernel memory, not pool"
         );
@@ -2399,7 +2362,7 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "migration never prepared");
         }
-        let dram_allocated = s.m.dram_pool.allocated_pages();
+        let dram_allocated = s.m.pool(Tier::Dram).allocated_pages();
         s.inject_manager_kill();
         assert!(s.manager_down());
         s.advance(Ns::millis(100));
@@ -2419,7 +2382,7 @@ mod tests {
             }
             other => panic!("page lost: {other:?}"),
         }
-        assert_eq!(s.m.dram_pool.allocated_pages(), dram_allocated - 1);
+        assert_eq!(s.m.pool(Tier::Dram).allocated_pages(), dram_allocated - 1);
         assert_eq!(s.run_audit(true), Vec::new(), "machine audits clean");
         // The restarted manager's threads are live again.
         let ticks = s.backend.ticks;
@@ -2464,7 +2427,7 @@ mod tests {
         s.advance(Ns::millis(20));
         assert_eq!(s.m.recovery.audit_violations, 0, "clean machine");
         // Leak a frame: every subsequent audit tick flags the mismatch.
-        let _leak = s.m.dram_pool.alloc().expect("frame");
+        let _leak = s.m.pool_mut(Tier::Dram).alloc().expect("frame");
         let before = s.m.recovery.audit_violations;
         s.advance(Ns::millis(25));
         assert!(s.m.recovery.audit_violations > before);
@@ -2554,12 +2517,18 @@ mod tests {
     #[test]
     fn munmap_after_population_frees_frames() {
         let mut s = sim();
-        let free0 = (s.m.dram_pool.free_pages(), s.m.nvm_pool.free_pages());
+        let free0 = (
+            s.m.pool(Tier::Dram).free_pages(),
+            s.m.pool(Tier::Nvm).free_pages(),
+        );
         let id = s.mmap(2 * GIB);
         s.populate(id, true);
         s.munmap(id);
         assert_eq!(
-            (s.m.dram_pool.free_pages(), s.m.nvm_pool.free_pages()),
+            (
+                s.m.pool(Tier::Dram).free_pages(),
+                s.m.pool(Tier::Nvm).free_pages()
+            ),
             free0
         );
     }
@@ -2574,10 +2543,10 @@ mod tests {
             crate::machine::TierHealth::Degraded
         );
         assert_eq!(s.m.device(Tier::Nvm).throttle(), DEGRADED_THROTTLE);
-        let total = s.m.nvm_pool.total_pages();
+        let total = s.m.pool(Tier::Nvm).total_pages();
         assert_eq!(s.m.health.health_retired[1], total / 8);
-        assert_eq!(s.m.nvm_pool.health_retired_pages(), total / 8);
-        assert!(s.m.nvm_pool.conserved());
+        assert_eq!(s.m.pool(Tier::Nvm).health_retired_pages(), total / 8);
+        assert!(s.m.pool(Tier::Nvm).conserved());
         assert_eq!(s.m.health.degrades, 1);
         // Degrading again is a no-op: the tier is already degraded.
         s.inject_tier_degrade(Tier::Nvm);
@@ -2602,7 +2571,11 @@ mod tests {
         assert_eq!(s.evacuating(), None, "evacuation drained");
         assert_eq!(s.m.health.evacuated_pages, 300);
         assert_eq!(s.m.health.poisoned_pages, 212);
-        assert_eq!(s.m.nvm_pool.allocated_pages(), 0, "tier fully drained");
+        assert_eq!(
+            s.m.pool(Tier::Nvm).allocated_pages(),
+            0,
+            "tier fully drained"
+        );
         assert!(s.m.health.evac_done[1]);
         assert!(crate::audit::audit_machine(&s.m, true).is_empty());
         // Touching a poisoned page faults it back in as a fresh zero page
@@ -2617,7 +2590,7 @@ mod tests {
         s.advance(Ns::secs(1));
         assert!(s.m.health.poison_faults > 0);
         assert_eq!(
-            s.m.nvm_pool.allocated_pages(),
+            s.m.pool(Tier::Nvm).allocated_pages(),
             0,
             "refaults avoid the dead tier"
         );
@@ -2634,7 +2607,7 @@ mod tests {
         assert_eq!(s.evacuating(), None, "baseline never evacuates");
         assert_eq!(s.m.health.poisoned_pages, 512);
         assert_eq!(s.m.health.evacuated_pages, 0);
-        assert_eq!(s.m.nvm_pool.allocated_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Nvm).allocated_pages(), 0);
         assert!(crate::audit::audit_machine(&s.m, true).is_empty());
     }
 
@@ -2646,7 +2619,7 @@ mod tests {
         s.inject_tier_degrade(Tier::Nvm);
         s.inject_tier_fail(Tier::Nvm);
         s.advance(Ns::secs(2));
-        let total = s.m.nvm_pool.total_pages();
+        let total = s.m.pool(Tier::Nvm).total_pages();
         s.inject_tier_readmit(Tier::Nvm);
         assert_eq!(
             s.m.tier_health(Tier::Nvm),
@@ -2654,14 +2627,18 @@ mod tests {
         );
         assert_eq!(s.m.device(Tier::Nvm).throttle(), 1.0);
         assert_eq!(s.m.health.health_retired[1], 0);
-        assert_eq!(s.m.nvm_pool.free_pages(), total, "tier comes back empty");
+        assert_eq!(
+            s.m.pool(Tier::Nvm).free_pages(),
+            total,
+            "tier comes back empty"
+        );
         assert!(!s.m.health.evac_done[1]);
         assert_eq!(s.m.health.readmits, 1);
         assert!(crate::audit::audit_machine(&s.m, true).is_empty());
         // The readmitted tier accepts allocations again.
         let id2 = s.mmap(2 * GIB);
         s.populate(id2, true);
-        assert!(s.m.nvm_pool.allocated_pages() > 0);
+        assert!(s.m.pool(Tier::Nvm).allocated_pages() > 0);
     }
 
     #[test]
@@ -2714,8 +2691,11 @@ mod tests {
         let (tier, frame) = s.m.space.region_mut(id).unmap_page(600);
         assert_eq!(tier, Tier::Nvm);
         s.m.space.region_mut(id).set_shadow(0, frame);
-        s.m.nvm_pool.note_shadow();
-        assert_eq!(s.m.dram_pool.free_pages() + s.m.nvm_pool.free_pages(), 0);
+        s.m.pool_mut(Tier::Nvm).note_shadow();
+        assert_eq!(
+            s.m.pool(Tier::Dram).free_pages() + s.m.pool(Tier::Nvm).free_pages(),
+            0
+        );
         let page = |index| PageId { region: id, index };
         let now = s.now();
 
@@ -2730,16 +2710,17 @@ mod tests {
             other => panic!("victim lost: {other:?}"),
         }
         assert_eq!(s.m.shadow.remap_demotions, 1);
-        assert_eq!(s.m.dram_pool.free_pages(), 1);
+        assert_eq!(s.m.pool(Tier::Dram).free_pages(), 1);
         assert_eq!(s.backend.placed.last(), Some(&(page(0), Tier::Nvm)));
         // Refill that frame so both memory tiers are full again.
         s.fault_page(page(600), true, now);
-        assert_eq!(s.m.dram_pool.free_pages(), 0);
+        assert_eq!(s.m.pool(Tier::Dram).free_pages(), 0);
 
         // Without a shadow the victim has nowhere to go: the fault gets
         // the typed error, no frame leaks, and the victim is re-placed.
         s.backend.victims.push(page(700));
-        let allocated = s.m.dram_pool.allocated_pages() + s.m.nvm_pool.allocated_pages();
+        let allocated =
+            s.m.pool(Tier::Dram).allocated_pages() + s.m.pool(Tier::Nvm).allocated_pages();
         let extra = s.mmap(64 << 20);
         let now = s.now();
         assert_eq!(
@@ -2755,7 +2736,7 @@ mod tests {
         );
         assert_eq!(s.m.space.region(extra).mapped_pages(), 0);
         assert_eq!(
-            s.m.dram_pool.allocated_pages() + s.m.nvm_pool.allocated_pages(),
+            s.m.pool(Tier::Dram).allocated_pages() + s.m.pool(Tier::Nvm).allocated_pages(),
             allocated,
             "no frame leaked"
         );

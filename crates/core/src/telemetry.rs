@@ -8,7 +8,7 @@
 //! per-interval deltas for the cumulative counters.
 
 use hemem_sim::{LatencyClass, Ns};
-use hemem_vmm::RegionId;
+use hemem_vmm::{RegionId, Tier};
 
 use crate::backend::TieredBackend;
 use crate::runtime::Sim;
@@ -440,7 +440,7 @@ impl TenantTelemetry {
             let quota = hemem
                 .arbiter()
                 .map(|a| a.quota_pages(t))
-                .unwrap_or_else(|| sim.m.dram_pool.total_pages());
+                .unwrap_or_else(|| sim.m.pool(Tier::Dram).total_pages());
             let (dram_loads, nvm_loads) = hemem.tenant_loads(t);
             self.samples.push(TenantSnapshot {
                 at: now,
@@ -721,7 +721,7 @@ mod tests {
         assert!(t.maybe_sample(&sim));
         let snaps = t.snapshots();
         assert_eq!(snaps.len(), 4, "two tenants, two periods");
-        let total = sim.m.dram_pool.total_pages();
+        let total = sim.m.pool(Tier::Dram).total_pages();
         assert_eq!(snaps[0].quota_pages + snaps[1].quota_pages, total);
         assert!(snaps.iter().all(|s| s.dram_pages + s.nvm_pages > 0));
         let csv = t.csv();

@@ -13,7 +13,7 @@ use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
 use hemem_core::AccessBatch;
 use hemem_sim::{FaultPlanConfig, Ns};
-use hemem_vmm::RegionId;
+use hemem_vmm::{RegionId, Tier};
 
 const GIB: u64 = 1 << 30;
 const REGION_PAGES: u64 = 1024; // 2 GiB of 2 MiB pages
@@ -67,7 +67,10 @@ fn churn(sim: &mut Sim<HeMem>, region: RegionId, lo: u64, write_frac: f64) {
 /// Every accounting invariant the fault plan must not be able to break.
 fn check_accounting(sim: &Sim<HeMem>, region: RegionId) -> Result<(), TestCaseError> {
     // Pool occupancy balances, retirement included.
-    for (name, pool) in [("dram", &sim.m.dram_pool), ("nvm", &sim.m.nvm_pool)] {
+    for (name, pool) in [
+        ("dram", sim.m.pool(Tier::Dram)),
+        ("nvm", sim.m.pool(Tier::Nvm)),
+    ] {
         prop_assert_eq!(
             pool.total_pages(),
             pool.free_pages() + pool.allocated_pages() + pool.retired_pages(),
@@ -95,7 +98,8 @@ fn check_accounting(sim: &Sim<HeMem>, region: RegionId) -> Result<(), TestCaseEr
     );
     // Frames in use = mapped pages + destination frames of in-flight
     // migrations. More would be a leak, fewer a double mapping.
-    let allocated = sim.m.dram_pool.allocated_pages() + sim.m.nvm_pool.allocated_pages();
+    let allocated =
+        sim.m.pool(Tier::Dram).allocated_pages() + sim.m.pool(Tier::Nvm).allocated_pages();
     prop_assert_eq!(
         allocated,
         r.mapped_pages() + in_flight,
@@ -113,8 +117,8 @@ fn stats_fingerprint(sim: &Sim<HeMem>) -> String {
         sim.m.stats,
         sim.m.chaos.stats(),
         sim.m.dma.stats(),
-        sim.m.nvm_pool.free_pages(),
-        sim.m.nvm_pool.retired_pages(),
+        sim.m.pool(Tier::Nvm).free_pages(),
+        sim.m.pool(Tier::Nvm).retired_pages(),
     )
 }
 

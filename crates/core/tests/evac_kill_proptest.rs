@@ -98,7 +98,7 @@ fn check_drained(sim: &mut Sim<HeMem>, pages_expected: Option<u64>) -> Result<()
         );
     }
     prop_assert_eq!(
-        sim.m.nvm_pool.allocated_pages(),
+        sim.m.pool(Tier::Nvm).allocated_pages(),
         0,
         "offline tier still holds frames after evacuation + recovery"
     );
@@ -106,9 +106,9 @@ fn check_drained(sim: &mut Sim<HeMem>, pages_expected: Option<u64>) -> Result<()
     let finished = s.migrations_done + s.migrations_failed + sim.m.recovery.journal_rollbacks;
     prop_assert!(finished <= s.migrations_started, "migration ledger broken");
     let in_flight = s.migrations_started - finished;
-    let allocated = sim.m.dram_pool.allocated_pages()
-        + sim.m.nvm_pool.allocated_pages()
-        + sim.m.ssd_pool.allocated_pages();
+    let allocated = sim.m.pool(Tier::Dram).allocated_pages()
+        + sim.m.pool(Tier::Nvm).allocated_pages()
+        + sim.m.pool(Tier::Ssd).allocated_pages();
     if let Some(expected) = pages_expected {
         let r = sim.m.space.regions().next().expect("region still live");
         prop_assert_eq!(
@@ -215,9 +215,9 @@ proptest! {
                 sim.m.stats,
                 sim.m.recovery,
                 sim.m.health,
-                sim.m.dram_pool.free_pages(),
-                sim.m.nvm_pool.free_pages(),
-                sim.m.ssd_pool.free_pages(),
+                sim.m.pool(Tier::Dram).free_pages(),
+                sim.m.pool(Tier::Nvm).free_pages(),
+                sim.m.pool(Tier::Ssd).free_pages(),
             )
         };
         prop_assert_eq!(run(), run(), "killed evacuation run is not reproducible");

@@ -19,7 +19,7 @@ use hemem_core::runtime::{Event, Sim};
 use hemem_core::AccessBatch;
 use hemem_pebs::AdaptiveConfig;
 use hemem_sim::Ns;
-use hemem_vmm::RegionId;
+use hemem_vmm::{RegionId, Tier};
 
 const GIB: u64 = 1 << 30;
 // 2.5x DRAM on the small(1, 4) machine: the working set spills into NVM
@@ -107,8 +107,8 @@ fn fingerprint(sim: &Sim<HeMem>) -> String {
         sim.m.recovery,
         sim.backend.region_stats(),
         sim.m.pebs.adapt_stats(),
-        sim.m.dram_pool.free_pages(),
-        sim.m.nvm_pool.free_pages(),
+        sim.m.pool(Tier::Dram).free_pages(),
+        sim.m.pool(Tier::Nvm).free_pages(),
         sim.m.pebs.sample_period(),
     )
 }

@@ -19,7 +19,7 @@ use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
 use hemem_core::AccessBatch;
 use hemem_sim::{Ns, TenantKill};
-use hemem_vmm::RegionId;
+use hemem_vmm::{RegionId, Tier};
 
 const GIB: u64 = 1 << 30;
 // 2.5x DRAM on the small(1, 2) machine: the working set spills into NVM,
@@ -117,9 +117,9 @@ fn check_shadows_reconciled(sim: &mut Sim<HeMem>, region_live: bool) -> Result<(
             name
         );
     }
-    let shadow_held = sim.m.nvm_pool.shadow_held_pages();
+    let shadow_held = sim.m.pool(Tier::Nvm).shadow_held_pages();
     prop_assert!(
-        shadow_held <= sim.m.nvm_pool.allocated_pages(),
+        shadow_held <= sim.m.pool(Tier::Nvm).allocated_pages(),
         "shadow sub-count exceeds allocated NVM frames"
     );
     let shadow_mapped: u64 = sim.m.space.regions().map(|r| r.shadow_pages()).sum();
@@ -128,9 +128,9 @@ fn check_shadows_reconciled(sim: &mut Sim<HeMem>, region_live: bool) -> Result<(
     let finished = s.migrations_done + s.migrations_failed + sim.m.recovery.journal_rollbacks;
     prop_assert!(finished <= s.migrations_started, "migration ledger broken");
     let in_flight = s.migrations_started - finished;
-    let allocated = sim.m.dram_pool.allocated_pages()
-        + sim.m.nvm_pool.allocated_pages()
-        + sim.m.ssd_pool.allocated_pages();
+    let allocated = sim.m.pool(Tier::Dram).allocated_pages()
+        + sim.m.pool(Tier::Nvm).allocated_pages()
+        + sim.m.pool(Tier::Ssd).allocated_pages();
     if region_live {
         let r = sim.m.space.regions().next().expect("region still live");
         prop_assert_eq!(
@@ -235,10 +235,10 @@ proptest! {
                 sim.m.shadow,
                 sim.m.recovery,
                 sim.m.health,
-                sim.m.dram_pool.free_pages(),
-                sim.m.nvm_pool.free_pages(),
-                sim.m.ssd_pool.free_pages(),
-                sim.m.nvm_pool.shadow_held_pages(),
+                sim.m.pool(Tier::Dram).free_pages(),
+                sim.m.pool(Tier::Nvm).free_pages(),
+                sim.m.pool(Tier::Ssd).free_pages(),
+                sim.m.pool(Tier::Nvm).shadow_held_pages(),
             )
         };
         prop_assert_eq!(run(), run(), "shadowed run is not reproducible");

@@ -17,7 +17,7 @@ use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
 use hemem_core::AccessBatch;
 use hemem_sim::{Ns, TenantKill};
-use hemem_vmm::TenantId;
+use hemem_vmm::{TenantId, Tier};
 
 const GIB: u64 = 1 << 30;
 const SLOTS: usize = 4;
@@ -206,9 +206,9 @@ fn run_schedule(sim: &mut Sim<HeMem>, ops: &[Op]) -> Result<String, TestCaseErro
         "{:?}|{:?}|{}/{}/{}|{}/{}/{}|{:?}",
         sim.m.stats,
         sim.m.recovery,
-        sim.m.dram_pool.free_pages(),
-        sim.m.nvm_pool.free_pages(),
-        sim.m.ssd_pool.free_pages(),
+        sim.m.pool(Tier::Dram).free_pages(),
+        sim.m.pool(Tier::Nvm).free_pages(),
+        sim.m.pool(Tier::Ssd).free_pages(),
         ps.spawns,
         ps.recycles,
         ps.generation_sum,

@@ -79,9 +79,9 @@ fn check_three_tier(sim: &mut Sim<HeMem>, region: RegionId) -> Result<(), TestCa
     let finished = s.migrations_done + s.migrations_failed + sim.m.recovery.journal_rollbacks;
     prop_assert!(finished <= s.migrations_started, "migration ledger broken");
     let in_flight = s.migrations_started - finished;
-    let allocated = sim.m.dram_pool.allocated_pages()
-        + sim.m.nvm_pool.allocated_pages()
-        + sim.m.ssd_pool.allocated_pages();
+    let allocated = sim.m.pool(Tier::Dram).allocated_pages()
+        + sim.m.pool(Tier::Nvm).allocated_pages()
+        + sim.m.pool(Tier::Ssd).allocated_pages();
     prop_assert_eq!(
         allocated,
         sim.m.space.region(region).mapped_pages() + in_flight,
@@ -143,9 +143,9 @@ proptest! {
                 "{:?}|{:?}|{}/{}/{}",
                 sim.m.stats,
                 sim.m.recovery,
-                sim.m.dram_pool.free_pages(),
-                sim.m.nvm_pool.free_pages(),
-                sim.m.ssd_pool.free_pages(),
+                sim.m.pool(Tier::Dram).free_pages(),
+                sim.m.pool(Tier::Nvm).free_pages(),
+                sim.m.pool(Tier::Ssd).free_pages(),
             )
         };
         prop_assert_eq!(run(), run(), "killed 3-tier run is not reproducible");

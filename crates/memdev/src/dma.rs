@@ -8,11 +8,9 @@
 //! the actual byte movement must additionally be reserved on the source
 //! and destination [`crate::Device`]s by the caller.
 //!
-//! The engine owns channel allocation (which hardware channels are handed
-//! out to which client) so that multiple [`crate::DmaClient`]s sharing it
-//! cannot double-allocate a channel, and it tracks submission failures so
-//! callers can detect a dead engine and fall back to copy threads, as
-//! HeMem does when the I/OAT driver is unavailable.
+//! The engine tracks submission failures so callers can detect a dead
+//! engine and fall back to copy threads, as HeMem does when the I/OAT
+//! driver is unavailable.
 
 use hemem_sim::Ns;
 
@@ -52,13 +50,9 @@ impl DmaConfig {
     }
 }
 
-/// Errors surfaced by the DMA engine and its driver interface.
+/// Errors surfaced by the DMA engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaError {
-    /// All hardware channels are allocated to clients.
-    NoChannelsAvailable,
-    /// The channel id is not allocated to the caller.
-    BadChannel,
     /// A submission asked for an impossible channel count.
     BadChannelCount {
         /// Channels requested.
@@ -77,21 +71,11 @@ pub enum DmaError {
     EmptyCopy,
     /// The engine failed the submission (injected hardware/driver fault).
     DeviceFailure,
-    /// The configuration asks for more channels than the engine's channel
-    /// mask can represent.
-    TooManyChannels {
-        /// Channels requested.
-        got: u32,
-        /// Representable maximum.
-        max: u32,
-    },
 }
 
 impl core::fmt::Display for DmaError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            DmaError::NoChannelsAvailable => write!(f, "no DMA channels available"),
-            DmaError::BadChannel => write!(f, "channel not allocated to this client"),
             DmaError::BadChannelCount { got, have } => {
                 write!(f, "requested {got} channels, engine has {have}")
             }
@@ -100,21 +84,11 @@ impl core::fmt::Display for DmaError {
             }
             DmaError::EmptyCopy => write!(f, "zero-length copy request"),
             DmaError::DeviceFailure => write!(f, "DMA engine failed the submission"),
-            DmaError::TooManyChannels { got, max } => {
-                write!(
-                    f,
-                    "channel mask holds at most {max} channels, asked for {got}"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for DmaError {}
-
-/// An allocated DMA channel id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChannelId(pub u32);
 
 /// Cumulative DMA statistics.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
@@ -134,10 +108,6 @@ pub struct DmaStats {
 pub struct DmaEngine {
     config: DmaConfig,
     chan_free: Vec<Ns>,
-    /// Bitmask of channels handed out to clients. The engine — not each
-    /// client — owns this, so clients sharing the engine see one another's
-    /// allocations, matching the kernel driver.
-    allocated_mask: u64,
     consecutive_failures: u32,
     fallbacks_since_probe: u32,
     stats: DmaStats,
@@ -145,32 +115,15 @@ pub struct DmaEngine {
 
 impl DmaEngine {
     /// Creates an idle engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a configuration [`DmaEngine::try_new`] rejects.
     pub fn new(config: DmaConfig) -> DmaEngine {
-        DmaEngine::try_new(config).expect("channel mask holds at most 64 channels")
-    }
-
-    /// Fallible constructor: rejects configurations whose channel count
-    /// cannot be represented in the allocation mask.
-    pub fn try_new(config: DmaConfig) -> Result<DmaEngine, DmaError> {
-        if config.channels > u64::BITS {
-            return Err(DmaError::TooManyChannels {
-                got: config.channels,
-                max: u64::BITS,
-            });
-        }
         let chan_free = vec![Ns::ZERO; config.channels as usize];
-        Ok(DmaEngine {
+        DmaEngine {
             config,
             chan_free,
-            allocated_mask: 0,
             consecutive_failures: 0,
             fallbacks_since_probe: 0,
             stats: DmaStats::default(),
-        })
+        }
     }
 
     /// Engine configuration.
@@ -181,31 +134,6 @@ impl DmaEngine {
     /// Cumulative statistics.
     pub fn stats(&self) -> &DmaStats {
         &self.stats
-    }
-
-    /// Number of channels currently allocated to clients.
-    pub fn allocated_channels(&self) -> u32 {
-        self.allocated_mask.count_ones()
-    }
-
-    /// Allocates the lowest free channel (the `DMA_ALLOC_CHANNEL` ioctl).
-    pub fn alloc_channel(&mut self) -> Result<ChannelId, DmaError> {
-        for i in 0..self.config.channels {
-            if self.allocated_mask & (1 << i) == 0 {
-                self.allocated_mask |= 1 << i;
-                return Ok(ChannelId(i));
-            }
-        }
-        Err(DmaError::NoChannelsAvailable)
-    }
-
-    /// Releases an allocated channel (the `DMA_FREE_CHANNEL` ioctl).
-    pub fn free_channel(&mut self, id: ChannelId) -> Result<(), DmaError> {
-        if id.0 >= self.config.channels || self.allocated_mask & (1 << id.0) == 0 {
-            return Err(DmaError::BadChannel);
-        }
-        self.allocated_mask &= !(1 << id.0);
-        Ok(())
     }
 
     /// Validates a batch before submission: the single checkpoint for
@@ -379,20 +307,20 @@ mod tests {
     }
 
     #[test]
-    fn engine_owns_channel_allocation() {
+    fn zero_length_copy_rejected() {
         let mut dma = DmaEngine::new(DmaConfig::ioat());
-        let a = dma.alloc_channel().expect("channel");
-        let b = dma.alloc_channel().expect("channel");
-        assert_ne!(a, b);
-        assert_eq!(dma.allocated_channels(), 2);
-        dma.free_channel(a).expect("free");
-        assert_eq!(dma.allocated_channels(), 1);
-        // Lowest free channel is reused.
-        assert_eq!(dma.alloc_channel(), Ok(a));
-        // Double-free and out-of-range frees are rejected.
-        dma.free_channel(b).expect("free");
-        assert_eq!(dma.free_channel(b), Err(DmaError::BadChannel));
-        assert_eq!(dma.free_channel(ChannelId(99)), Err(DmaError::BadChannel));
+        assert_eq!(dma.submit(Ns::ZERO, &[MB, 0], 1), Err(DmaError::EmptyCopy));
+        assert_eq!(dma.stats().ioctls, 0, "rejected batch issues no ioctl");
+    }
+
+    #[test]
+    fn error_messages_render() {
+        assert!(DmaError::BatchTooLarge { got: 40, max: 32 }
+            .to_string()
+            .contains("40"));
+        assert!(DmaError::BadChannelCount { got: 9, have: 8 }
+            .to_string()
+            .contains("9"));
     }
 
     #[test]
@@ -408,16 +336,6 @@ mod tests {
         // One successful submission resets the breaker.
         dma.submit(Ns::ZERO, &[MB], 1).expect("submit");
         assert!(!dma.degraded());
-    }
-
-    #[test]
-    fn try_new_rejects_oversized_channel_masks() {
-        let mut cfg = DmaConfig::ioat();
-        cfg.channels = 65;
-        assert_eq!(
-            DmaEngine::try_new(cfg).map(|_| ()),
-            Err(DmaError::TooManyChannels { got: 65, max: 64 })
-        );
     }
 
     #[test]

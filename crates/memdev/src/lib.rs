@@ -14,15 +14,13 @@
 pub mod config;
 pub mod device;
 pub mod dma;
-pub mod dma_client;
 pub mod dramcache;
 pub mod llc;
 pub mod ssd;
 
 pub use config::{DeviceConfig, MemOp, Pattern, GIB};
 pub use device::{Device, DeviceStats, Reservation};
-pub use dma::{ChannelId, DmaConfig, DmaEngine, DmaError, DmaStats};
-pub use dma_client::{CopyRequest, DmaClient};
+pub use dma::{DmaConfig, DmaEngine, DmaError, DmaStats};
 pub use dramcache::{CacheOutcome, CacheStats, DramCache, DramCacheConfig};
 pub use llc::Llc;
 pub use ssd::{SsdConfig, SsdDevice, SsdStats};

@@ -136,7 +136,7 @@ impl Default for AdaptiveConfig {
 }
 
 /// Typed rejection of an invalid [`PebsConfig`], following the
-/// `DmaEngine::try_new` / `StateError` convention: callers that build
+/// `StateError` convention: callers that build
 /// configurations from untrusted input get an error value, and
 /// [`Pebs::new`] keeps the panicking convenience path for the shipped
 /// defaults.

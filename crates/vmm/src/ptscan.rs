@@ -52,11 +52,6 @@ impl ScanConfig {
         Ns(self.leaf_cost(ps).as_nanos().saturating_mul(entries))
     }
 
-    /// Scan time over an explicit number of entries.
-    pub fn scan_entries(&self, entries: u64, ps: PageSize) -> Ns {
-        Ns(self.leaf_cost(ps).as_nanos().saturating_mul(entries))
-    }
-
     /// Full scan-and-clear pass: scan time plus the TLB shootdown charged
     /// on `tlb` for clearing accessed/dirty bits across `cores` cores.
     pub fn scan_and_clear(

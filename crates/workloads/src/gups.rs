@@ -194,12 +194,6 @@ impl Gups {
         self.region
     }
 
-    /// Current hot slices as `(lo_page, hi_page)` per thread (empty pairs
-    /// when running uniform).
-    pub fn hot_slices(&self) -> Vec<(u64, u64)> {
-        self.parts.iter().map(|p| (p.hot_lo, p.hot_hi)).collect()
-    }
-
     /// Shifts every thread's hot slice by `shift_bytes` (the Figure 9 /
     /// Figure 12 dynamic hot-set experiment: part of the hot set goes
     /// cold, an equal amount of previously-cold data becomes hot).

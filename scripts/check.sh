@@ -119,6 +119,15 @@ if [ -n "$bad" ]; then
   echo "$bad"
   exit 1
 fi
+# HeMem has one construction path: every public constructor goes
+# through the one private builder, the only SlotPool::new call in
+# manager.rs (comments and #[cfg(test)] exempt as above).
+n=$(awk '/#\[cfg\(test\)\]/{exit} /^[[:space:]]*\/\//{next} {print}' crates/core/src/hemem/manager.rs \
+  | grep -cF 'SlotPool::new(' || true)
+if [ "$n" != 1 ]; then
+  echo "HeMem builds its slot pool in $n places; want exactly one (manager.rs)"
+  exit 1
+fi
 
 # Region-granularity hygiene: the per-period policy pass must select
 # work through the span indexes (regions.rs) — never a fresh flat

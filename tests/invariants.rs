@@ -9,7 +9,7 @@ use hemem_repro::core::backend::AccessBatch;
 use hemem_repro::core::machine::MachineConfig;
 use hemem_repro::core::runtime::{Event, Sim};
 use hemem_repro::sim::Ns;
-use hemem_repro::vmm::PageState;
+use hemem_repro::vmm::{PageState, Tier};
 
 const GIB: u64 = 1 << 30;
 
@@ -50,14 +50,14 @@ fn check_accounting(sim: &Sim<AnyBackend>) {
     // In-flight migrations hold a destination frame in addition to the
     // mapped source frame.
     let in_flight = sim.m.stats.migrations_started - sim.m.stats.migrations_done;
-    let dram_alloc = sim.m.dram_pool.allocated_pages();
-    let nvm_alloc = sim.m.nvm_pool.allocated_pages();
+    let dram_alloc = sim.m.pool(Tier::Dram).allocated_pages();
+    let nvm_alloc = sim.m.pool(Tier::Nvm).allocated_pages();
     assert!(
         dram_alloc + nvm_alloc <= dram_mapped + nvm_mapped + 2 * in_flight,
         "allocated {dram_alloc}+{nvm_alloc} vs mapped {dram_mapped}+{nvm_mapped} (+{in_flight} in flight)"
     );
     assert!(
-        dram_alloc >= dram_mapped.min(sim.m.dram_pool.total_pages()),
+        dram_alloc >= dram_mapped.min(sim.m.pool(Tier::Dram).total_pages()),
         "DRAM pool lost frames: alloc {dram_alloc} < mapped {dram_mapped}"
     );
     // Fenwick residency indices agree with the raw page states.
@@ -150,15 +150,15 @@ proptest! {
         region_gib in 1u64..4,
     ) {
         let mut sim = build(BackendKind::HeMem, seed);
-        let free_dram0 = sim.m.dram_pool.free_pages();
-        let free_nvm0 = sim.m.nvm_pool.free_pages();
+        let free_dram0 = sim.m.pool(Tier::Dram).free_pages();
+        let free_nvm0 = sim.m.pool(Tier::Nvm).free_pages();
         let id = sim.mmap(region_gib * GIB);
         sim.populate(id, true);
         // Let any migrations drain before unmapping.
         sim.advance(Ns::secs(1));
         sim.munmap(id);
-        prop_assert_eq!(sim.m.dram_pool.free_pages(), free_dram0);
-        prop_assert_eq!(sim.m.nvm_pool.free_pages(), free_nvm0);
+        prop_assert_eq!(sim.m.pool(Tier::Dram).free_pages(), free_dram0);
+        prop_assert_eq!(sim.m.pool(Tier::Nvm).free_pages(), free_nvm0);
     }
 
     #[test]
