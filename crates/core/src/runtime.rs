@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use hemem_memdev::{MemOp, Pattern};
 use hemem_pebs::{SampleRecord, SampleType};
 use hemem_sim::{EventQueue, LatencyClass, Ns};
-use hemem_vmm::{FaultKind, FaultThread, PageId, PageSize, PhysPage, RegionId, RegionKind, Tier};
+use hemem_vmm::{
+    FaultKind, FaultThread, PageClass, PageId, PageSize, PhysPage, RegionId, RegionKind, Tier,
+};
 
 use crate::audit::{audit_machine, AuditViolation};
 use crate::backend::{AccessBatch, CopyMechanism, MigrationJob, TieredBackend};
@@ -87,12 +89,15 @@ pub struct BatchReceipt {
     pub mean_access_latency: Ns,
 }
 
-/// Per-tier page counts of one segment, read once per [`Sim::fire_pebs`].
+/// One segment's sampleable pages, read once per [`Sim::fire_pebs`]: the
+/// DRAM and NVM pages in `[lo, hi)`, and each class's rank below `lo`, so
+/// a record's page is one select.
 #[derive(Debug, Clone, Copy)]
 struct Residency {
     dram: u64,
-    mapped: u64,
-    ssd: u64,
+    nvm: u64,
+    dram_below: u64,
+    nvm_below: u64,
 }
 
 /// The simulation: machine + backend + event queue.
@@ -1726,14 +1731,13 @@ impl<B: TieredBackend> Sim<B> {
         let mut stall = Ns::ZERO;
         for _ in 0..n {
             let region = self.m.space.region(seg.region);
-            let left = region.page_count() - region.mapped_pages_in(seg.lo_page, seg.hi_page);
-            let _ = left;
             let remaining = seg.pages() - region.mapped_pages_in(seg.lo_page, seg.hi_page);
             if remaining == 0 {
                 break;
             }
             let k = self.m.rng.gen_range(remaining);
-            let Some(idx) = region.kth_unmapped_page_in(seg.lo_page, seg.hi_page, k) else {
+            let Some(idx) = region.kth_page_in(PageClass::Unmapped, seg.lo_page, seg.hi_page, k)
+            else {
                 break;
             };
             stall += self.fault_page(
@@ -1777,7 +1781,7 @@ impl<B: TieredBackend> Sim<B> {
                 break;
             }
             let k = self.m.rng.gen_range(remaining);
-            let Some(idx) = region.kth_ssd_page_in(seg.lo_page, seg.hi_page, k) else {
+            let Some(idx) = region.kth_page_in(PageClass::Ssd, seg.lo_page, seg.hi_page, k) else {
                 break;
             };
             stall += self.major_fault_page(
@@ -1978,10 +1982,13 @@ impl<B: TieredBackend> Sim<B> {
             let counts = *counts.get_or_insert_with(|| {
                 let region = self.m.space.region(seg.region);
                 let (lo, hi) = (seg.lo_page, seg.hi_page);
+                let dram_below = region.rank(PageClass::Dram, lo);
+                let nvm_below = region.rank(PageClass::Nvm, lo);
                 Residency {
-                    dram: region.dram_pages_in(lo, hi),
-                    mapped: region.mapped_pages_in(lo, hi),
-                    ssd: region.ssd_pages_in(lo, hi),
+                    dram: region.rank(PageClass::Dram, hi) - dram_below,
+                    nvm: region.rank(PageClass::Nvm, hi) - nvm_below,
+                    dram_below,
+                    nvm_below,
                 }
             });
             // The records are produced across the batch's whole service
@@ -2012,47 +2019,46 @@ impl<B: TieredBackend> Sim<B> {
     }
 
     /// Picks a concrete virtual address within `seg` whose page residency
-    /// matches the sample type.
+    /// matches the sample type: one select for the class's
+    /// `(rank below lo + k)`-th page.
     fn draw_sample_addr(
         &mut self,
         seg: &crate::backend::SegmentAccess,
-        Residency { dram, mapped, ssd }: Residency,
+        r: Residency,
         ty: SampleType,
     ) -> Option<u64> {
-        let region = self.m.space.region(seg.region);
-        let (lo, hi) = (seg.lo_page, seg.hi_page);
         // SSD-resident pages never appear in PEBS records: their accesses
         // trap as major faults before any load/store can retire.
-        let idx = match ty {
+        let (class, rank) = match ty {
             SampleType::NvmLoad => {
-                let nvm = mapped - dram - ssd;
-                if nvm == 0 {
+                if r.nvm == 0 {
                     return None;
                 }
-                let k = self.m.rng.gen_range(nvm);
-                region.kth_nvm_page_in(lo, hi, k)?
+                (PageClass::Nvm, r.nvm_below + self.m.rng.gen_range(r.nvm))
             }
             SampleType::DramLoad => {
-                if dram == 0 {
+                if r.dram == 0 {
                     return None;
                 }
-                let k = self.m.rng.gen_range(dram);
-                region.kth_dram_page_in(lo, hi, k)?
+                (PageClass::Dram, r.dram_below + self.m.rng.gen_range(r.dram))
             }
             SampleType::Store => {
-                let sampleable = mapped - ssd;
+                let sampleable = r.dram + r.nvm;
                 if sampleable == 0 {
                     return None;
                 }
                 // Any byte-addressable mapped page, picked proportionally.
                 let k = self.m.rng.gen_range(sampleable);
-                if k < dram {
-                    region.kth_dram_page_in(lo, hi, k)?
+                if k < r.dram {
+                    (PageClass::Dram, r.dram_below + k)
                 } else {
-                    region.kth_nvm_page_in(lo, hi, k - dram)?
+                    (PageClass::Nvm, r.nvm_below + k - r.dram)
                 }
             }
         };
+        let region = self.m.space.region(seg.region);
+        let idx = region.select(class, rank)?;
+        debug_assert!((seg.lo_page..seg.hi_page).contains(&idx));
         let base = region.page_addr(idx).0;
         let off = self.m.rng.gen_range(region.page_size().bytes());
         Some(base + off)

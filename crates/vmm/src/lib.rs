@@ -25,7 +25,7 @@ pub use ledger::{touched_probability, AccessLedger};
 pub use pool::{PhysPage, PhysPool};
 pub use ptscan::ScanConfig;
 pub use space::{
-    AddressSpace, PageState, Region, RegionKind, RegionSnapshot, SpaceSnapshot, StateError,
-    TenantFrames,
+    AddressSpace, PageClass, PageState, Region, RegionKind, RegionSnapshot, SpaceSnapshot,
+    StateError, TenantFrames,
 };
 pub use tlb::{Tlb, TlbConfig, TlbStats};

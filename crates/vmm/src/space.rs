@@ -2,16 +2,16 @@
 //!
 //! A [`Region`] corresponds to one intercepted `mmap`: a virtually
 //! contiguous range carved into fixed-size pages, each of which is
-//! unmapped or resident on one tier. Regions keep Fenwick-tree residency
-//! indices so the machine can split any sub-range's accesses between
-//! DRAM, NVM, SSD-resident major faults, and first-touch faults in
-//! logarithmic time, plus an [`AccessLedger`] for the page-table-scanning
-//! baselines.
+//! unmapped or resident on one tier. Regions keep word-bitmap residency
+//! indices ([`FlagTree`]) so the machine can split any sub-range's
+//! accesses between DRAM, NVM, SSD-resident major faults, and first-touch
+//! faults in logarithmic time, plus an [`AccessLedger`] for the
+//! page-table-scanning baselines.
 
 use std::collections::BTreeMap;
 
 use crate::addr::{PageId, PageSize, RegionId, TenantId, Tier, VirtAddr, VirtRange};
-use crate::fenwick::{lowbit, prefix_by, select_by, FlagTree};
+use crate::fenwick::{lowbit, select_by, FlagTree, WORD};
 use crate::ledger::AccessLedger;
 use crate::pool::PhysPage;
 
@@ -79,6 +79,20 @@ pub enum PageState {
         /// Write-protected (underlying migration in flight).
         wp: bool,
     },
+}
+
+/// A residency class pages are counted and selected by
+/// ([`Region::rank`], [`Region::select`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageClass {
+    /// Mapped on DRAM.
+    Dram,
+    /// Mapped on NVM (mapped, on neither the DRAM nor the SSD index).
+    Nvm,
+    /// Mapped on the SSD swap tier.
+    Ssd,
+    /// Not mapped on any tier.
+    Unmapped,
 }
 
 /// One mmapped region.
@@ -401,40 +415,57 @@ impl Region {
         }
     }
 
-    /// Index of the `k`-th (0-based) DRAM-resident page within `[lo, hi)`,
-    /// or `None` if fewer than `k + 1` exist.
-    pub fn kth_dram_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |i| self.dram_idx.node(i))
+    /// Pages of `class` among `[0, lo)`; `lo` clamps to the page count.
+    /// NVM and unmapped ranks are differences of the DRAM, SSD and mapped
+    /// indices' ranks.
+    pub fn rank(&self, class: PageClass, lo: u64) -> u64 {
+        let lo = (lo as usize).min(self.states.len());
+        match class {
+            PageClass::Dram => self.dram_idx.rank(lo),
+            PageClass::Ssd => self.ssd_idx.rank(lo),
+            PageClass::Nvm => {
+                self.mapped_idx.rank(lo) - self.dram_idx.rank(lo) - self.ssd_idx.rank(lo)
+            }
+            PageClass::Unmapped => lo as u64 - self.mapped_idx.rank(lo),
+        }
     }
 
-    /// Index of the `k`-th NVM-resident page within `[lo, hi)` (the
-    /// mapped pages on neither the DRAM nor the SSD index).
-    pub fn kth_nvm_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |i| {
-            self.mapped_idx.node(i) - self.dram_idx.node(i) - self.ssd_idx.node(i)
-        })
+    /// Index of the `r`-th (0-based) page of `class` in the region, or
+    /// `None` if at most `r` exist. One descent over the word index: NVM
+    /// reads mapped & !DRAM & !SSD per word and mapped − DRAM − SSD per
+    /// node, unmapped reads !mapped per word and the node's span − mapped
+    /// per node.
+    pub fn select(&self, class: PageClass, r: u64) -> Option<u64> {
+        let (dram, ssd, mapped) = (&self.dram_idx, &self.ssd_idx, &self.mapped_idx);
+        let len = self.states.len();
+        let p = match class {
+            PageClass::Dram => dram.select(r),
+            PageClass::Ssd => ssd.select(r),
+            PageClass::Nvm => select_by(
+                len,
+                r,
+                |i| mapped.node(i) - dram.node(i) - ssd.node(i),
+                |w| mapped.word(w) & !dram.word(w) & !ssd.word(w),
+            ),
+            PageClass::Unmapped => select_by(
+                len,
+                r,
+                |i| (lowbit(i) * WORD) as u64 - mapped.node(i),
+                |w| mapped.clear_word(w),
+            ),
+        };
+        p.map(|p| p as u64)
     }
 
-    /// Index of the `k`-th SSD-resident page within `[lo, hi)`.
-    pub fn kth_ssd_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |i| self.ssd_idx.node(i))
-    }
-
-    /// Index of the `k`-th unmapped page within `[lo, hi)`.
-    pub fn kth_unmapped_page_in(&self, lo: u64, hi: u64, k: u64) -> Option<u64> {
-        self.kth_by(lo, hi, k, |i| lowbit(i) as u64 - self.mapped_idx.node(i))
-    }
-
-    /// Order statistic over a residency class given by its per-node
-    /// counts: one Fenwick descent for the `(k + pages of the class below
-    /// lo)`-th page of the class, kept if it lies below `hi`.
-    fn kth_by(&self, lo: u64, hi: u64, k: u64, node: impl Fn(usize) -> u64) -> Option<u64> {
+    /// Index of the `k`-th (0-based) page of `class` within `[lo, hi)`, or
+    /// `None` if fewer than `k + 1` exist: the `(rank(lo) + k)`-th page of
+    /// the class, kept if it lies below `hi`.
+    pub fn kth_page_in(&self, class: PageClass, lo: u64, hi: u64, k: u64) -> Option<u64> {
         let hi = hi.min(self.page_count());
         if hi <= lo {
             return None;
         }
-        let below = prefix_by(lo as usize, &node);
-        let p = select_by(self.states.len(), k + below, &node)? as u64;
+        let p = self.select(class, self.rank(class, lo) + k)?;
         (p < hi).then_some(p)
     }
 
@@ -886,18 +917,46 @@ mod tests {
         r.map_page(4, Tier::Nvm, PhysPage(1));
         r.map_page(5, Tier::Nvm, PhysPage(2));
         r.map_page(7, Tier::Dram, PhysPage(3));
-        assert_eq!(r.kth_dram_page_in(0, 8, 0), Some(0));
-        assert_eq!(r.kth_dram_page_in(0, 8, 1), Some(3));
-        assert_eq!(r.kth_dram_page_in(0, 8, 2), Some(7));
-        assert_eq!(r.kth_dram_page_in(0, 8, 3), None);
-        assert_eq!(r.kth_dram_page_in(1, 7, 0), Some(3));
-        assert_eq!(r.kth_nvm_page_in(0, 8, 0), Some(1));
-        assert_eq!(r.kth_nvm_page_in(0, 8, 2), Some(5));
-        assert_eq!(r.kth_nvm_page_in(2, 5, 0), Some(4));
-        assert_eq!(r.kth_unmapped_page_in(0, 8, 0), Some(2));
-        assert_eq!(r.kth_unmapped_page_in(0, 8, 1), Some(6));
-        assert_eq!(r.kth_unmapped_page_in(0, 8, 2), None);
-        assert_eq!(r.kth_dram_page_in(4, 4, 0), None, "empty range");
+        assert_eq!(r.kth_page_in(PageClass::Dram, 0, 8, 0), Some(0));
+        assert_eq!(r.kth_page_in(PageClass::Dram, 0, 8, 1), Some(3));
+        assert_eq!(r.kth_page_in(PageClass::Dram, 0, 8, 2), Some(7));
+        assert_eq!(r.kth_page_in(PageClass::Dram, 0, 8, 3), None);
+        assert_eq!(r.kth_page_in(PageClass::Dram, 1, 7, 0), Some(3));
+        assert_eq!(r.kth_page_in(PageClass::Nvm, 0, 8, 0), Some(1));
+        assert_eq!(r.kth_page_in(PageClass::Nvm, 0, 8, 2), Some(5));
+        assert_eq!(r.kth_page_in(PageClass::Nvm, 2, 5, 0), Some(4));
+        assert_eq!(r.kth_page_in(PageClass::Unmapped, 0, 8, 0), Some(2));
+        assert_eq!(r.kth_page_in(PageClass::Unmapped, 0, 8, 1), Some(6));
+        assert_eq!(r.kth_page_in(PageClass::Unmapped, 0, 8, 2), None);
+        assert_eq!(r.kth_page_in(PageClass::Dram, 4, 4, 0), None, "empty range");
+    }
+
+    #[test]
+    fn unmapped_select_stops_at_len_in_the_last_word() {
+        // An unmapped node counts its whole 64-page span, past `len` in
+        // the last word; the word itself must not, or select would name
+        // a page the region does not have.
+        for len in [65u64, 130] {
+            let mut s = AddressSpace::new();
+            let id = s.mmap(len << 12, PageSize::Base4K, RegionKind::ManagedHeap);
+            let r = s.region_mut(id);
+            assert_eq!(r.select(PageClass::Unmapped, len - 1), Some(len - 1));
+            assert_eq!(r.select(PageClass::Unmapped, len), None);
+            assert_eq!(r.rank(PageClass::Unmapped, len + 5), len, "lo clamps");
+            r.map_page(len - 1, Tier::Dram, PhysPage(0));
+            assert_eq!(r.select(PageClass::Unmapped, len - 2), Some(len - 2));
+            assert_eq!(r.select(PageClass::Unmapped, len - 1), None);
+            assert_eq!(r.kth_page_in(PageClass::Unmapped, len - 2, len, 1), None);
+            // Only the last page unmapped: every rank past it runs off.
+            for i in 0..len - 1 {
+                r.map_page(i, Tier::Nvm, PhysPage(i + 1));
+            }
+            r.unmap_page(len - 1);
+            assert_eq!(r.select(PageClass::Unmapped, 0), Some(len - 1));
+            for extra in 1..64 {
+                assert_eq!(r.select(PageClass::Unmapped, extra), None);
+            }
+        }
     }
 
     #[test]
@@ -927,12 +986,18 @@ mod tests {
             let dram: Vec<u64> = (lo..hi).filter(|&i| layout[i as usize] == 1).collect();
             if !dram.is_empty() {
                 let k = rng.gen_range(dram.len() as u64);
-                assert_eq!(r.kth_dram_page_in(lo, hi, k), Some(dram[k as usize]));
+                assert_eq!(
+                    r.kth_page_in(PageClass::Dram, lo, hi, k),
+                    Some(dram[k as usize])
+                );
             }
             let nvm: Vec<u64> = (lo..hi).filter(|&i| layout[i as usize] == 2).collect();
             if !nvm.is_empty() {
                 let k = rng.gen_range(nvm.len() as u64);
-                assert_eq!(r.kth_nvm_page_in(lo, hi, k), Some(nvm[k as usize]));
+                assert_eq!(
+                    r.kth_page_in(PageClass::Nvm, lo, hi, k),
+                    Some(nvm[k as usize])
+                );
             }
         }
     }
@@ -947,10 +1012,14 @@ mod tests {
         r.map_page(2, Tier::Ssd, PhysPage(0));
         r.map_page(3, Tier::Ssd, PhysPage(1));
         assert_eq!(r.ssd_pages(), 2);
-        assert_eq!(r.kth_ssd_page_in(0, 6, 0), Some(2));
-        assert_eq!(r.kth_ssd_page_in(0, 6, 1), Some(3));
-        assert_eq!(r.kth_nvm_page_in(0, 6, 0), Some(1), "SSD pages are not NVM");
-        assert_eq!(r.kth_nvm_page_in(0, 6, 1), None);
+        assert_eq!(r.kth_page_in(PageClass::Ssd, 0, 6, 0), Some(2));
+        assert_eq!(r.kth_page_in(PageClass::Ssd, 0, 6, 1), Some(3));
+        assert_eq!(
+            r.kth_page_in(PageClass::Nvm, 0, 6, 0),
+            Some(1),
+            "SSD pages are not NVM"
+        );
+        assert_eq!(r.kth_page_in(PageClass::Nvm, 0, 6, 1), None);
         // Promotion SSD -> DRAM clears the SSD bit; demotion sets it.
         r.remap_page(2, Tier::Dram, PhysPage(1));
         assert_eq!((r.ssd_pages(), r.dram_pages()), (1, 2));
@@ -981,7 +1050,10 @@ mod tests {
         // Snapshot/restore rebuilds the SSD index from page states.
         let back = AddressSpace::restore(s.snapshot());
         assert_eq!(back.region(id).ssd_pages(), 1);
-        assert_eq!(back.region(id).kth_ssd_page_in(0, 6, 0), Some(3));
+        assert_eq!(
+            back.region(id).kth_page_in(PageClass::Ssd, 0, 6, 0),
+            Some(3)
+        );
     }
 
     #[test]
@@ -1105,7 +1177,7 @@ mod snapshot_tests {
         assert_eq!(r.dram_pages(), 1);
         assert_eq!(r.wp_pages(), 1);
         assert_eq!(r.wp_pages_in(0, 8), 1);
-        assert_eq!(r.kth_nvm_page_in(0, 8, 1), Some(2));
+        assert_eq!(r.kth_page_in(PageClass::Nvm, 0, 8, 1), Some(2));
         assert_eq!(back.region(b).dram_pages(), 1);
         assert!(back.try_munmap(gone).is_err(), "unmapped slot preserved");
         // New mmaps continue from the same base as the original.

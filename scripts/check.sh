@@ -40,20 +40,23 @@ cargo test -q --workspace
 echo "== cargo test simbench"
 cargo test -q --offline --manifest-path simbench/Cargo.toml
 
-# Simulated-byte identity at the holdout seed: each workload's digest
-# must match the one simbench records for seed 1000, so a page-selection
-# or sampling bug that slips past the unit and property tests fails here
-# and not only in the benchmark pipeline.
-echo "== simbench identity smoke (--seed 1000)"
+# Simulated-byte identity at both pinned seeds: each workload's digest
+# must match the one simbench records for the default seed 1 and the
+# holdout seed 1000, so a page-selection or sampling bug that slips past
+# the unit and property tests fails here and not only in the benchmark
+# pipeline.
+echo "== simbench identity smoke (--seed 1, --seed 1000)"
 cargo build -q --release --offline --manifest-path simbench/Cargo.toml
 simbench_bin="${CARGO_TARGET_DIR:-$PWD/simbench/target}/release/simbench"
-for w in gups_shift gups_regions fleet_churn kvs_700g; do
-  out=$("$simbench_bin" --workload "$w" --seed 1000 --seconds 0)
-  if ! grep -qx 'sim_identical 1' <<<"$out"; then
-    echo "simbench $w --seed 1000 did not print 'sim_identical 1'"
-    exit 1
-  fi
-  echo "   $w: sim_identical 1"
+for seed in 1 1000; do
+  for w in gups_shift gups_regions fleet_churn kvs_700g; do
+    out=$("$simbench_bin" --workload "$w" --seed "$seed" --seconds 0)
+    if ! grep -qx 'sim_identical 1' <<<"$out"; then
+      echo "simbench $w --seed $seed did not print 'sim_identical 1'"
+      exit 1
+    fi
+    echo "   $w --seed $seed: sim_identical 1"
+  done
 done
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
