@@ -237,6 +237,18 @@ pub enum AuditViolation {
         /// Pins outstanding with an empty migration journal.
         orphan_pins: u64,
     },
+    /// A region tracker's candidate index disagrees with its spans: the
+    /// flag at a span head differs from what the span's temperature and
+    /// residency imply, or the index holds a flag off every span head
+    /// (reported through `TieredBackend::audit`).
+    RegionIndexMismatch {
+        /// The region holding the span.
+        region: hemem_vmm::RegionId,
+        /// The span head with the wrong flag, or the first stray flag.
+        head: u64,
+        /// The index in disagreement (`promo`, `demo` or `dram_any`).
+        index: &'static str,
+    },
     /// A managed region is stamped with a slot generation older than its
     /// tenant's current one: a mapping from a previous occupant of a
     /// recycled slot survived the teardown drain.
@@ -404,6 +416,14 @@ impl std::fmt::Display for AuditViolation {
             } => write!(
                 f,
                 "{region:?} split/merge leak: {live_spans} counted vs {actual_spans} actual spans, {covered}/{pages} pages covered, {orphan_pins} orphan pins"
+            ),
+            AuditViolation::RegionIndexMismatch {
+                region,
+                head,
+                index,
+            } => write!(
+                f,
+                "{region:?} {index} index disagrees with the span state at page {head}"
             ),
         }
     }

@@ -7,12 +7,15 @@
 //! `min_span` and `max_span` (1–512 huge pages by default), buddy-
 //! aligned so split and merge stay deterministic — each carrying an
 //! exponentially-decaying integer temperature fed by PEBS samples. Every
-//! policy period the spans decay, hot spans split (heat localizes), and
-//! adjacent cold buddies merge (cold footprint collapses into a few
-//! large spans). Candidate selection walks a Fenwick-backed flag index
-//! over span heads instead of per-page queues, and only touches per-page
-//! state *inside* chosen spans — policy-pass cost grows with the number
-//! of live spans, not the number of pages.
+//! policy period one in-place walk decays the spans and collects the hot
+//! ones, which then split (heat localizes), and adjacent cold buddies
+//! merge (cold footprint collapses into a few large spans). The walk
+//! costs one step per span and writes a candidate index only where a
+//! span's flags change; a cold span is one temperature test. Candidate
+//! selection walks a Fenwick-backed flag index over span heads instead
+//! of per-page queues, and only touches per-page state *inside* chosen
+//! spans — policy-pass cost grows with the number of live spans, not the
+//! number of pages.
 //!
 //! The tracker is deliberately a pure bookkeeping layer: the
 //! [`PageTracker`](super::tracker::PageTracker) owns per-page metadata
@@ -31,7 +34,7 @@ use hemem_vmm::{FlagTree, RegionId, Tier};
 /// [`TrackerConfig`](super::tracker::TrackerConfig). Off by default:
 /// with `enabled = false` the tracker is not constructed and every flat
 /// code path is byte-identical to a build without this module.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RegionConfig {
     /// Whether region tracking is active.
     pub enabled: bool,
@@ -137,8 +140,9 @@ impl RegionStats {
     }
 }
 
-/// A read-only snapshot of one span, for audits and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One span's state; the tracker stores these and hands out copies for
+/// audits and tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanView {
     /// Pages covered.
     pub len: u64,
@@ -164,27 +168,24 @@ pub struct SplitHalf {
     pub nvm: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    len: u64,
-    temp: u32,
-    dram: u64,
-    nvm: u64,
-    pinned: u32,
-}
-
-/// One tracked region's span set plus its candidate indexes. The three
-/// [`FlagTree`]s are keyed by span-head page index: `promo` flags hot
-/// spans holding NVM pages, `demo` flags not-hot spans holding DRAM
+/// The candidate indexes, in `RegionView::flags` order: `promo` flags
+/// hot spans holding NVM pages, `demo` flags not-hot spans holding DRAM
 /// pages, `dram_any` flags any span holding DRAM pages (the `allow_hot`
 /// demotion fallback).
+const INDEX_NAMES: [&str; 3] = ["promo", "demo", "dram_any"];
+const PROMO: usize = 0;
+const DEMO: usize = 1;
+const DRAM_ANY: usize = 2;
+
+/// One tracked region's span set plus its candidate indexes: one
+/// [`FlagTree`] per [`INDEX_NAMES`] entry, keyed by span-head page index.
+/// Every flag equals [`RegionTracker::derive_flags`] at each span head
+/// and is clear everywhere else (audited as `RegionIndexMismatch`).
 #[derive(Debug, Clone)]
 struct RegionView {
     pages: u64,
-    spans: BTreeMap<u64, Span>,
-    promo: FlagTree,
-    demo: FlagTree,
-    dram_any: FlagTree,
+    spans: BTreeMap<u64, SpanView>,
+    flags: [FlagTree; 3],
     /// Incremental span accounting, cross-checked against the map by the
     /// auditor (`SplitMergeLeak`).
     live_spans: u64,
@@ -216,11 +217,6 @@ impl RegionTracker {
         }
     }
 
-    /// Configuration in effect.
-    pub fn config(&self) -> &RegionConfig {
-        &self.cfg
-    }
-
     /// Empties the tracker back to its just-constructed state (same
     /// config, no views, zero counters) without dropping the container
     /// allocations — the slot-pool scrub path, where a recycled
@@ -242,9 +238,7 @@ impl RegionTracker {
         let mut view = RegionView {
             pages,
             spans: BTreeMap::new(),
-            promo: FlagTree::new(pages as usize),
-            demo: FlagTree::new(pages as usize),
-            dram_any: FlagTree::new(pages as usize),
+            flags: std::array::from_fn(|_| FlagTree::new(pages as usize)),
             live_spans: 0,
             covered: 0,
         };
@@ -260,16 +254,11 @@ impl RegionTracker {
                 len /= 2;
             }
             debug_assert!(len >= 1);
-            view.spans.insert(
-                at,
-                Span {
-                    len,
-                    temp: 0,
-                    dram: 0,
-                    nvm: 0,
-                    pinned: 0,
-                },
-            );
+            let span = SpanView {
+                len,
+                ..SpanView::default()
+            };
+            view.spans.insert(at, span);
             view.live_spans += 1;
             view.covered += len;
             at += len;
@@ -294,39 +283,14 @@ impl RegionTracker {
     pub fn span_of(&self, region: RegionId, index: u64) -> Option<(u64, SpanView)> {
         let view = self.views.get(&region)?;
         let (&head, s) = view.spans.range(..=index).next_back()?;
-        (index < head + s.len).then_some((
-            head,
-            SpanView {
-                len: s.len,
-                temp: s.temp,
-                dram: s.dram,
-                nvm: s.nvm,
-                pinned: s.pinned,
-            },
-        ))
+        (index < head + s.len).then_some((head, *s))
     }
 
     /// All spans of a region in address order, for audits and tests.
     pub fn spans(&self, region: RegionId) -> Vec<(u64, SpanView)> {
         self.views
             .get(&region)
-            .map(|v| {
-                v.spans
-                    .iter()
-                    .map(|(&head, s)| {
-                        (
-                            head,
-                            SpanView {
-                                len: s.len,
-                                temp: s.temp,
-                                dram: s.dram,
-                                nvm: s.nvm,
-                                pinned: s.pinned,
-                            },
-                        )
-                    })
-                    .collect()
-            })
+            .map(|v| v.spans.iter().map(|(&head, &s)| (head, s)).collect())
             .unwrap_or_default()
     }
 
@@ -338,43 +302,52 @@ impl RegionTracker {
         Some((v.live_spans, v.covered, v.pages, pinned))
     }
 
-    /// Tracked regions in address order.
-    pub fn regions(&self) -> Vec<RegionId> {
-        self.views.keys().copied().collect()
+    /// Candidate-index disagreements for the auditor, as `(page, index
+    /// name)`: every span head whose flag differs from what the span's
+    /// state implies, and for an index holding more flags than its
+    /// flagged heads, the first stray flag off a head.
+    pub(crate) fn index_mismatches(&self, region: RegionId) -> Vec<(u64, &'static str)> {
+        let mut out = Vec::new();
+        let Some(v) = self.views.get(&region) else {
+            return out;
+        };
+        let mut flagged = [0u64; 3];
+        for (&head, s) in &v.spans {
+            for (k, want) in Self::derive_flags(&self.cfg, s).into_iter().enumerate() {
+                let got = v.flags[k].get(head as usize);
+                flagged[k] += got as u64;
+                if got != want {
+                    out.push((head, INDEX_NAMES[k]));
+                }
+            }
+        }
+        for (k, t) in v.flags.iter().enumerate() {
+            if t.count() != flagged[k] {
+                let stray = (0..v.pages).find(|&i| t.get(i as usize) && !v.spans.contains_key(&i));
+                out.push((stray.unwrap_or(v.pages), INDEX_NAMES[k]));
+            }
+        }
+        out
     }
 
-    /// Whether the promotion index currently flags the span at `head`.
-    pub fn promo_flagged(&self, region: RegionId, head: u64) -> bool {
-        self.views
-            .get(&region)
-            .is_some_and(|v| v.promo.get(head as usize))
-    }
-
-    /// The flag a span's state implies for each index, in (promo, demo,
-    /// dram_any) order.
-    fn derive_flags(cfg: &RegionConfig, s: &Span) -> (bool, bool, bool) {
+    /// The flag a span's state implies for each index, in
+    /// [`INDEX_NAMES`] order.
+    fn derive_flags(cfg: &RegionConfig, s: &SpanView) -> [bool; 3] {
         let hot = s.temp >= cfg.promote_temperature;
-        (hot && s.nvm > 0, !hot && s.dram > 0, s.dram > 0)
+        [hot && s.nvm > 0, !hot && s.dram > 0, s.dram > 0]
     }
 
-    fn refresh_flags(cfg: &RegionConfig, view: &mut RegionView, head: u64) {
-        let s = view.spans[&head];
-        let (p, d, a) = Self::derive_flags(cfg, &s);
-        view.promo.set(head as usize, p);
-        view.demo.set(head as usize, d);
-        view.dram_any.set(head as usize, a);
-    }
-
-    fn clear_flags(view: &mut RegionView, head: u64) {
-        view.promo.set(head as usize, false);
-        view.demo.set(head as usize, false);
-        view.dram_any.set(head as usize, false);
+    /// Sets the indexes at `head` to the flags span `s` implies (an
+    /// empty default span clears a head that stopped being one).
+    fn set_flags(cfg: &RegionConfig, flags: &mut [FlagTree; 3], head: u64, s: &SpanView) {
+        for (t, v) in flags.iter_mut().zip(Self::derive_flags(cfg, s)) {
+            t.set(head as usize, v);
+        }
     }
 
     /// Feeds one sampled access into the owning span's temperature
     /// (stores weigh double, mirroring write priority).
     pub fn note_sample(&mut self, region: RegionId, index: u64, is_write: bool) {
-        let cfg = self.cfg.clone();
         let Some(view) = self.views.get_mut(&region) else {
             return;
         };
@@ -382,7 +355,7 @@ impl RegionTracker {
             return;
         };
         s.temp = s.temp.saturating_add(if is_write { 2 } else { 1 });
-        Self::refresh_flags(&cfg, view, head);
+        Self::set_flags(&self.cfg, &mut view.flags, head, s);
         self.stats.sample_ops += 1;
     }
 
@@ -399,7 +372,6 @@ impl RegionTracker {
         if old == new {
             return;
         }
-        let cfg = self.cfg.clone();
         let Some(view) = self.views.get_mut(&region) else {
             return;
         };
@@ -416,7 +388,7 @@ impl RegionTracker {
             Some(Tier::Nvm) => s.nvm += 1,
             _ => {}
         }
-        Self::refresh_flags(&cfg, view, head);
+        Self::set_flags(&self.cfg, &mut view.flags, head, s);
         self.stats.sample_ops += 1;
     }
 
@@ -451,13 +423,12 @@ impl RegionTracker {
     /// Overwrites one span's residency summary from an authoritative
     /// per-page recount (crash recovery).
     pub fn reset_span(&mut self, region: RegionId, head: u64, dram: u64, nvm: u64) {
-        let cfg = self.cfg.clone();
         if let Some(view) = self.views.get_mut(&region) {
             if let Some(s) = view.spans.get_mut(&head) {
                 s.dram = dram;
                 s.nvm = nvm;
                 s.pinned = 0;
-                Self::refresh_flags(&cfg, view, head);
+                Self::set_flags(&self.cfg, &mut view.flags, head, s);
             }
         }
     }
@@ -467,40 +438,36 @@ impl RegionTracker {
         self.stats.select_pages_touched += n;
     }
 
-    /// Applies the per-period exponential decay to every span. Cost is
-    /// one operation per live span — the whole point of merging cold
+    /// Applies the per-period exponential decay to every span in one
+    /// in-place walk and returns the spans due to split this period (hot,
+    /// splittable, and unpinned) as `(region, head, len)` in address
+    /// order. Each span costs one step, and an index is written only
+    /// where the decay changed that span's flag; a span at temperature 0
+    /// cannot change and is one test. The whole point of merging cold
     /// spans is keeping this walk short.
-    pub fn decay(&mut self) {
-        let cfg = self.cfg.clone();
+    pub fn decay(&mut self) -> Vec<(RegionId, u64, u64)> {
+        let cfg = self.cfg;
         self.stats.periods += 1;
-        for view in self.views.values_mut() {
-            let heads: Vec<u64> = view.spans.keys().copied().collect();
-            for head in heads {
-                let s = view.spans.get_mut(&head).unwrap();
+        let mut split = Vec::new();
+        for (&region, view) in &mut self.views {
+            self.stats.decay_ops += view.spans.len() as u64;
+            for (&head, s) in &mut view.spans {
                 if s.temp > 0 {
+                    let before = Self::derive_flags(&cfg, s);
                     s.temp -= (s.temp >> cfg.decay_shift).max(1);
+                    let after = Self::derive_flags(&cfg, s);
+                    for (k, t) in view.flags.iter_mut().enumerate() {
+                        if before[k] != after[k] {
+                            t.set(head as usize, after[k]);
+                        }
+                    }
                 }
-                Self::refresh_flags(&cfg, view, head);
-                self.stats.decay_ops += 1;
-            }
-        }
-    }
-
-    /// Spans due to split this period: hot, splittable, and unpinned.
-    /// Deterministic address order.
-    pub fn split_candidates(&self) -> Vec<(RegionId, u64, u64)> {
-        let mut out = Vec::new();
-        for (&region, view) in &self.views {
-            for (&head, s) in &view.spans {
-                if s.temp >= self.cfg.split_temperature
-                    && s.len > self.cfg.min_span
-                    && s.pinned == 0
-                {
-                    out.push((region, head, s.len));
+                if s.temp >= cfg.split_temperature && s.len > cfg.min_span && s.pinned == 0 {
+                    split.push((region, head, s.len));
                 }
             }
         }
-        out
+        split
     }
 
     /// Splits the span at `head` into buddy halves, distributing its
@@ -508,14 +475,13 @@ impl RegionTracker {
     /// follows the pages that earned it; an even split when neither half
     /// has history).
     pub fn apply_split(&mut self, region: RegionId, head: u64, left: SplitHalf, right: SplitHalf) {
-        let cfg = self.cfg.clone();
         let Some(view) = self.views.get_mut(&region) else {
             return;
         };
-        let Some(s) = view.spans.get(&head).copied() else {
+        let Some(s) = view.spans.get_mut(&head) else {
             return;
         };
-        if s.len <= cfg.min_span || s.pinned != 0 {
+        if s.len <= self.cfg.min_span || s.pinned != 0 {
             return;
         }
         let half = s.len / 2;
@@ -523,78 +489,60 @@ impl RegionTracker {
         let left_temp = (s.temp as u64 * left.weight)
             .checked_div(total_w)
             .map_or(s.temp / 2, |t| t as u32);
-        let right_temp = s.temp - left_temp.min(s.temp);
-        view.spans.insert(
-            head,
-            Span {
-                len: half,
-                temp: left_temp,
-                dram: left.dram,
-                nvm: left.nvm,
-                pinned: 0,
-            },
-        );
-        view.spans.insert(
-            head + half,
-            Span {
-                len: half,
-                temp: right_temp,
-                dram: right.dram,
-                nvm: right.nvm,
-                pinned: 0,
-            },
-        );
+        let half_span = |temp, h: SplitHalf| SpanView {
+            len: half,
+            temp,
+            dram: h.dram,
+            nvm: h.nvm,
+            pinned: 0,
+        };
+        let upper = half_span(s.temp - left_temp.min(s.temp), right);
+        *s = half_span(left_temp, left);
+        Self::set_flags(&self.cfg, &mut view.flags, head, s);
+        Self::set_flags(&self.cfg, &mut view.flags, head + half, &upper);
+        view.spans.insert(head + half, upper);
         view.live_spans += 1;
         self.stats.spans += 1;
         self.stats.splits += 1;
-        Self::refresh_flags(&cfg, view, head);
-        Self::refresh_flags(&cfg, view, head + half);
     }
 
     /// Merges adjacent cold buddy spans (both at or under the merge
     /// temperature, unpinned, buddy-aligned, combined span within
     /// `max_span`). One pass per period; chains collapse across periods.
     pub fn merge_pass(&mut self) {
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         for view in self.views.values_mut() {
-            let snapshot: Vec<(u64, u64, u32, u32)> = view
-                .spans
-                .iter()
-                .map(|(&h, s)| (h, s.len, s.temp, s.pinned))
-                .collect();
-            let mut merges: Vec<u64> = Vec::new();
-            let mut i = 0;
-            while i + 1 < snapshot.len() {
-                let (h1, l1, t1, p1) = snapshot[i];
-                let (h2, l2, t2, p2) = snapshot[i + 1];
-                let mergeable = h2 == h1 + l1
-                    && l1 == l2
-                    && 2 * l1 <= cfg.max_span
-                    && h1 % (2 * l1) == 0
-                    && t1 <= cfg.merge_temperature
-                    && t2 <= cfg.merge_temperature
-                    && p1 == 0
-                    && p2 == 0;
+            let mut merges: Vec<(u64, u64)> = Vec::new();
+            let mut spans = view.spans.iter().peekable();
+            while let Some((&h1, a)) = spans.next() {
+                let Some(&(&h2, b)) = spans.peek() else {
+                    break;
+                };
+                let mergeable = h2 == h1 + a.len
+                    && a.len == b.len
+                    && 2 * a.len <= cfg.max_span
+                    && h1 % (2 * a.len) == 0
+                    && a.temp <= cfg.merge_temperature
+                    && b.temp <= cfg.merge_temperature
+                    && a.pinned == 0
+                    && b.pinned == 0;
                 if mergeable {
-                    merges.push(h1);
-                    i += 2; // the merged span waits a period before chaining
-                } else {
-                    i += 1;
+                    merges.push((h1, a.len));
+                    spans.next(); // the partner is consumed; merges chain next period
                 }
             }
-            for h1 in merges {
-                let left = view.spans[&h1];
-                let right = view.spans.remove(&(h1 + left.len)).unwrap();
-                Self::clear_flags(view, h1 + left.len);
+            for (h1, len) in merges {
+                let right = view.spans.remove(&(h1 + len)).unwrap();
+                Self::set_flags(&cfg, &mut view.flags, h1 + len, &SpanView::default());
                 let s = view.spans.get_mut(&h1).unwrap();
-                s.len = left.len + right.len;
-                s.temp = left.temp.saturating_add(right.temp);
-                s.dram = left.dram + right.dram;
-                s.nvm = left.nvm + right.nvm;
+                s.len += right.len;
+                s.temp = s.temp.saturating_add(right.temp);
+                s.dram += right.dram;
+                s.nvm += right.nvm;
+                Self::set_flags(&cfg, &mut view.flags, h1, s);
                 view.live_spans -= 1;
                 self.stats.spans -= 1;
                 self.stats.merges += 1;
-                Self::refresh_flags(&cfg, view, h1);
             }
         }
     }
@@ -606,7 +554,7 @@ impl RegionTracker {
         &mut self,
         cursor: Option<(RegionId, u64)>,
     ) -> Option<(RegionId, u64, u64)> {
-        self.first_span_after(cursor, |v| &v.promo)
+        self.first_span_after(cursor, PROMO)
     }
 
     /// First demotion-candidate span after `cursor`: a not-hot span
@@ -615,7 +563,7 @@ impl RegionTracker {
         &mut self,
         cursor: Option<(RegionId, u64)>,
     ) -> Option<(RegionId, u64, u64)> {
-        self.first_span_after(cursor, |v| &v.demo)
+        self.first_span_after(cursor, DEMO)
     }
 
     /// First span holding any DRAM page after `cursor` (the `allow_hot`
@@ -624,13 +572,13 @@ impl RegionTracker {
         &mut self,
         cursor: Option<(RegionId, u64)>,
     ) -> Option<(RegionId, u64, u64)> {
-        self.first_span_after(cursor, |v| &v.dram_any)
+        self.first_span_after(cursor, DRAM_ANY)
     }
 
     fn first_span_after(
         &mut self,
         cursor: Option<(RegionId, u64)>,
-        index: impl Fn(&RegionView) -> &FlagTree,
+        index: usize,
     ) -> Option<(RegionId, u64, u64)> {
         let (from_region, from_page) = match cursor {
             Some((r, p)) => (r, p),
@@ -639,7 +587,7 @@ impl RegionTracker {
         for (&region, view) in self.views.range(from_region..) {
             let lo = if region == from_region { from_page } else { 0 };
             self.stats.select_index_ops += 1;
-            if let Some(head) = index(view).first_set_in(lo as usize) {
+            if let Some(head) = view.flags[index].first_set_in(lo as usize) {
                 let len = view.spans[&(head as u64)].len;
                 return Some((region, head as u64, len));
             }
@@ -650,6 +598,8 @@ impl RegionTracker {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn rid() -> RegionId {
@@ -682,9 +632,8 @@ mod tests {
         let mut rt = RegionTracker::new(RegionConfig::flat_baseline());
         rt.add_region(rid(), 64);
         assert_eq!(rt.spans(rid()).len(), 64);
-        rt.decay();
+        assert!(rt.decay().is_empty(), "1-page spans never split");
         assert_eq!(rt.stats().decay_ops, 64, "per-period cost is linear");
-        assert!(rt.split_candidates().is_empty(), "1-page spans never split");
         rt.merge_pass();
         assert_eq!(rt.stats().merges, 0, "max_span 1 never merges");
     }
@@ -701,13 +650,13 @@ mod tests {
         }
         let (head, s) = rt.span_of(rid(), 3).unwrap();
         assert_eq!((head, s.temp), (0, 8));
-        assert!(rt.promo_flagged(rid(), 0), "hot + nvm pages -> promo");
+        assert!(rt.views[&rid()].flags[PROMO].get(0), "hot + nvm -> promo");
         for _ in 0..4 {
             rt.decay();
         }
         let (_, s) = rt.span_of(rid(), 3).unwrap();
         assert_eq!(s.temp, 0, "decays to zero via the floor step");
-        assert!(!rt.promo_flagged(rid(), 0));
+        assert!(!rt.views[&rid()].flags[PROMO].get(0));
     }
 
     #[test]
@@ -717,10 +666,11 @@ mod tests {
         let mut rt = RegionTracker::new(cfg);
         rt.add_region(rid(), 8);
         rt.residency_changed(rid(), 6, None, Some(Tier::Nvm));
-        for _ in 0..16 {
+        for _ in 0..21 {
             rt.note_sample(rid(), 6, false);
         }
-        let cands = rt.split_candidates();
+        // The period walk decays 21 to 16 and reports the span hot.
+        let cands = rt.decay();
         assert_eq!(cands, vec![(rid(), 0, 8)]);
         // All the counter weight sits in the right half.
         rt.apply_split(
@@ -757,12 +707,12 @@ mod tests {
         let mut rt = RegionTracker::new(cfg);
         rt.add_region(rid(), 4);
         rt.pin(rid(), 1);
-        for _ in 0..20 {
+        for _ in 0..30 {
             rt.note_sample(rid(), 0, false);
         }
-        assert!(rt.split_candidates().is_empty(), "pinned span holds");
+        assert!(rt.decay().is_empty(), "pinned span holds");
         rt.unpin(rid(), 1);
-        assert_eq!(rt.split_candidates().len(), 1);
+        assert_eq!(rt.decay().len(), 1);
         // Pin again after a manual split; the cold buddies must not merge.
         rt.apply_split(rid(), 0, SplitHalf::default(), SplitHalf::default());
         for _ in 0..8 {
@@ -802,5 +752,313 @@ mod tests {
         rt.residency_changed(RegionId(1), 0, None, Some(Tier::Dram));
         assert_eq!(rt.first_demo_span_after(None), Some((RegionId(1), 0, 4)));
         assert_eq!(rt.first_dram_span_after(None), Some((RegionId(1), 0, 4)));
+    }
+
+    #[test]
+    fn index_audit_reports_wrong_head_flags_and_stray_flags() {
+        let mut cfg = RegionConfig::multi_grain();
+        cfg.max_span = 4;
+        let mut rt = RegionTracker::new(cfg);
+        rt.add_region(rid(), 8);
+        rt.residency_changed(rid(), 5, None, Some(Tier::Dram));
+        assert_eq!(rt.index_mismatches(rid()), vec![]);
+        let view = rt.views.get_mut(&rid()).unwrap();
+        view.flags[DEMO].set(4, false); // a head missing its flag
+        view.flags[PROMO].set(6, true); // a flag off every head
+        assert_eq!(rt.index_mismatches(rid()), vec![(4, "demo"), (6, "promo")]);
+    }
+
+    /// The reference the incremental tracker must match: the same span
+    /// semantics with nothing incremental. Every span decays each period,
+    /// split candidates are a fresh scan after the decay, merges pair up
+    /// over a snapshot, and the expected flags are recomputed from the
+    /// spans at every check.
+    struct Model {
+        cfg: RegionConfig,
+        views: BTreeMap<RegionId, (u64, BTreeMap<u64, SpanView>)>,
+        stats: RegionStats,
+    }
+
+    impl Model {
+        fn span_mut(&mut self, region: RegionId, index: u64) -> Option<&mut SpanView> {
+            let (_, spans) = self.views.get_mut(&region)?;
+            spans.range_mut(..=index).next_back().map(|(_, s)| s)
+        }
+
+        fn add_region(&mut self, region: RegionId, pages: u64) {
+            let mut spans = BTreeMap::new();
+            let mut at = 0;
+            while at < pages {
+                let mut len = self.cfg.max_span;
+                while at % len != 0 || at + len > pages {
+                    len /= 2;
+                }
+                let s = SpanView {
+                    len,
+                    temp: 0,
+                    dram: 0,
+                    nvm: 0,
+                    pinned: 0,
+                };
+                spans.insert(at, s);
+                at += len;
+            }
+            self.stats.spans += spans.len() as u64;
+            self.views.insert(region, (pages, spans));
+        }
+
+        fn decay(&mut self) -> Vec<(RegionId, u64, u64)> {
+            self.stats.periods += 1;
+            for (_, spans) in self.views.values_mut() {
+                for s in spans.values_mut() {
+                    if s.temp > 0 {
+                        s.temp -= (s.temp >> self.cfg.decay_shift).max(1);
+                    }
+                    self.stats.decay_ops += 1;
+                }
+            }
+            let mut out = Vec::new();
+            for (&region, (_, spans)) in &self.views {
+                for (&head, s) in spans {
+                    if s.temp >= self.cfg.split_temperature
+                        && s.len > self.cfg.min_span
+                        && s.pinned == 0
+                    {
+                        out.push((region, head, s.len));
+                    }
+                }
+            }
+            out
+        }
+
+        fn apply_split(&mut self, region: RegionId, head: u64, l: SplitHalf, r: SplitHalf) {
+            let min_span = self.cfg.min_span;
+            let Some((_, spans)) = self.views.get_mut(&region) else {
+                return;
+            };
+            let Some(&s) = spans.get(&head) else {
+                return;
+            };
+            if s.len <= min_span || s.pinned != 0 {
+                return;
+            }
+            let half = s.len / 2;
+            let lt = (s.temp as u64 * l.weight)
+                .checked_div(l.weight + r.weight)
+                .map_or(s.temp / 2, |t| t as u32);
+            let mk = |temp, h: SplitHalf| SpanView {
+                len: half,
+                temp,
+                dram: h.dram,
+                nvm: h.nvm,
+                pinned: 0,
+            };
+            spans.insert(head, mk(lt, l));
+            spans.insert(head + half, mk(s.temp - lt.min(s.temp), r));
+            self.stats.spans += 1;
+            self.stats.splits += 1;
+        }
+
+        fn merge_pass(&mut self) {
+            let cfg = self.cfg;
+            for (_, spans) in self.views.values_mut() {
+                let snap: Vec<(u64, SpanView)> = spans.iter().map(|(&h, &s)| (h, s)).collect();
+                let mut i = 0;
+                while i + 1 < snap.len() {
+                    let ((h1, a), (h2, b)) = (snap[i], snap[i + 1]);
+                    if h2 == h1 + a.len
+                        && a.len == b.len
+                        && 2 * a.len <= cfg.max_span
+                        && h1 % (2 * a.len) == 0
+                        && a.temp <= cfg.merge_temperature
+                        && b.temp <= cfg.merge_temperature
+                        && a.pinned == 0
+                        && b.pinned == 0
+                    {
+                        spans.remove(&h2);
+                        let s = spans.get_mut(&h1).unwrap();
+                        s.len += b.len;
+                        s.temp = a.temp.saturating_add(b.temp);
+                        s.dram += b.dram;
+                        s.nvm += b.nvm;
+                        self.stats.spans -= 1;
+                        self.stats.merges += 1;
+                        i += 2;
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+        }
+
+        /// The flags each index should hold at page `i` of `spans`.
+        fn expected_flags(&self, spans: &BTreeMap<u64, SpanView>, i: u64) -> [bool; 3] {
+            spans.get(&i).map_or([false; 3], |s| {
+                let hot = s.temp >= self.cfg.promote_temperature;
+                [hot && s.nvm > 0, !hot && s.dram > 0, s.dram > 0]
+            })
+        }
+    }
+
+    fn model_configs() -> Vec<RegionConfig> {
+        let small = |split_temperature, decay_shift, promote_temperature| RegionConfig {
+            max_span: 8,
+            split_temperature,
+            decay_shift,
+            promote_temperature,
+            ..RegionConfig::multi_grain()
+        };
+        vec![
+            RegionConfig::multi_grain(),
+            RegionConfig::flat_baseline(),
+            small(0, 2, 8),
+            small(1, 0, 2),
+            small(4, 3, 3),
+            small(16, 1, 1),
+        ]
+    }
+
+    fn tier_of(bits: u64) -> Option<Tier> {
+        [None, Some(Tier::Dram), Some(Tier::Nvm), Some(Tier::Ssd)][(bits % 4) as usize]
+    }
+
+    fn half_of(bits: u64) -> SplitHalf {
+        SplitHalf {
+            weight: bits % 5,
+            dram: bits >> 3 & 3,
+            nvm: bits >> 5 & 3,
+        }
+    }
+
+    /// Runs one op on both sides; returns the tracker's and the model's
+    /// split-candidate lists when the op ran a period walk.
+    type Candidates = Vec<(RegionId, u64, u64)>;
+    fn step(
+        rt: &mut RegionTracker,
+        m: &mut Model,
+        op: (u8, u64, u64, u64),
+    ) -> Option<(Candidates, Candidates)> {
+        let (kind, r, a, b) = op;
+        let region = RegionId(r as u32);
+        let pages = m.views.get(&region).map_or(1, |v| v.0);
+        let index = a % pages;
+        match kind {
+            0 if !rt.tracks(region) => {
+                let pages = 1 + a % 300;
+                rt.add_region(region, pages);
+                m.add_region(region, pages);
+            }
+            1 => {
+                for _ in 0..=b % 24 {
+                    rt.note_sample(region, index, b & 1 == 1);
+                    if let Some(s) = m.span_mut(region, index) {
+                        s.temp = s.temp.saturating_add(1 + (b & 1) as u32);
+                        m.stats.sample_ops += 1;
+                    }
+                }
+            }
+            2 => {
+                let (old, new) = (tier_of(b), tier_of(b >> 2));
+                rt.residency_changed(region, index, old, new);
+                if let Some(s) = m.span_mut(region, index).filter(|_| old != new) {
+                    match old {
+                        Some(Tier::Dram) => s.dram = s.dram.saturating_sub(1),
+                        Some(Tier::Nvm) => s.nvm = s.nvm.saturating_sub(1),
+                        _ => {}
+                    }
+                    match new {
+                        Some(Tier::Dram) => s.dram += 1,
+                        Some(Tier::Nvm) => s.nvm += 1,
+                        _ => {}
+                    }
+                    m.stats.sample_ops += 1;
+                }
+            }
+            3 => {
+                rt.pin(region, index);
+                if let Some(s) = m.span_mut(region, index) {
+                    s.pinned += 1;
+                }
+            }
+            4 => {
+                rt.unpin(region, index);
+                if let Some(s) = m.span_mut(region, index) {
+                    s.pinned = s.pinned.saturating_sub(1);
+                }
+            }
+            5 => return Some((rt.decay(), m.decay())),
+            6 => {
+                let head = rt.span_of(region, index).map_or(0, |(h, _)| h);
+                rt.apply_split(region, head, half_of(b), half_of(b >> 8));
+                m.apply_split(region, head, half_of(b), half_of(b >> 8));
+            }
+            7 => {
+                rt.merge_pass();
+                m.merge_pass();
+            }
+            8 => {
+                let head = rt.span_of(region, index).map_or(0, |(h, _)| h);
+                let (dram, nvm) = (b % 3, b >> 2 & 3);
+                rt.reset_span(region, head, dram, nvm);
+                if let Some(s) = m.views.get_mut(&region).and_then(|v| v.1.get_mut(&head)) {
+                    (s.dram, s.nvm, s.pinned) = (dram, nvm, 0);
+                }
+            }
+            9 => {
+                // One whole policy period, as `begin_region_period` runs it.
+                let (got, want) = (rt.decay(), m.decay());
+                for (i, &(region, head, _)) in want.iter().enumerate() {
+                    let b = b.rotate_right(i as u32);
+                    let (l, r) = (half_of(b), half_of(b >> 8));
+                    rt.apply_split(region, head, l, r);
+                    m.apply_split(region, head, l, r);
+                }
+                rt.merge_pass();
+                m.merge_pass();
+                return Some((got, want));
+            }
+            _ => {}
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one-walk period, the in-hand flag writes and the peeking
+        /// merge scan match the naive model op for op: spans, counters,
+        /// split candidates, and all three indexes at every page.
+        #[test]
+        fn incremental_tracker_matches_the_naive_model(
+            cfg in 0usize..6,
+            ops in prop::collection::vec((0u8..10, 0u64..3, any::<u64>(), any::<u64>()), 1..160),
+        ) {
+            let cfg = model_configs()[cfg];
+            let mut rt = RegionTracker::new(cfg);
+            let mut m = Model {
+                cfg,
+                views: BTreeMap::new(),
+                stats: RegionStats::default(),
+            };
+            for op in std::iter::once((0, 0, 299, 0)).chain(ops) {
+                if let Some((got, want)) = step(&mut rt, &mut m, op) {
+                    prop_assert_eq!(got, want, "split candidates after {:?}", op);
+                }
+                prop_assert_eq!(rt.stats(), m.stats, "stats after {:?}", op);
+                for (&region, (pages, spans)) in &m.views {
+                    prop_assert_eq!(
+                        rt.spans(region),
+                        spans.iter().map(|(&h, &s)| (h, s)).collect::<Vec<_>>(),
+                        "spans after {:?}", op
+                    );
+                    let view = &rt.views[&region];
+                    for i in 0..*pages {
+                        let got = view.flags.each_ref().map(|t| t.get(i as usize));
+                        prop_assert_eq!(got, m.expected_flags(spans, i), "flags at {} after {:?}", i, op);
+                    }
+                    prop_assert_eq!(rt.index_mismatches(region), vec![]);
+                }
+            }
+        }
     }
 }

@@ -149,10 +149,7 @@ pub struct PageTracker {
 impl PageTracker {
     /// Creates an empty tracker.
     pub fn new(cfg: TrackerConfig) -> PageTracker {
-        let region_view = cfg
-            .regions
-            .enabled
-            .then(|| RegionTracker::new(cfg.regions.clone()));
+        let region_view = cfg.regions.enabled.then(|| RegionTracker::new(cfg.regions));
         PageTracker {
             cfg,
             region_view,
@@ -712,18 +709,18 @@ impl PageTracker {
         self.region_view.as_ref().map(|rv| rv.stats())
     }
 
-    /// Per-period region maintenance: decay every span's temperature,
-    /// split hot spans (temperature distributed by the per-page counter
-    /// weight of each half, so the heat follows the pages that earned
-    /// it), then merge adjacent cold buddies. No-op when regions are off.
+    /// Per-period region maintenance: one walk decays every span's
+    /// temperature and collects the hot ones, which split (temperature
+    /// distributed by the per-page counter weight of each half, so the
+    /// heat follows the pages that earned it), then adjacent cold buddies
+    /// merge. No-op when regions are off.
     pub fn begin_region_period(&mut self) {
         let Some(mut rv) = self.region_view.take() else {
             return;
         };
         self.promo_cursor = None;
         self.demo_cursors = [None, None];
-        rv.decay();
-        for (rid, head, len) in rv.split_candidates() {
+        for (rid, head, len) in rv.decay() {
             let Some(&(base, _)) = self.regions.get(&rid) else {
                 continue;
             };
@@ -859,9 +856,11 @@ impl PageTracker {
     /// Region/page agreement checks for the auditor: span tiling covers
     /// each region exactly, every span's cached residency matches a
     /// recount of the pages inside it, the incremental span/coverage
-    /// accounting matches the map, and no span stays pinned without a
+    /// accounting matches the map, no span stays pinned without a
     /// journal entry in flight (`journal_prepared` = outstanding entries
-    /// for this tracker's tenant). Empty when regions are off or clean.
+    /// for this tracker's tenant), and every candidate index flags exactly
+    /// the span heads whose state implies it. Empty when regions are off
+    /// or clean.
     pub fn region_violations(&self, journal_prepared: u64) -> Vec<AuditViolation> {
         let mut out = Vec::new();
         let Some(rv) = self.region_view.as_ref() else {
@@ -925,6 +924,14 @@ impl PageTracker {
                     });
                 }
             }
+            // 4. Candidate indexes vs the span state they derive from.
+            out.extend(rv.index_mismatches(rid).into_iter().map(|(head, index)| {
+                AuditViolation::RegionIndexMismatch {
+                    region: rid,
+                    head,
+                    index,
+                }
+            }));
         }
         out
     }
@@ -1398,6 +1405,25 @@ mod tests {
         let fallback = t.pop_region_demotion(true).expect("allow_hot fallback");
         assert_eq!(fallback, page(20));
         t.restore(fallback);
+    }
+
+    #[test]
+    fn region_audit_checks_the_candidate_indexes_through_split_and_merge() {
+        let mut t = region_tracker();
+        for _ in 0..24 {
+            t.record(page(20), false, Ns::ZERO);
+        }
+        t.begin_region_period();
+        assert_eq!(t.region_stats().unwrap().splits, 1, "span [16,24) split");
+        // A DRAM page in the upper half flags its head in `demo` and
+        // `dram_any` once the half cools; the merge must clear that head.
+        t.placed(page(20), Tier::Dram);
+        for _ in 0..12 {
+            t.begin_region_period();
+            assert_eq!(t.region_violations(0), Vec::new());
+        }
+        let stats = t.region_stats().unwrap();
+        assert_eq!((stats.merges, stats.spans), (1, 8), "halves reunited");
     }
 
     #[test]

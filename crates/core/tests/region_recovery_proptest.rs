@@ -7,7 +7,8 @@
 //! the region view from the surviving per-page counters: every span's
 //! residency summary re-derived, every pin dropped with the rolled-back
 //! journal, and the region audit — `RegionCoverageGap`,
-//! `RegionTemperatureMismatch`, `SplitMergeLeak` included — silent.
+//! `RegionTemperatureMismatch`, `SplitMergeLeak`, `RegionIndexMismatch`
+//! included — silent.
 //! Replays from the same seed must be byte-identical, region and
 //! controller counters included.
 
@@ -84,7 +85,8 @@ fn drift(sim: &mut Sim<HeMem>, region: RegionId, base: u64, stride: u64, rounds:
 /// active with its counters advancing, the migration ledger closed, and
 /// a silent audit (which re-derives every span's residency from the
 /// per-page metadata and checks `RegionCoverageGap`,
-/// `RegionTemperatureMismatch`, and `SplitMergeLeak`).
+/// `RegionTemperatureMismatch`, `SplitMergeLeak`, and
+/// `RegionIndexMismatch`).
 fn check_regions_reconciled(sim: &mut Sim<HeMem>) -> Result<(), TestCaseError> {
     let stats = sim
         .backend
