@@ -5,12 +5,13 @@
 //! `Sim<AnyBackend>` a single concrete type.
 
 use hemem_core::backend::{SegmentAccess, TickOutput, TierSplit, TieredBackend};
+use hemem_core::fleet::FleetStats;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::{MachineConfig, MachineCore};
 use hemem_memdev::Pattern;
 use hemem_pebs::SampleRecord;
 use hemem_sim::Ns;
-use hemem_vmm::{PageId, RegionId, Tier};
+use hemem_vmm::{PageId, RegionId, TenantId, Tier};
 
 use crate::memory_mode::MemoryMode;
 use crate::nimble::Nimble;
@@ -224,6 +225,22 @@ impl TieredBackend for AnyBackend {
     fn audit(&self, m: &MachineCore) -> Vec<hemem_core::audit::AuditViolation> {
         delegate!(self, b => b.audit(m))
     }
+
+    fn tenant_killed(&mut self, m: &mut MachineCore, tenant: TenantId, now: Ns) {
+        delegate!(self, b => b.tenant_killed(m, tenant, now))
+    }
+
+    fn tenant_drained(&mut self, m: &mut MachineCore, tenant: TenantId, now: Ns) {
+        delegate!(self, b => b.tenant_drained(m, tenant, now))
+    }
+
+    fn fleet_stats(&self) -> Option<FleetStats> {
+        delegate!(self, b => b.fleet_stats())
+    }
+
+    fn evacuation_dst(&mut self, m: &mut MachineCore, page: PageId, from: Tier) -> Option<Tier> {
+        delegate!(self, b => b.evacuation_dst(m, page, from))
+    }
 }
 
 #[cfg(test)]
@@ -252,5 +269,40 @@ mod tests {
         let mc = MachineConfig::small(1, 4);
         let b = BackendKind::HeMemThreads.build(&mc);
         assert!(b.background_threads() > BackendKind::HeMem.build(&mc).background_threads());
+    }
+
+    /// A seeded tenant kill must reach HeMem through the wrapper: the slot
+    /// quarantines and retires exactly as it does under a bare `Sim<HeMem>`.
+    #[test]
+    fn wrapped_hemem_retires_a_killed_tenant_like_bare_hemem() {
+        use hemem_core::runtime::Sim;
+        use hemem_sim::TenantKill;
+
+        fn run<B: TieredBackend>(build: impl FnOnce(&MachineConfig) -> B) -> (Sim<B>, String) {
+            let mut mc = MachineConfig::small(1, 2);
+            mc.chaos.tenant_kill_at = vec![TenantKill {
+                tenant: 0,
+                at: Ns::millis(600),
+            }];
+            let backend = build(&mc);
+            let mut sim = Sim::new(mc, backend);
+            let region = sim.mmap(3 << 30);
+            sim.populate(region, true);
+            sim.run_until(Ns::secs(2));
+            let out = format!("{:?}|{:?}|{:?}", sim.m.stats, sim.m.recovery, sim.now());
+            (sim, out)
+        }
+        let (any, any_out) = run(|mc| BackendKind::HeMem.build(mc));
+        let (bare, bare_out) = run(|mc| HeMem::new(HeMemConfig::scaled_for(mc)));
+        assert_eq!(bare.m.recovery.tenant_drains, 1);
+        assert!(bare.backend.tenant_is_retired(TenantId(0)));
+        let AnyBackend::HeMem(hemem) = &any.backend else {
+            panic!("BackendKind::HeMem builds HeMem");
+        };
+        assert!(
+            hemem.tenant_is_retired(TenantId(0)),
+            "kill never reached HeMem"
+        );
+        assert_eq!(any_out, bare_out);
     }
 }

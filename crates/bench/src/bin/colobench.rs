@@ -30,7 +30,7 @@ use hemem_bench::{assert_silent_audit, f3, fingerprint, write_results, ExpArgs, 
 use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::runtime::Sim;
-use hemem_core::telemetry::{Telemetry, TenantTelemetry};
+use hemem_core::telemetry::{RegionRows, Telemetry, TenantRows};
 use hemem_sim::Ns;
 use hemem_vmm::{RegionKind, Tier};
 use hemem_workloads::{run_colo_with, ColoConfig, ColoResult, GupsConfig, TenantKind, TenantSpec};
@@ -89,7 +89,7 @@ fn run_mix(
         warmup: Ns::secs(2),
         duration: Ns::secs(seconds),
     };
-    let mut tel = TenantTelemetry::new(Ns::millis(100));
+    let mut tel = Telemetry::new(TenantRows, Ns::millis(100));
     let res = run_colo_with(&mut sim, &cfg, |s| {
         tel.maybe_sample(s);
     });
@@ -115,7 +115,7 @@ fn solo_identity_gate(gate: &mut Gate, args: &ExpArgs, seconds: u64) {
             warmup: Ns::secs(1),
             duration: Ns::secs(seconds),
         };
-        let mut tel: Option<Telemetry> = None;
+        let mut tel: Option<Telemetry<RegionRows>> = None;
         let res = run_colo_with(&mut sim, &cfg, |s| {
             let t = tel.get_or_insert_with(|| {
                 let id =
@@ -124,7 +124,7 @@ fn solo_identity_gate(gate: &mut Gate, args: &ExpArgs, seconds: u64) {
                         .find(|r| r.kind() == RegionKind::ManagedHeap)
                         .expect("gups region mapped")
                         .id();
-                Telemetry::new(id, Ns::millis(100))
+                Telemetry::new(RegionRows(id), Ns::millis(100))
             });
             t.maybe_sample(s);
         });

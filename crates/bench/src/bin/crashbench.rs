@@ -19,7 +19,7 @@ use hemem_baselines::{AnyBackend, BackendKind};
 use hemem_bench::gate::{hemem_gups, Gate};
 use hemem_bench::{f3, fingerprint, write_results, ExpArgs, Report};
 use hemem_core::runtime::Sim;
-use hemem_core::telemetry::Telemetry;
+use hemem_core::telemetry::{RegionRows, Telemetry};
 use hemem_memdev::GIB;
 use hemem_sim::Ns;
 use hemem_workloads::{GupsConfig, GupsResult};
@@ -127,7 +127,7 @@ fn telemetry_sample(args: &ExpArgs) -> (Sim<AnyBackend>, String) {
     let mut sim = Sim::new(mc, backend);
     let id = sim.mmap(2 * sim.m.cfg.dram.capacity.max(GIB));
     sim.populate(id, true);
-    let mut t = Telemetry::new(id, Ns::millis(50));
+    let mut t = Telemetry::new(RegionRows(id), Ns::millis(50));
     for i in 0..60 {
         t.maybe_sample(&sim);
         if i == 20 {

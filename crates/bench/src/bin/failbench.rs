@@ -32,7 +32,7 @@ use hemem_core::backend::{AccessBatch, SegmentAccess};
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::{MachineConfig, TierHealth};
 use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::HealthTelemetry;
+use hemem_core::telemetry::{HealthRows, Telemetry};
 use hemem_memdev::{Pattern, GIB};
 use hemem_sim::{Ns, TierFault};
 use hemem_vmm::Tier;
@@ -171,7 +171,7 @@ fn run_leg(schedule: Schedule, evacuate: bool, trace: bool) -> (Sim<HeMem>, Stri
         sim.now()
     );
     sim.run_until(warm);
-    let mut health = HealthTelemetry::new(Ns::millis(250));
+    let mut health = Telemetry::new(HealthRows, Ns::millis(250));
     health.maybe_sample(&sim);
     let end = Ns::secs(WARM_SECS + END_SECS);
     let mut live = THREADS;

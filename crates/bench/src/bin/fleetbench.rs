@@ -34,7 +34,7 @@ use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::Sim;
-use hemem_core::telemetry::TenantTelemetry;
+use hemem_core::telemetry::{Telemetry, TenantRows};
 use hemem_memdev::GIB;
 use hemem_sim::{Ns, TenantKill};
 use hemem_workloads::{run_fleet_with, FleetConfig, FleetResult};
@@ -104,7 +104,7 @@ fn fleet_run(
     let mc = fleet_machine(seeded_kills);
     let backend = fleet_backend(&mc, pooled);
     let mut sim = Sim::new(mc, backend);
-    let mut tel = TenantTelemetry::new(Ns::millis(20));
+    let mut tel = Telemetry::new(TenantRows, Ns::millis(20));
     let res = run_fleet_with(&mut sim, &gate_cfg(pooled_cost), |s| {
         tel.maybe_sample(s);
     });

@@ -20,7 +20,7 @@ use hemem_baselines::{AnyBackend, BackendKind};
 use hemem_bench::gate::{assert_identical, hemem_gups, Gate};
 use hemem_bench::{fingerprint, write_results, ExpArgs, Report};
 use hemem_core::runtime::Sim;
-use hemem_core::telemetry::Telemetry;
+use hemem_core::telemetry::{RegionRows, Telemetry};
 use hemem_sim::{trace::validate_chrome, LatencyClass, Ns};
 use hemem_workloads::{GupsConfig, GupsResult};
 
@@ -147,7 +147,7 @@ fn main() {
 
     // Telemetry percentile columns ride on the same histograms; sample
     // the traced run once and show the new columns end-to-end.
-    let mut tel = Telemetry::new(hemem_vmm::RegionId(0), Ns::millis(1));
+    let mut tel = Telemetry::new(RegionRows(hemem_vmm::RegionId(0)), Ns::millis(1));
     tel.maybe_sample(&traced);
     let csv = tel.csv();
     let header = csv.lines().next().unwrap_or_default();

@@ -29,7 +29,7 @@ use hemem_core::backend::AccessBatch;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::Sim;
-use hemem_core::telemetry::TierTelemetry;
+use hemem_core::telemetry::{Telemetry, TierRows};
 use hemem_memdev::GIB;
 use hemem_sim::{LatencyClass, Ns};
 use hemem_workloads::{run_gups, GupsConfig, GupsResult};
@@ -98,7 +98,7 @@ fn three_tier_telemetry() -> (Sim<AnyBackend>, String) {
     let id = sim.mmap(bytes);
     sim.populate(id, true);
     let pages = sim.m.space.region(id).page_count();
-    let mut t = TierTelemetry::new(id, Ns::millis(50));
+    let mut t = Telemetry::new(TierRows(id), Ns::millis(50));
     for _ in 0..30 {
         t.maybe_sample(&sim);
         let batch = AccessBatch::uniform(id, 0, pages, 20_000, 8, 0.5, bytes);

@@ -18,7 +18,7 @@ use hemem_core::backend::{AccessBatch, TieredBackend};
 use hemem_core::hemem::HeMemConfig;
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::Telemetry;
+use hemem_core::telemetry::{RegionRows, Telemetry};
 use hemem_sim::Ns;
 use hemem_workloads::{run_gups, GupsConfig, GupsResult};
 
@@ -222,7 +222,7 @@ pub fn two_tier_identity(gate: &mut Gate) -> (Sim<AnyBackend>, GupsResult) {
         let mut sim = args.sim(BackendKind::HeMem);
         let id = sim.mmap(2 * sim.m.cfg.dram.capacity);
         sim.populate(id, true);
-        let mut t = Telemetry::new(id, Ns::millis(50));
+        let mut t = Telemetry::new(RegionRows(id), Ns::millis(50));
         for _ in 0..30 {
             t.maybe_sample(&sim);
             sim.advance(Ns::millis(50));

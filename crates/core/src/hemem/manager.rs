@@ -375,15 +375,9 @@ impl HeMem {
     }
 
     /// The hotness tracker (for experiment introspection). On a
-    /// multi-tenant instance this is tenant 0's tracker; see
-    /// [`HeMem::tracker_for`].
+    /// multi-tenant instance this is tenant 0's tracker.
     pub fn tracker(&self) -> &PageTracker {
         &self.pool.slots[0].tracker
-    }
-
-    /// Tenant `t`'s hotness tracker.
-    pub fn tracker_for(&self, t: TenantId) -> &PageTracker {
-        &self.pool.slots[t.0 as usize].tracker
     }
 
     /// Selects the fleet spawn mechanism: pooled reset-in-place of

@@ -41,7 +41,3 @@ pub use hemem::{HeMem, HeMemConfig};
 pub use journal::{JournalEntry, MigrationJournal, TxnState};
 pub use machine::{MachineConfig, MachineCore, MachineStats, RecoveryStats, WatchdogConfig};
 pub use runtime::{BatchReceipt, Event, Sim};
-pub use telemetry::{
-    IntervalRates, Snapshot, Telemetry, TenantSnapshot, TenantTelemetry, TierSnapshot,
-    TierTelemetry,
-};

@@ -506,12 +506,6 @@ impl MachineCore {
             .reserve(now, t.op, t.pattern, t.size as u64, count)
     }
 
-    /// Mean access latency of one traffic class including current queueing.
-    pub fn traffic_latency(&self, now: Ns, t: &Traffic) -> Ns {
-        let dev = self.device(t.tier);
-        dev.latency(t.op) + dev.queue_delay(now, t.op)
-    }
-
     /// Current health of a tier.
     pub fn tier_health(&self, tier: Tier) -> TierHealth {
         self.health.health[tier.rank()]
@@ -727,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn traffic_latency_includes_queueing() {
+    fn reserve_traffic_queues_on_its_tier() {
         let mut m = MachineCore::new(MachineConfig::small(1, 4));
         let t = Traffic {
             tier: Tier::Nvm,
@@ -736,11 +730,12 @@ mod tests {
             size: 4096,
             count: 100_000.0,
         };
-        let idle = m.traffic_latency(Ns::ZERO, &t);
+        let queued = |m: &MachineCore, tier| m.device(tier).queue_delay(Ns::ZERO, MemOp::Read);
+        assert_eq!(queued(&m, Tier::Nvm), Ns::ZERO);
         m.reserve_traffic(Ns::ZERO, &t);
-        let queued = m.traffic_latency(Ns::ZERO, &t);
-        assert!(queued > idle);
-        assert_eq!(idle, Ns::nanos(175));
+        assert!(queued(&m, Tier::Nvm) > Ns::ZERO);
+        assert_eq!(queued(&m, Tier::Dram), Ns::ZERO, "other tiers stay idle");
+        assert_eq!(m.device(Tier::Nvm).latency(MemOp::Read), Ns::nanos(175));
     }
 
     #[test]

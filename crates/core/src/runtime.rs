@@ -318,61 +318,31 @@ impl<B: TieredBackend> Sim<B> {
     /// leaving it as backlog would stall every later bulk transfer.
     /// Returns the total warm-up cost.
     pub fn populate(&mut self, region: RegionId, is_write: bool) -> Ns {
-        let now = self.now();
         let pages = self.m.space.region(region).page_count();
-        let mut total = Ns::ZERO;
-        for i in 0..pages {
-            if matches!(
-                self.m.space.region(region).state(i),
-                hemem_vmm::PageState::Unmapped
-            ) {
-                total += self.fault_page(PageId { region, index: i }, is_write, now + total);
-            }
-            if i % 2048 == 2047 {
-                // Yield to background work mid-fill (policy and demotion
-                // keep up with the fill instead of facing it all at once).
-                total = self.pace_fill(now, total);
-            }
-        }
-        self.drain_fill_backlog(now, total)
-    }
-
-    /// Advances the clock to the current fill frontier (faults plus bulk
-    /// backlog) so background events interleave with a long fill.
-    fn pace_fill(&mut self, start: Ns, fault_cost: Ns) -> Ns {
-        let at = Ns(start.as_nanos() + fault_cost.as_nanos());
-        let mut drain = Ns::ZERO;
-        for &tier in self.m.tiers() {
-            drain = drain.max(self.m.tier_bulk_queue_delay(at, tier, MemOp::Write));
-        }
-        let total = fault_cost + drain;
-        self.run_until(Ns(start.as_nanos() + total.as_nanos()));
-        total
-    }
-
-    /// Advances past any outstanding zero-fill backlog left by a fault
-    /// storm; returns the total elapsed warm-up time.
-    fn drain_fill_backlog(&mut self, start: Ns, fault_cost: Ns) -> Ns {
-        let after = Ns(start.as_nanos() + fault_cost.as_nanos());
-        let mut drain = Ns::ZERO;
-        for &tier in self.m.tiers() {
-            let d = self.m.tier_bulk_queue_delay(after, tier, MemOp::Write);
-            drain = drain.max(d);
-        }
-        let total = fault_cost + drain;
-        self.run_until(Ns(start.as_nanos() + total.as_nanos()));
-        total
+        self.fill(region, is_write, 0..pages)
     }
 
     /// Like [`Sim::populate`], but first-touches pages in random order —
     /// the placement a parallel multi-threaded load phase produces, where
     /// no address range monopolizes the DRAM that fills up first.
     pub fn populate_shuffled(&mut self, region: RegionId, is_write: bool) -> Ns {
-        let now = self.now();
         let pages = self.m.space.region(region).page_count();
         let mut order: Vec<u64> = (0..pages).collect();
         let mut rng = self.m.rng.fork(0x504f50); // "POP"
         rng.shuffle(&mut order);
+        self.fill(region, is_write, order)
+    }
+
+    /// The warm-up fill behind both populate orders: first-touches each
+    /// unmapped page of `order`, pacing the clock every 2048 pages, and
+    /// ends past the zero-fill backlog. Returns the total warm-up cost.
+    fn fill(
+        &mut self,
+        region: RegionId,
+        is_write: bool,
+        order: impl IntoIterator<Item = u64>,
+    ) -> Ns {
+        let now = self.now();
         let mut total = Ns::ZERO;
         for (n, i) in order.into_iter().enumerate() {
             if matches!(
@@ -382,10 +352,26 @@ impl<B: TieredBackend> Sim<B> {
                 total += self.fault_page(PageId { region, index: i }, is_write, now + total);
             }
             if n % 2048 == 2047 {
+                // Yield to background work mid-fill (policy and demotion
+                // keep up with the fill instead of facing it all at once).
                 total = self.pace_fill(now, total);
             }
         }
-        self.drain_fill_backlog(now, total)
+        self.pace_fill(now, total)
+    }
+
+    /// Advances the clock to the current fill frontier (faults plus bulk
+    /// backlog) so background events interleave with a long fill, and
+    /// returns the elapsed warm-up time.
+    fn pace_fill(&mut self, start: Ns, fault_cost: Ns) -> Ns {
+        let at = Ns(start.as_nanos() + fault_cost.as_nanos());
+        let mut drain = Ns::ZERO;
+        for &tier in self.m.tiers() {
+            drain = drain.max(self.m.tier_bulk_queue_delay(at, tier, MemOp::Write));
+        }
+        let total = fault_cost + drain;
+        self.run_until(Ns(start.as_nanos() + total.as_nanos()));
+        total
     }
 
     /// Advances virtual time by `delay`, processing any internal events

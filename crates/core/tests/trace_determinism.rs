@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use hemem_core::hemem::{HeMem, HeMemConfig};
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::Telemetry;
+use hemem_core::telemetry::{RegionRows, Telemetry};
 use hemem_core::AccessBatch;
 use hemem_sim::{LatencyClass, Ns};
 
@@ -26,7 +26,7 @@ fn run(seed: u64, offsets: &[(u64, f64)], trace: bool) -> (String, String) {
     let mut sim = Sim::new(mc, HeMem::new(hc));
     let region = sim.mmap(2 * GIB);
     sim.populate(region, true);
-    let mut tel = Telemetry::new(region, Ns::millis(10));
+    let mut tel = Telemetry::new(RegionRows(region), Ns::millis(10));
     tel.maybe_sample(&sim);
     for &(lo, write_frac) in offsets {
         let hi = (lo + 256).min(1024);

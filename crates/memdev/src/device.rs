@@ -220,15 +220,6 @@ impl Device {
             service,
         }
     }
-
-    /// Average throughput achieved over `[0, now]`, bytes/second, counting
-    /// application-visible traffic in both directions.
-    pub fn mean_throughput(&self, now: Ns) -> f64 {
-        if now == Ns::ZERO {
-            return 0.0;
-        }
-        (self.stats.bytes_read + self.stats.bytes_written) as f64 / now.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +353,5 @@ mod tests {
             (tput - cap).abs() / cap < 0.01,
             "throughput {tput} vs cap {cap}"
         );
-    }
-
-    #[test]
-    fn mean_throughput_accounts_both_directions() {
-        let mut d = dram();
-        d.reserve(Ns::ZERO, MemOp::Read, Pattern::Sequential, 1024, 1024);
-        d.reserve(Ns::ZERO, MemOp::Write, Pattern::Sequential, 1024, 1024);
-        let t = d.mean_throughput(Ns::secs(1));
-        assert!((t - 2.0 * 1024.0 * 1024.0).abs() < 1.0);
     }
 }

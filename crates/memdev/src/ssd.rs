@@ -222,11 +222,6 @@ impl SsdDevice {
         self.erase_wear.get(block).copied().unwrap_or(0)
     }
 
-    /// Program cycles on the most-worn erase block.
-    pub fn max_erase_wear(&self) -> u64 {
-        self.erase_wear.iter().copied().max().unwrap_or(0)
-    }
-
     /// Number of erase blocks the device tracks.
     pub fn erase_blocks(&self) -> usize {
         self.erase_wear.len()
@@ -289,7 +284,6 @@ mod tests {
         d.note_block_write(eb - 4096, 8192);
         assert_eq!(d.erase_wear(0), 2);
         assert_eq!(d.erase_wear(1), 1);
-        assert_eq!(d.max_erase_wear(), 2);
         assert_eq!(d.stats().erase_cycles, 3);
     }
 

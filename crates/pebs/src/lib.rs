@@ -417,11 +417,6 @@ impl Pebs {
     pub fn drain_budget(&self) -> usize {
         rate_budget(self.config.drain_rate, self.config.drain_interval) as usize
     }
-
-    /// CPU time the PEBS thread spends consuming `n` records.
-    pub fn drain_cpu_time(&self, n: usize) -> Ns {
-        Ns::from_secs_f64(n as f64 / self.config.drain_rate)
-    }
 }
 
 /// Cumulative counters for one tenant's sample stream.
@@ -602,7 +597,6 @@ mod tests {
             ..PebsConfig::default()
         });
         assert_eq!(p.drain_budget(), 2_000);
-        assert_eq!(p.drain_cpu_time(1_000), Ns::millis(1));
     }
 
     #[test]

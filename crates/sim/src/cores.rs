@@ -8,8 +8,6 @@
 //! Memory Mode at 21+ threads in Figure 7 while a pure hardware approach
 //! consumes no cores.
 
-use crate::time::Ns;
-
 /// Shared view of core occupancy.
 #[derive(Debug, Clone)]
 pub struct CoreModel {
@@ -54,11 +52,6 @@ impl CoreModel {
             self.runnable as f64 / self.cores as f64
         }
     }
-
-    /// Dilates a CPU-bound work duration by the current oversubscription.
-    pub fn dilate(&self, work: Ns) -> Ns {
-        work.scale(self.dilation())
-    }
 }
 
 /// RAII-free scoped helper: acquire on `begin`, pass the token back to
@@ -99,15 +92,15 @@ mod tests {
     }
 
     #[test]
-    fn dilate_scales_work() {
+    fn release_lowers_dilation() {
         let mut m = CoreModel::new(2);
         for _ in 0..4 {
             m.acquire();
         }
-        assert_eq!(m.dilate(Ns(100)), Ns(200));
+        assert_eq!(m.dilation(), 2.0);
         m.release();
         m.release();
-        assert_eq!(m.dilate(Ns(100)), Ns(100));
+        assert_eq!(m.dilation(), 1.0);
     }
 
     #[test]

@@ -227,12 +227,6 @@ impl FifoList {
         self.push_front(arena, slot);
     }
 
-    /// Moves `slot` (already on this list) to the back.
-    pub fn move_to_back(&mut self, arena: &mut FifoArena, slot: Slot) {
-        self.remove(arena, slot);
-        self.push_back(arena, slot);
-    }
-
     /// Iterates front-to-back without modifying the list.
     pub fn iter<'a>(&'a self, arena: &'a FifoArena) -> FifoIter<'a> {
         FifoIter {
@@ -339,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn move_to_front_and_back() {
+    fn move_to_front_reorders() {
         let mut a = FifoArena::new(4);
         let mut l = FifoList::new(0);
         for s in 0..4 {
@@ -347,8 +341,6 @@ mod tests {
         }
         l.move_to_front(&mut a, 2);
         assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![2, 0, 1, 3]);
-        l.move_to_back(&mut a, 0);
-        assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![2, 1, 3, 0]);
     }
 
     #[test]

@@ -73,12 +73,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform value in `[lo, hi)`.
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(hi > lo, "empty range");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -140,21 +134,6 @@ impl Rng {
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0, "non-positive mean");
         -mean * (1.0 - self.gen_f64()).ln()
-    }
-
-    /// Chooses an index according to a table of cumulative weights.
-    ///
-    /// `cumulative` must be non-decreasing with a positive final entry; the
-    /// returned index is distributed proportionally to the weight deltas.
-    pub fn choose_cumulative(&mut self, cumulative: &[f64]) -> usize {
-        debug_assert!(!cumulative.is_empty(), "empty weight table");
-        let total = *cumulative.last().expect("non-empty");
-        debug_assert!(total > 0.0, "total weight must be positive");
-        let x = self.gen_f64() * total;
-        match cumulative.binary_search_by(|w| w.partial_cmp(&x).expect("weights must not be NaN")) {
-            Ok(i) => (i + 1).min(cumulative.len() - 1),
-            Err(i) => i.min(cumulative.len() - 1),
-        }
     }
 
     /// Shuffles a slice in place (Fisher-Yates).
@@ -257,10 +236,6 @@ mod tests {
             let v = rng.gen_range(17);
             assert!(v < 17);
         }
-        for _ in 0..1_000 {
-            let v = rng.gen_range_in(100, 110);
-            assert!((100..110).contains(&v));
-        }
     }
 
     #[test]
@@ -312,19 +287,6 @@ mod tests {
         assert_eq!(rng.binomial(100, 0.0), 0);
         assert_eq!(rng.binomial(100, 1.0), 100);
         assert_eq!(rng.binomial(0, 0.5), 0);
-    }
-
-    #[test]
-    fn choose_cumulative_respects_weights() {
-        let mut rng = Rng::new(21);
-        // Weights 1, 3 -> cumulative 1, 4.
-        let cum = [1.0, 4.0];
-        let mut counts = [0u32; 2];
-        for _ in 0..40_000 {
-            counts[rng.choose_cumulative(&cum)] += 1;
-        }
-        let frac = counts[1] as f64 / 40_000.0;
-        assert!((frac - 0.75).abs() < 0.02, "frac was {frac}");
     }
 
     #[test]

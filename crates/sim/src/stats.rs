@@ -181,11 +181,6 @@ impl Running {
             self.m2 / self.n as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// Windowed counter producing an instantaneous-rate time series
@@ -346,7 +341,6 @@ mod tests {
         }
         assert!((r.mean() - 5.0).abs() < 1e-12);
         assert!((r.variance() - 4.0).abs() < 1e-12);
-        assert!((r.stddev() - 2.0).abs() < 1e-12);
     }
 
     #[test]

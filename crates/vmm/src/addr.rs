@@ -103,19 +103,6 @@ impl PageSize {
 )]
 pub struct VirtAddr(pub u64);
 
-impl VirtAddr {
-    /// Index of the page of size `ps` containing this address, relative to
-    /// address zero.
-    pub fn page_index(self, ps: PageSize) -> u64 {
-        self.0 / ps.bytes()
-    }
-
-    /// Offset within its page.
-    pub fn page_offset(self, ps: PageSize) -> u64 {
-        self.0 % ps.bytes()
-    }
-}
-
 /// A half-open virtual address range `[base, base + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct VirtRange {
@@ -271,12 +258,5 @@ mod tests {
         assert_eq!(Tier::Dram.next_lower(), Some(Tier::Nvm));
         assert_eq!(Tier::Nvm.next_lower(), Some(Tier::Ssd));
         assert_eq!(Tier::Ssd.next_lower(), None);
-    }
-
-    #[test]
-    fn virt_addr_page_math() {
-        let a = VirtAddr(2 * 1024 * 1024 + 5);
-        assert_eq!(a.page_index(PageSize::Huge2M), 1);
-        assert_eq!(a.page_offset(PageSize::Huge2M), 5);
     }
 }

@@ -11,7 +11,6 @@
 use hemem_sim::Ns;
 
 use crate::addr::PageSize;
-use crate::tlb::Tlb;
 
 /// Scan cost parameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -51,18 +50,6 @@ impl ScanConfig {
         let entries = ps.pages_for(capacity_bytes);
         Ns(self.leaf_cost(ps).as_nanos().saturating_mul(entries))
     }
-
-    /// Full scan-and-clear pass: scan time plus the TLB shootdown charged
-    /// on `tlb` for clearing accessed/dirty bits across `cores` cores.
-    pub fn scan_and_clear(
-        &self,
-        capacity_bytes: u64,
-        ps: PageSize,
-        tlb: &mut Tlb,
-        cores: u32,
-    ) -> Ns {
-        self.scan_time(capacity_bytes, ps) + tlb.shootdown(cores)
-    }
 }
 
 #[cfg(test)]
@@ -97,15 +84,6 @@ mod tests {
             let t = c.scan_time(16 << 30, ps);
             assert!(t < Ns::millis(30), "{ps:?}: {t}");
         }
-    }
-
-    #[test]
-    fn scan_and_clear_includes_shootdown() {
-        let c = ScanConfig::default();
-        let mut tlb = Tlb::default();
-        let total = c.scan_and_clear(1 << 30, PageSize::Huge2M, &mut tlb, 24);
-        assert!(total > c.scan_time(1 << 30, PageSize::Huge2M));
-        assert_eq!(tlb.stats().shootdowns, 1);
     }
 
     #[test]

@@ -737,13 +737,6 @@ impl AddressSpace {
         })
     }
 
-    /// Total mapped bytes across all regions.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.regions()
-            .map(|r| r.mapped_pages() * r.page_size().bytes())
-            .sum()
-    }
-
     /// Distinct tenants owning at least one live region, ascending.
     pub fn tenants(&self) -> Vec<TenantId> {
         let mut t: Vec<TenantId> = self.regions().map(Region::tenant).collect();
@@ -1073,16 +1066,6 @@ mod tests {
         let r = s.region_mut(id);
         r.map_page(0, Tier::Dram, PhysPage(0));
         r.map_page(0, Tier::Dram, PhysPage(1));
-    }
-
-    #[test]
-    fn mapped_bytes_sums_regions() {
-        let mut s = AddressSpace::new();
-        let a = s.mmap(4 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        let b = s.mmap(2 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
-        s.region_mut(a).map_page(0, Tier::Dram, PhysPage(0));
-        s.region_mut(b).map_page(1, Tier::Nvm, PhysPage(0));
-        assert_eq!(s.mapped_bytes(), 2 * PageSize::Huge2M.bytes());
     }
 }
 

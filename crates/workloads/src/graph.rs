@@ -102,13 +102,6 @@ pub struct BcResult {
     pub iterations: Vec<IterationResult>,
 }
 
-impl BcResult {
-    /// Total runtime across iterations.
-    pub fn total_runtime(&self) -> Ns {
-        Ns(self.iterations.iter().map(|i| i.runtime.as_nanos()).sum())
-    }
-}
-
 /// The BC driver.
 pub struct Bc {
     cfg: GraphConfig,

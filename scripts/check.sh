@@ -131,6 +131,16 @@ if [ "$n" != 1 ]; then
   echo "HeMem builds its slot pool in $n places; want exactly one (manager.rs)"
   exit 1
 fi
+# Telemetry has one sampler: every CSV is a row kind's column list fed
+# through the one `Telemetry<K>`, so telemetry.rs declares exactly one
+# `next_at` field (comments and #[cfg(test)] exempt as above).
+echo "== one-sampler gate"
+n=$(awk '/#\[cfg\(test\)\]/{exit} /^[[:space:]]*\/\//{next} {print}' crates/core/src/telemetry.rs \
+  | grep -cE '^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?next_at:[[:space:]]*[A-Z][A-Za-z0-9_<>]*,' || true)
+if [ "$n" != 1 ]; then
+  echo "telemetry.rs declares $n next_at fields; want exactly one (one sampler type)"
+  exit 1
+fi
 
 # Region-granularity hygiene: the per-period policy pass must select
 # work through the span indexes (regions.rs) — never a fresh flat
