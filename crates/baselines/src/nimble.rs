@@ -91,9 +91,6 @@ impl Nimble {
             copy_threads: self.cfg.copy_threads,
             // The kernel migrates its whole candidate list synchronously.
             max_inflight_pages: self.cfg.max_migrate_per_pass / (2 << 20),
-            // Reclaim does not evict pages on the active list; promotions
-            // stall (rather than thrash) once nothing in DRAM is inactive.
-            swap_allows_hot: false,
         }
     }
 }

@@ -6,16 +6,18 @@
 //!
 //! (a) **Pooled spawn wins** — the seeded open-loop fleet (Poisson
 //!     arrivals, Pareto lifetimes, ≥512 offered instances over 32
-//!     slots) runs with pooled spawn and again with the pool disabled
-//!     (from-scratch rebuild per admission, the pre-pool behavior). The
-//!     pooled run's spawn-to-first-touch p99 must sit at least 5x below
-//!     the from-scratch baseline's.
-//! (b) **Recycled = fresh** — the same arrival schedule is run once on
-//!     recycled slots (pooled reset-in-place) and once with every spawn
-//!     rebuilding from scratch, both charged the *same* simulated spawn
-//!     cost. Stats fingerprint, workload stream hash, and the
-//!     per-tenant telemetry CSV must compare byte-identical: a recycled
-//!     slot is indistinguishable from a fresh one.
+//!     slots) runs once charged the pooled spawn cost and once charged
+//!     the from-scratch rebuild cost (`spawn_cost_ns`). The pooled
+//!     run's spawn-to-first-touch p99 must sit at least 5x below the
+//!     from-scratch run's. Both costs are modeled constants the driver
+//!     charges in simulated time, an input and not a host-time
+//!     measurement; both runs spawn by the one mechanism, claim and
+//!     reset.
+//! (b) **Recycled = fresh** — every claim asserts that the reset slot
+//!     equals the pool's pristine tracker (`SlotPool::claim`), region
+//!     view and arena included, so both gate (a) runs check it once per
+//!     admission, most of them on recycled slots (gate (a) requires
+//!     it). The gate reports how many claims were checked.
 //! (c) **Determinism + off-is-off** — the fleet run with seeded
 //!     mid-run slot kills (on top of the scheduled departures) replays
 //!     byte-identically with a silent audit. Off-is-off (no fleet
@@ -28,7 +30,7 @@
 //! stay comparable; CLI flags are accepted for uniformity but do not
 //! affect the gates.
 
-use hemem_bench::gate::{assert_identical, Gate};
+use hemem_bench::gate::Gate;
 use hemem_bench::{assert_silent_audit, assert_tenant_drained, f3, write_results, ExpArgs, Report};
 use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
@@ -45,7 +47,7 @@ const SLOTS: usize = 32;
 /// Offered instance arrivals per gate run.
 const ARRIVALS: u64 = 512;
 /// Slot working-set pages: pre-warmed at claim, and the size the
-/// from-scratch cost model rebuilds.
+/// from-scratch cost model charges for.
 const SLOT_PAGES: u64 = 4096;
 
 /// The fleet gate machine: a deliberately undersized socket (1 GiB
@@ -72,13 +74,11 @@ fn fleet_machine(seeded_kills: bool) -> MachineConfig {
     mc
 }
 
-/// A fleet backend over `SLOTS` deferred slots; `pooled` selects the
-/// spawn mechanism (reset-in-place vs from-scratch rebuild).
-fn fleet_backend(mc: &MachineConfig, pooled: bool) -> HeMem {
+/// A fleet backend over `SLOTS` deferred slots.
+fn fleet_backend(mc: &MachineConfig) -> HeMem {
     let hc = HeMemConfig::scaled_for(mc);
     let mut h = HeMem::churn(hc, SLOTS, ArbiterPolicy::GreedyMissRatio);
     h.set_slot_pages(SLOT_PAGES);
-    h.set_fleet_pooling(pooled);
     h
 }
 
@@ -93,16 +93,12 @@ fn gate_cfg(charge_pooled_cost: bool) -> FleetConfig {
     cfg
 }
 
-/// One gate run: `pooled` flips the spawn mechanism, `pooled_cost` the
-/// charged spawn latency, `seeded_kills` the chaos kill schedule. The
-/// telemetry CSV (sampled every 20 ms) rides along for gate (b).
-fn fleet_run(
-    pooled: bool,
-    pooled_cost: bool,
-    seeded_kills: bool,
-) -> (Sim<HeMem>, (FleetResult, String)) {
+/// One gate run: `pooled_cost` picks the charged spawn latency,
+/// `seeded_kills` the chaos kill schedule. The telemetry CSV (sampled
+/// every 20 ms) rides along in the replay digest.
+fn fleet_run(pooled_cost: bool, seeded_kills: bool) -> (Sim<HeMem>, (FleetResult, String)) {
     let mc = fleet_machine(seeded_kills);
-    let backend = fleet_backend(&mc, pooled);
+    let backend = fleet_backend(&mc);
     let mut sim = Sim::new(mc, backend);
     let mut tel = Telemetry::new(TenantRows, Ns::millis(20));
     let res = run_fleet_with(&mut sim, &gate_cfg(pooled_cost), |s| {
@@ -116,8 +112,8 @@ fn main() {
     let mut gate = Gate::new("fleetbench");
 
     // Gate (a): pooled spawn beats from-scratch by ≥5x at the p99.
-    let mut pooled_run = gate.leg(|| fleet_run(true, true, false));
-    let (mut scratch_sim, (scratch, _)) = gate.leg(|| fleet_run(false, false, false));
+    let mut pooled_run = gate.leg(|| fleet_run(true, false));
+    let (mut scratch_sim, (scratch, _)) = gate.leg(|| fleet_run(false, false));
     let (pooled_sim, pooled) = (&mut pooled_run.0, &pooled_run.1 .0);
     assert!(
         pooled.admitted >= ARRIVALS / 2 && pooled.admitted + pooled.shed == ARRIVALS,
@@ -126,10 +122,6 @@ fn main() {
         ARRIVALS
     );
     let pool_stats = pooled_sim.backend.slot_pool().stats();
-    assert_eq!(
-        pool_stats.scratch_spawns, 0,
-        "gate (a): pooled run must never rebuild from scratch"
-    );
     assert!(
         pool_stats.recycles > pool_stats.spawns / 2,
         "gate (a): most spawns must land on recycled slots ({} recycles / {} spawns)",
@@ -161,25 +153,20 @@ fn main() {
         p99_scratch / p99_pooled.max(1)
     );
 
-    // Gate (b): recycled slots are indistinguishable from fresh ones —
-    // same schedule, same charged cost, mechanism flipped. Fingerprint,
-    // workload stream, and telemetry CSV all match.
-    let fresh_run = gate.leg(|| fleet_run(false, true, false));
-    assert_identical(
-        "gate (b) recycled-slot vs fresh-slot fleet",
-        &pooled_run,
-        &fresh_run,
-    );
+    // Gate (b): recycled slots are indistinguishable from fresh ones.
+    // `SlotPool::claim` asserted that on every admission of both runs
+    // above (most of which reused a slot, per gate (a)).
+    let scratch_stats = scratch_sim.backend.slot_pool().stats();
     println!(
-        "gate (b): recycled-slot run byte-identical to fresh slots \
-         (fingerprint + stream + telemetry, {} recycles)",
-        pool_stats.recycles
+        "gate (b): {} claims checked equal to a fresh slot ({} recycles)",
+        pool_stats.spawns + scratch_stats.spawns,
+        pool_stats.recycles + scratch_stats.recycles
     );
 
     // Gate (c): seeded mid-run kills replay byte-identically, audit
     // silent.
     let (mut killed, (res_k, _)) =
-        gate.replay("gate (c) seeded-kill fleet", || fleet_run(true, true, true));
+        gate.replay("gate (c) seeded-kill fleet", || fleet_run(true, true));
     assert!(
         killed.m.recovery.tenant_kills > res_k.admitted - res_k.lifetimes.len() as u64,
         "gate (c): seeded kills must actually fire"

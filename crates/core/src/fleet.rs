@@ -29,10 +29,11 @@
 //!   occupant to the next.
 //!
 //! The pool is the storage for *every* HeMem configuration (solo,
-//! multi-tenant, churn); with pooling disabled the spawn path rebuilds
-//! tracker state from scratch exactly like the pre-pool code, which is
-//! what `fleetbench`'s recycled-vs-fresh identity reduction compares
-//! against.
+//! multi-tenant, churn), and claim-and-reset is the only spawn
+//! mechanism. The pool keeps one pristine tracker, built once with the
+//! pool's config; every claim asserts that the reset slot equals it
+//! (arena, queues, region view and counters included), so every run
+//! proves that a recycled slot is a fresh one.
 
 use crate::arbiter::TenantSignal;
 use crate::hemem::{PageTracker, TrackerConfig};
@@ -94,11 +95,11 @@ pub(crate) struct TenantInstance {
 }
 
 impl TenantInstance {
-    fn fresh(id: TenantId, cfg: TrackerConfig, lifecycle: Lifecycle) -> TenantInstance {
+    fn fresh(id: TenantId, tracker: PageTracker, lifecycle: Lifecycle) -> TenantInstance {
         TenantInstance {
             id,
             generation: 0,
-            tracker: PageTracker::new(cfg),
+            tracker,
             window: TenantSignal::default(),
             total_dram_loads: 0,
             total_nvm_loads: 0,
@@ -128,7 +129,7 @@ impl TenantInstance {
     /// Zeroes every per-occupant counter. Shared by spawn (a new
     /// occupant must not see its predecessor's history — re-admission
     /// used to leak `total_*_loads` across generations) and recycle
-    /// (a parked slot must audit pristine).
+    /// (a parked slot must audit scrubbed).
     fn scrub_counters(&mut self) {
         self.window = TenantSignal::default();
         self.total_dram_loads = 0;
@@ -139,12 +140,10 @@ impl TenantInstance {
         self.balloon = None;
     }
 
-    /// True when the slot carries no trace of a previous occupant:
-    /// pristine tracker, zero counters, no balloon. What the
-    /// `SlotGenerationLeak` audit demands of every parked slot.
-    pub(crate) fn is_scrubbed(&self) -> bool {
-        self.tracker.is_pristine()
-            && self.window == TenantSignal::default()
+    /// True when every per-occupant counter is zero and no balloon is
+    /// pending.
+    fn counters_scrubbed(&self) -> bool {
+        self.window == TenantSignal::default()
             && self.total_dram_loads == 0
             && self.total_nvm_loads == 0
             && self.samples_applied == 0
@@ -160,12 +159,9 @@ impl TenantInstance {
 /// byte-identical).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Slot claims (admissions), pooled or not.
+    /// Slot claims (admissions). Each one reset its slot in place and
+    /// checked it against the pool's pristine tracker.
     pub spawns: u64,
-    /// Spawns served by in-place reset of a recycled slot.
-    pub pooled_spawns: u64,
-    /// Spawns that rebuilt tracker state from scratch (pooling off).
-    pub scratch_spawns: u64,
     /// Slots scrubbed and returned to the free list after a drain.
     pub recycles: u64,
     /// Tracker footprint pages scrubbed across all recycles.
@@ -189,10 +185,10 @@ pub const SCRATCH_SPAWN_PER_PAGE_NS: u64 = 200;
 
 /// Simulated spawn latency the arrival driver charges before a new
 /// tenant's first touch: a slot claim when pooled, a full rebuild
-/// proportional to the slot's pre-sized working set when not. The cost
-/// model is deliberately decoupled from the pooling *mechanism* knob on
-/// the backend, so the identity gate can flip the mechanism while
-/// charging both runs the same simulated cost.
+/// proportional to the slot's pre-sized working set when not. This is a
+/// modeled cost input, not a measurement: the backend always spawns by
+/// claim and reset, and `pooled = false` only charges what a
+/// from-scratch rebuild would have cost.
 pub fn spawn_cost_ns(pooled: bool, slot_pages: u64) -> u64 {
     if pooled {
         POOLED_SPAWN_NS
@@ -214,11 +210,10 @@ pub struct SlotPool {
     /// the lowest index — keeps claim order deterministic and matches
     /// the pre-pool admission order.
     free: Vec<u32>,
-    /// Spawn mechanism: in-place reset of recycled slots (default) or
-    /// from-scratch rebuild (the pre-pool behavior, kept for the
-    /// recycled-vs-fresh identity reduction).
-    pooled: bool,
-    tracker_cfg: TrackerConfig,
+    /// A `PageTracker::new` of the pool's config, built once: every
+    /// claimed and every parked slot's tracker must equal it. Boxed to
+    /// keep `HeMem` (inline in `AnyBackend`) small.
+    pristine: Box<PageTracker>,
     /// Pages each slot pre-warms tracker capacity for at claim time.
     slot_pages: u64,
     stats: FleetStats,
@@ -236,8 +231,9 @@ impl SlotPool {
         } else {
             Lifecycle::Retired
         };
+        let pristine = Box::new(PageTracker::new(tracker_cfg));
         let slots = (0..capacity as u32)
-            .map(|i| TenantInstance::fresh(TenantId(i), tracker_cfg.clone(), lifecycle))
+            .map(|i| TenantInstance::fresh(TenantId(i), (*pristine).clone(), lifecycle))
             .collect();
         let free = if live {
             Vec::new()
@@ -247,8 +243,7 @@ impl SlotPool {
         SlotPool {
             slots,
             free,
-            pooled: true,
-            tracker_cfg,
+            pristine,
             slot_pages: 0,
             stats: FleetStats::default(),
         }
@@ -279,15 +274,14 @@ impl SlotPool {
         &self.free
     }
 
-    /// Spawn mechanism in effect.
-    pub fn pooled(&self) -> bool {
-        self.pooled
-    }
-
-    /// Selects the spawn mechanism: pooled reset-in-place (default) or
-    /// from-scratch rebuild.
-    pub fn set_pooled(&mut self, pooled: bool) {
-        self.pooled = pooled;
+    /// True when slot `t` carries no trace of a previous occupant: its
+    /// tracker equals the pool's pristine tracker (arena, queues,
+    /// region view and counters included) and every per-occupant
+    /// counter is zero. What every claim asserts and the
+    /// `SlotGenerationLeak` audit demands of every parked slot.
+    pub(crate) fn is_scrubbed(&self, t: TenantId) -> bool {
+        let inst = &self.slots[t.0 as usize];
+        inst.tracker == *self.pristine && inst.counters_scrubbed()
     }
 
     /// Sets the per-slot working-set pre-warm size, in pages.
@@ -303,8 +297,8 @@ impl SlotPool {
     }
 
     /// Claims slot `t` for a new occupant at `generation`: removes it
-    /// from the free list and resets it to a just-constructed state —
-    /// in place when pooled, by rebuild when not. The caller (the
+    /// from the free list, resets it in place to a just-constructed
+    /// state and asserts that it equals a fresh slot. The caller (the
     /// manager's admission path) has already secured the quota grant.
     pub(crate) fn claim(&mut self, t: TenantId, generation: u32) {
         let i = t.0 as usize;
@@ -315,18 +309,16 @@ impl SlotPool {
             self.free.remove(pos);
         }
         let inst = &mut self.slots[i];
-        if self.pooled {
-            inst.tracker.reset();
-            inst.tracker.prewarm(self.slot_pages);
-            self.stats.pooled_spawns += 1;
-        } else {
-            inst.tracker = PageTracker::new(self.tracker_cfg.clone());
-            self.stats.scratch_spawns += 1;
-        }
+        inst.tracker.reset();
+        inst.tracker.prewarm(self.slot_pages);
         inst.scrub_counters();
         inst.lifecycle = Lifecycle::Live;
         inst.generation = generation;
         self.stats.spawns += 1;
+        assert!(
+            self.is_scrubbed(t),
+            "claimed slot {t} differs from a fresh one after reset"
+        );
     }
 
     /// Scrubs a drained slot and parks it on the free list. The runtime
@@ -344,7 +336,7 @@ impl SlotPool {
         self.stats.scrubbed_pages += inst.tracker.footprint_pages();
         inst.tracker.reset();
         inst.scrub_counters();
-        debug_assert!(inst.is_scrubbed(), "scrub left occupant state behind");
+        debug_assert!(self.is_scrubbed(t), "scrub left occupant state behind");
         // Insert keeping the descending order so the next claim still
         // pops the lowest free index deterministically.
         let pos = self
@@ -397,7 +389,7 @@ mod tests {
         inst.lifecycle = Lifecycle::Retired;
         p.slots[1].tracker.remove_region(RegionId(7));
         p.recycle(TenantId(1));
-        assert!(p.slots[1].is_scrubbed());
+        assert!(p.is_scrubbed(TenantId(1)));
         assert_eq!(p.next_free(), Some(TenantId(1)));
         p.claim(TenantId(1), 2);
         assert_eq!(p.slots[1].generation, 2);
@@ -407,10 +399,10 @@ mod tests {
 
     #[test]
     fn pooled_reset_is_logically_identical_to_scratch_rebuild() {
-        // The identity reduction in miniature: drive a recycled slot
-        // and a fresh tracker through the same sequence; their
-        // observable state must match.
-        let mut pooled = SlotPool::new(TrackerConfig::default(), 1, false);
+        // A slot that held an occupant, recycled and claimed again,
+        // equals a tracker built from scratch; both then behave alike.
+        let cfg = TrackerConfig::default();
+        let mut pooled = SlotPool::new(cfg.clone(), 1, false);
         pooled.set_slot_pages(32);
         pooled.claim(TenantId(0), 1);
         pooled.slots[0].tracker.add_region(RegionId(1), 32);
@@ -429,12 +421,9 @@ mod tests {
         pooled.recycle(TenantId(0));
         pooled.claim(TenantId(0), 2);
 
-        let mut scratch = SlotPool::new(TrackerConfig::default(), 1, false);
-        scratch.set_pooled(false);
-        scratch.claim(TenantId(0), 2);
-
-        for p in [&mut pooled, &mut scratch] {
-            let t = &mut p.slots[0].tracker;
+        let mut scratch = PageTracker::new(cfg);
+        assert_eq!(pooled.slots[0].tracker, scratch);
+        for t in [&mut pooled.slots[0].tracker, &mut scratch] {
             t.add_region(RegionId(2), 8);
             for i in 0..8 {
                 t.record(
@@ -447,11 +436,7 @@ mod tests {
                 );
             }
         }
-        let a = &pooled.slots[0].tracker;
-        let b = &scratch.slots[0].tracker;
-        assert_eq!(a.stats().records, b.stats().records);
-        assert_eq!(a.tracked_pages(), b.tracked_pages());
-        assert_eq!(a.cool_clock(), b.cool_clock());
+        assert_eq!(pooled.slots[0].tracker, scratch);
     }
 
     #[test]

@@ -380,14 +380,6 @@ impl HeMem {
         &self.pool.slots[0].tracker
     }
 
-    /// Selects the fleet spawn mechanism: pooled reset-in-place of
-    /// recycled slots (the default) or from-scratch rebuild per
-    /// admission — the pre-pool behavior, kept for `fleetbench`'s
-    /// recycled-vs-fresh identity reduction.
-    pub fn set_fleet_pooling(&mut self, pooled: bool) {
-        self.pool.set_pooled(pooled);
-    }
-
     /// Sets how many pages each pooled slot pre-warms tracker capacity
     /// for at claim time.
     pub fn set_slot_pages(&mut self, pages: u64) {
@@ -1001,7 +993,7 @@ impl TieredBackend for HeMem {
                 let s = d.stream_stats(i as usize);
                 s.delivered != 0 || s.throttled != 0
             });
-            if !ts.is_scrubbed() || lane_dirty {
+            if !self.pool.is_scrubbed(ts.id) || lane_dirty {
                 v.push(crate::audit::AuditViolation::SlotGenerationLeak {
                     tenant: ts.id,
                     generation: ts.generation,
@@ -1590,6 +1582,26 @@ mod lifecycle_tests {
         assert!(
             burned < 800,
             "breaker bounded the retry burn: {burned} frames retired"
+        );
+    }
+
+    #[test]
+    fn parked_slot_with_dirty_region_view_is_a_generation_leak() {
+        let mc = MachineConfig::small(1, 1);
+        let mut hc = HeMemConfig::scaled_for(&mc);
+        hc.tracker.regions = crate::hemem::RegionConfig::multi_grain();
+        let mut s = Sim::new(mc, HeMem::churn(hc, 2, ArbiterPolicy::GreedyMissRatio));
+        assert_eq!(s.run_audit(false), Vec::new());
+        // A region-period pass on an empty tracker changes nothing but
+        // its region view's period counter: the page-level state still
+        // reads empty, yet the slot is no longer a fresh one.
+        s.backend.pool.slots[1].tracker.begin_region_period();
+        assert_eq!(
+            s.run_audit(false),
+            vec![crate::audit::AuditViolation::SlotGenerationLeak {
+                tenant: TenantId(1),
+                generation: 0,
+            }]
         );
     }
 }

@@ -36,11 +36,6 @@ pub struct PolicyConfig {
     /// protection stalls "exceedingly rare" (§3.2). Kernel-style managers
     /// (Nimble) migrate whole lists synchronously and set this high.
     pub max_inflight_pages: u64,
-    /// Whether promotions may evict *hot* DRAM pages when nothing cold is
-    /// left. HeMem refuses (hot set exceeds DRAM => stop migrating, §3.3);
-    /// kernel NUMA balancing swaps anyway and thrashes when page-table
-    /// scans overestimate the hot set.
-    pub swap_allows_hot: bool,
 }
 
 impl Default for PolicyConfig {
@@ -53,7 +48,6 @@ impl Default for PolicyConfig {
             dma_channels: 2,
             copy_threads: 4,
             max_inflight_pages: 24,
-            swap_allows_hot: false,
         }
     }
 }
@@ -266,7 +260,7 @@ pub fn run_policy_scoped(
             budget -= page_bytes;
             promoted += 1;
         } else if deferrals_left > 0 {
-            let Some(victim) = tracker.pop_demotion(cfg.swap_allows_hot) else {
+            let Some(victim) = tracker.pop_demotion(false) else {
                 // Hot set exceeds DRAM: stop migrating (§3.3).
                 tracker.restore(hot);
                 break;
@@ -425,7 +419,7 @@ fn run_region_policy(
             budget -= page_bytes;
             promoted += 1;
         } else if deferrals_left > 0 {
-            let Some(victim) = tracker.pop_region_demotion(cfg.swap_allows_hot) else {
+            let Some(victim) = tracker.pop_region_demotion(false) else {
                 tracker.restore(hot);
                 break;
             };

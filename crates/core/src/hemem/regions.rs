@@ -181,7 +181,7 @@ const DRAM_ANY: usize = 2;
 /// [`FlagTree`] per [`INDEX_NAMES`] entry, keyed by span-head page index.
 /// Every flag equals [`RegionTracker::derive_flags`] at each span head
 /// and is clear everywhere else (audited as `RegionIndexMismatch`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RegionView {
     pages: u64,
     spans: BTreeMap<u64, SpanView>,
@@ -195,7 +195,7 @@ struct RegionView {
 
 /// The region layer: per-region span sets with deterministic
 /// split/merge and Fenwick-backed candidate indexes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionTracker {
     cfg: RegionConfig,
     views: BTreeMap<RegionId, RegionView>,

@@ -22,7 +22,7 @@ use crate::audit::AuditViolation;
 
 /// Classification thresholds (paper defaults in §3.1, swept in Figures
 /// 11-12).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TrackerConfig {
     /// Sampled loads before a page is hot.
     pub hot_read_threshold: u32,
@@ -98,7 +98,7 @@ impl Queue {
 }
 
 /// Per-page tracking state.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageMeta {
     reads: u32,
     writes: u32,
@@ -111,7 +111,7 @@ struct PageMeta {
 }
 
 /// Tracker statistics.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TrackerStats {
     /// Access records processed.
     pub records: u64,
@@ -124,8 +124,9 @@ pub struct TrackerStats {
 }
 
 /// Hotness tracker shared by HeMem (PEBS-fed) and its page-table-scan
-/// variants (ledger-fed).
-#[derive(Debug, Clone)]
+/// variants (ledger-fed). Equality compares logical state (contents,
+/// not allocated capacity), so a reset tracker equals a new one.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageTracker {
     cfg: TrackerConfig,
     arena: FifoArena,
@@ -214,25 +215,6 @@ impl PageTracker {
         if n > self.slot_page.len() {
             self.slot_page.reserve(n - self.slot_page.len());
         }
-    }
-
-    /// True when the tracker is indistinguishable from a freshly
-    /// constructed one: no tracked regions or page state and every
-    /// counter at zero. The slot-recycling audit uses this to prove a
-    /// scrubbed slot cannot leak tracker state into its next
-    /// generation.
-    pub fn is_pristine(&self) -> bool {
-        self.regions.is_empty()
-            && self.meta.is_empty()
-            && self.queues.iter().all(FifoList::is_empty)
-            && self.promo_cursor.is_none()
-            && self.demo_cursors.iter().all(Option::is_none)
-            && self.cool_clock == 0
-            && self.last_advance == Ns::ZERO
-            && self.stats.records == 0
-            && self.stats.promotions == 0
-            && self.stats.demotions == 0
-            && self.stats.cool_events == 0
     }
 
     /// Pages currently tracked across all registered regions.

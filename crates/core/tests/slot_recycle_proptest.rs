@@ -5,9 +5,8 @@
 //! returns scrubbed, no frame or quota survives an occupant, a new
 //! occupant's fault history starts empty, and the fleet audit
 //! (`SlotGenerationLeak` / `StaleSlotFrame` included) stays silent.
-//! Pooled reset-in-place and from-scratch rebuild must be logically
-//! indistinguishable under every schedule, and replays from the same
-//! seed byte-identical.
+//! Every admission's claim asserts that the reset slot equals a fresh
+//! one, and replays from the same seed are byte-identical.
 
 use proptest::prelude::*;
 
@@ -50,7 +49,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-fn build(seed: u64, pooled: bool, chaos_kill: Option<(u32, u64)>) -> Sim<HeMem> {
+fn build(seed: u64, chaos_kill: Option<(u32, u64)>, regions: bool) -> Sim<HeMem> {
     let mut mc = MachineConfig::small(1, 1);
     mc.dram.capacity = 256 << 20;
     mc.nvm.capacity = 512 << 20;
@@ -64,10 +63,10 @@ fn build(seed: u64, pooled: bool, chaos_kill: Option<(u32, u64)>) -> Sim<HeMem> 
             at: Ns::millis(at_ms),
         }];
     }
-    let hc = HeMemConfig::scaled_for(&mc);
+    let mut hc = HeMemConfig::scaled_for(&mc);
+    hc.tracker.regions.enabled = regions;
     let mut h = HeMem::churn(hc, SLOTS, ArbiterPolicy::GreedyMissRatio);
     h.set_slot_pages(64);
-    h.set_fleet_pooling(pooled);
     Sim::new(mc, h)
 }
 
@@ -85,7 +84,7 @@ fn settle(sim: &mut Sim<HeMem>) {
 }
 
 /// Replay the op schedule against one simulator; returns a state
-/// fingerprint that must be identical across mechanisms and replays.
+/// fingerprint that must be identical across replays.
 fn run_schedule(sim: &mut Sim<HeMem>, ops: &[Op]) -> Result<String, TestCaseError> {
     let mut live: Vec<TenantId> = Vec::new();
     let mut regions = std::collections::BTreeMap::new();
@@ -220,19 +219,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random spawn/access/balloon/kill schedules drain clean on
-    /// recycled slots, and the pooled reset-in-place mechanism is
-    /// byte-for-byte indistinguishable from rebuilding every slot from
-    /// scratch.
+    /// recycled slots, every claim on a recycled slot passes the
+    /// claim-time check against a fresh slot, and the run replays
+    /// byte-for-byte, with region tracking off and on.
     #[test]
     fn recycled_slots_match_fresh_slots(
         seed in 1u64..1_000_000,
         ops in prop::collection::vec(op_strategy(), 6..24),
     ) {
-        let mut pooled = build(seed, true, None);
-        let mut scratch = build(seed, false, None);
-        let a = run_schedule(&mut pooled, &ops)?;
-        let b = run_schedule(&mut scratch, &ops)?;
-        prop_assert_eq!(a, b, "pooled recycling diverged from from-scratch spawn");
+        for regions in [false, true] {
+            let a = run_schedule(&mut build(seed, None, regions), &ops)?;
+            let b = run_schedule(&mut build(seed, None, regions), &ops)?;
+            prop_assert_eq!(a, b, "recycled-slot schedule is not reproducible");
+        }
     }
 
     /// A seeded chaos kill landing mid-schedule (racing batches, drains,
@@ -246,8 +245,8 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 6..24),
     ) {
         let run = |mut sim: Sim<HeMem>| run_schedule(&mut sim, &ops);
-        let a = run(build(seed, true, Some((slot, kill_ms))))?;
-        let b = run(build(seed, true, Some((slot, kill_ms))))?;
+        let a = run(build(seed, Some((slot, kill_ms)), false))?;
+        let b = run(build(seed, Some((slot, kill_ms)), false))?;
         prop_assert_eq!(a, b, "chaos-kill fleet schedule is not reproducible");
     }
 }

@@ -1,11 +1,13 @@
 //! Property tests on HeMem's page tracker: under arbitrary sample
 //! streams, every placed page is on exactly one queue (or legitimately
-//! in flight), counters never underflow, and pop/restore round-trips
-//! conserve pages.
+//! in flight), counters never underflow, pop/restore round-trips
+//! conserve pages, and a reset tracker behaves exactly like a new one.
 
 use proptest::prelude::*;
 
-use hemem_core::hemem::{PageTracker, Queue, TrackerConfig};
+use hemem_core::hemem::{
+    PageTracker, Queue, RegionConfig, RegionStats, TrackerConfig, TrackerStats,
+};
 use hemem_sim::Ns;
 use hemem_vmm::{PageId, RegionId, Tier};
 
@@ -41,6 +43,70 @@ fn queue_total(t: &PageTracker) -> usize {
         + t.queue_len(Queue::DramCold)
         + t.queue_len(Queue::NvmHot)
         + t.queue_len(Queue::NvmCold)
+}
+
+/// Tracks `PAGES` pages of `region`, alternately placed on DRAM and NVM.
+fn add_placed(t: &mut PageTracker, region: RegionId) {
+    t.add_region(region, PAGES);
+    for i in 0..PAGES {
+        t.placed(
+            PageId { region, index: i },
+            if i % 2 == 0 { Tier::Dram } else { Tier::Nvm },
+        );
+    }
+}
+
+/// What one op observably produced: the page it popped, if any, then
+/// the tracker's counters, queue lengths and cooling clock.
+type Outcome = (
+    Option<PageId>,
+    TrackerStats,
+    Option<RegionStats>,
+    [usize; 4],
+    u64,
+);
+
+/// Applies `op` to pages of `region`. With region tracking on, the pops
+/// go through the span indexes, each promotion after a region period.
+fn apply(t: &mut PageTracker, region: RegionId, op: &Op) -> Outcome {
+    let page = |index| PageId { region, index };
+    let popped = match *op {
+        Op::Record {
+            page: p,
+            write,
+            at_ms,
+        } => {
+            t.record(page(p), write, Ns::millis(at_ms));
+            None
+        }
+        Op::MarkHot { page: p, wh } => {
+            t.mark_hot(page(p), wh);
+            None
+        }
+        Op::MarkCold { page: p } => {
+            t.mark_cold(page(p));
+            None
+        }
+        Op::PopPromotion if t.regions_enabled() => {
+            t.begin_region_period();
+            t.pop_region_promotion()
+        }
+        Op::PopPromotion => t.pop_promotion(),
+        Op::PopDemotion { allow_hot } if t.regions_enabled() => t.pop_region_demotion(allow_hot),
+        Op::PopDemotion { allow_hot } => t.pop_demotion(allow_hot),
+        Op::Replace { page: p, tier_dram } => {
+            t.placed(page(p), if tier_dram { Tier::Dram } else { Tier::Nvm });
+            None
+        }
+    };
+    let queues = [
+        Queue::DramHot,
+        Queue::DramCold,
+        Queue::NvmHot,
+        Queue::NvmCold,
+    ]
+    .map(|q| t.queue_len(q));
+    (popped, *t.stats(), t.region_stats(), queues, t.cool_clock())
 }
 
 proptest! {
@@ -112,6 +178,36 @@ proptest! {
             let (r, w) = t.counters(PageId { region, index: page });
             // Counters bounded by the cooling threshold + one increment.
             prop_assert!(r + w <= 18 + 1, "counters ran away: {r}+{w}");
+        }
+    }
+
+    /// A tracker reset after an arbitrary history equals a new one, and
+    /// every op applied to both afterwards produces the same result,
+    /// with region tracking on and off.
+    #[test]
+    fn reset_tracker_matches_a_new_one(
+        history in prop::collection::vec(op_strategy(PAGES), 0..200),
+        ops in prop::collection::vec(op_strategy(PAGES), 1..200),
+    ) {
+        for enabled in [false, true] {
+            let cfg = TrackerConfig {
+                regions: RegionConfig { enabled, max_span: 16, ..RegionConfig::default() },
+                ..TrackerConfig::default()
+            };
+            let mut reset = PageTracker::new(cfg.clone());
+            add_placed(&mut reset, RegionId(0));
+            add_placed(&mut reset, RegionId(1));
+            for op in &history {
+                apply(&mut reset, RegionId(0), op);
+            }
+            reset.reset();
+            let mut fresh = PageTracker::new(cfg);
+            prop_assert_eq!(&reset, &fresh);
+            add_placed(&mut reset, RegionId(0));
+            add_placed(&mut fresh, RegionId(0));
+            for op in &ops {
+                prop_assert_eq!(apply(&mut reset, RegionId(0), op), apply(&mut fresh, RegionId(0), op));
+            }
         }
     }
 }

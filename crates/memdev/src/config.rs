@@ -59,8 +59,6 @@ pub struct DeviceConfig {
     pub thread_seq_write_bw: f64,
     /// Single-thread random-write bandwidth.
     pub thread_rand_write_bw: f64,
-    /// Whether to count media-level write traffic as wear (NVM only).
-    pub tracks_wear: bool,
 }
 
 const GB: f64 = 1_000_000_000.0;
@@ -91,7 +89,6 @@ impl DeviceConfig {
             thread_rand_read_bw: 1.9 * GB,
             thread_seq_write_bw: 5.2 * GB,
             thread_rand_write_bw: 2.6 * GB,
-            tracks_wear: false,
         }
     }
 
@@ -120,7 +117,6 @@ impl DeviceConfig {
             thread_rand_read_bw: 0.9 * GB,
             thread_seq_write_bw: 1.25 * GB,
             thread_rand_write_bw: 0.95 * GB,
-            tracks_wear: true,
         }
     }
 
@@ -211,11 +207,5 @@ mod tests {
         assert_eq!(d.bandwidth(MemOp::Write, Pattern::Random), d.rand_write_bw);
         assert_eq!(d.latency(MemOp::Read), d.read_latency);
         assert_eq!(d.latency(MemOp::Write), d.write_latency);
-    }
-
-    #[test]
-    fn wear_tracked_only_on_nvm() {
-        assert!(!DeviceConfig::ddr4_dram(GIB).tracks_wear);
-        assert!(DeviceConfig::optane_dc(GIB).tracks_wear);
     }
 }

@@ -20,7 +20,7 @@ pub type ListId = u8;
 /// Marker for "not on any list".
 pub const NO_LIST: ListId = u8::MAX;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Links {
     prev: Slot,
     next: Slot,
@@ -28,7 +28,7 @@ struct Links {
 }
 
 /// Shared link storage for a set of FIFO lists over a dense slot space.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FifoArena {
     links: Vec<Links>,
 }
@@ -99,7 +99,7 @@ impl FifoArena {
 /// Elements are pushed at the back and popped from the front; any element
 /// can also be removed from the middle or pushed at the front (HeMem does
 /// this to prioritize write-heavy pages for migration).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FifoList {
     id: ListId,
     head: Slot,

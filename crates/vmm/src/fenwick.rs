@@ -20,7 +20,7 @@
 pub(crate) const WORD: usize = 64;
 
 /// A bitmap of 0/1 page flags with Fenwick prefix sums over its words.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlagTree {
     /// Bit `j` of word `w` is page `w * WORD + j`; bits past `len` in the
     /// last word stay clear.

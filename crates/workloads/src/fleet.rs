@@ -20,11 +20,10 @@
 //! occupancy feedback cannot leak timing into the schedule.
 //!
 //! The driver charges each spawn a simulated setup latency from
-//! [`hemem_core::spawn_cost_ns`] between admission and first touch;
-//! the cost model is a config knob *separate from* the pool's spawn
-//! mechanism so `fleetbench` can flip the mechanism while charging both
-//! runs the same cost (identity gate) or flip both together
-//! (speedup gate).
+//! [`hemem_core::spawn_cost_ns`] between admission and first touch.
+//! The charged cost is a modeled input: the backend always spawns by
+//! claim and reset, and `charge_pooled_cost = false` charges what a
+//! from-scratch rebuild would cost (`fleetbench`'s speedup gate).
 
 use std::fmt::Write as _;
 
@@ -65,8 +64,9 @@ pub struct FleetConfig {
     pub batch_ops: u64,
     /// Store fraction of the access mix.
     pub write_fraction: f64,
-    /// Which spawn *cost* to charge between admission and first touch
-    /// (decoupled from the pool's spawn mechanism; see module docs).
+    /// Which modeled spawn cost to charge between admission and first
+    /// touch: a pooled claim, or a from-scratch rebuild (see module
+    /// docs).
     pub charge_pooled_cost: bool,
     /// Slot working-set pages used by the scratch-spawn cost model.
     pub slot_pages: u64,
@@ -507,7 +507,6 @@ mod tests {
         let pooled = run_fleet(&mut pooled_sim, &cfg);
         cfg.charge_pooled_cost = false;
         let mut scratch_sim = fleet_sim(8);
-        scratch_sim.backend.set_fleet_pooling(false);
         let scratch = run_fleet(&mut scratch_sim, &cfg);
         let (p, s) = (
             pooled.spawn_hist.quantile(0.99),

@@ -100,6 +100,24 @@ for f in "$gates"/results/{tier,churn,fail,nomad,scale,fleet}bench*; do
   echo "   ${f##*/}"
 done
 
+# crashbench and colobench take CLI flags: the smoke runs above feed the
+# wall-clock gate, while their committed results/ come from a default-arg
+# run. Repeat that run from a second scratch directory and compare.
+echo "== default-arg crash/colo outputs vs results/"
+defaults=$(mktemp -d)
+trap 'rm -rf "$gates" "$defaults"' EXIT
+for name in crashbench colobench; do
+  echo "   $name"
+  (cd "$defaults" && "$bin_dir/$name" </dev/null >/dev/null)
+done
+for f in crashbench.csv crashbench_telemetry.csv colobench.csv colobench_telemetry.csv; do
+  if ! cmp -s "$defaults/results/$f" "results/$f"; then
+    echo "drift: default-arg $f differs from the committed results/$f"
+    exit 1
+  fi
+  echo "   $f"
+done
+
 # reprocheck runs every paper figure, table, and ablation binary with
 # default args from a scratch directory and fails unless each file it
 # writes and the table it prints are byte-identical to the committed
