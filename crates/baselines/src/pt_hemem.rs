@@ -55,7 +55,7 @@ impl HeMemPt {
     /// Creates a PT variant of HeMem.
     pub fn new(cfg: HeMemConfig, mode: PtMode) -> HeMemPt {
         HeMemPt {
-            tracker: PageTracker::new(cfg.tracker.clone()),
+            tracker: PageTracker::new(cfg.tracker),
             cfg,
             mode,
             stats: PtStats::default(),

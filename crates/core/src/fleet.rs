@@ -59,10 +59,31 @@ pub(crate) enum Lifecycle {
 /// An in-flight balloon shrink: the quota is already cut; the claim has
 /// until `deadline` to drain through watermark demotion before the
 /// manager starts forcing pages toward the slowest tier.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BalloonDrain {
     pub(crate) target_pages: u64,
     pub(crate) deadline: Ns,
+}
+
+/// A slot occupant's counters. The default is the zero state: spawn
+/// resets to it (a new occupant must not see its predecessor's
+/// history), recycle resets to it, and a claimed or parked slot must
+/// equal it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct OccupantCounters {
+    /// Load mix since the last arbiter reallocation.
+    pub(crate) window: TenantSignal,
+    /// Cumulative loads, for per-tenant miss-ratio reporting.
+    pub(crate) total_dram_loads: u64,
+    pub(crate) total_nvm_loads: u64,
+    /// Samples this tenant's tracker consumed.
+    pub(crate) samples_applied: u64,
+    /// Consecutive migration aborts feeding the circuit breaker.
+    pub(crate) breaker_fails: u32,
+    /// Remaining ticks the tripped breaker skips this tenant's pass.
+    pub(crate) breaker_skip_ticks: u32,
+    /// In-flight balloon shrink, if any.
+    pub(crate) balloon: Option<BalloonDrain>,
 }
 
 /// One pooled tenant instance slot: the per-tenant manager state the
@@ -77,21 +98,10 @@ pub(crate) struct TenantInstance {
     /// cross-checks.
     pub(crate) generation: u32,
     pub(crate) tracker: PageTracker,
-    /// Load mix since the last arbiter reallocation.
-    pub(crate) window: TenantSignal,
-    /// Cumulative loads, for per-tenant miss-ratio reporting.
-    pub(crate) total_dram_loads: u64,
-    pub(crate) total_nvm_loads: u64,
-    /// Samples this tenant's tracker consumed.
-    pub(crate) samples_applied: u64,
     /// Where the slot is in its admit/kill/drain lifecycle.
     pub(crate) lifecycle: Lifecycle,
-    /// Consecutive migration aborts feeding the circuit breaker.
-    pub(crate) breaker_fails: u32,
-    /// Remaining ticks the tripped breaker skips this tenant's pass.
-    pub(crate) breaker_skip_ticks: u32,
-    /// In-flight balloon shrink, if any.
-    pub(crate) balloon: Option<BalloonDrain>,
+    /// Per-occupant counters, zeroed at every spawn and recycle.
+    pub(crate) counters: OccupantCounters,
 }
 
 impl TenantInstance {
@@ -100,56 +110,25 @@ impl TenantInstance {
             id,
             generation: 0,
             tracker,
-            window: TenantSignal::default(),
-            total_dram_loads: 0,
-            total_nvm_loads: 0,
-            samples_applied: 0,
             lifecycle,
-            breaker_fails: 0,
-            breaker_skip_ticks: 0,
-            balloon: None,
+            counters: OccupantCounters::default(),
         }
     }
 
     pub(crate) fn note_sample(&mut self, kind: hemem_pebs::SampleType) {
-        self.samples_applied += 1;
+        let c = &mut self.counters;
+        c.samples_applied += 1;
         match kind {
             hemem_pebs::SampleType::DramLoad => {
-                self.window.dram_loads += 1;
-                self.total_dram_loads += 1;
+                c.window.dram_loads += 1;
+                c.total_dram_loads += 1;
             }
             hemem_pebs::SampleType::NvmLoad => {
-                self.window.nvm_loads += 1;
-                self.total_nvm_loads += 1;
+                c.window.nvm_loads += 1;
+                c.total_nvm_loads += 1;
             }
             hemem_pebs::SampleType::Store => {}
         }
-    }
-
-    /// Zeroes every per-occupant counter. Shared by spawn (a new
-    /// occupant must not see its predecessor's history — re-admission
-    /// used to leak `total_*_loads` across generations) and recycle
-    /// (a parked slot must audit scrubbed).
-    fn scrub_counters(&mut self) {
-        self.window = TenantSignal::default();
-        self.total_dram_loads = 0;
-        self.total_nvm_loads = 0;
-        self.samples_applied = 0;
-        self.breaker_fails = 0;
-        self.breaker_skip_ticks = 0;
-        self.balloon = None;
-    }
-
-    /// True when every per-occupant counter is zero and no balloon is
-    /// pending.
-    fn counters_scrubbed(&self) -> bool {
-        self.window == TenantSignal::default()
-            && self.total_dram_loads == 0
-            && self.total_nvm_loads == 0
-            && self.samples_applied == 0
-            && self.breaker_fails == 0
-            && self.breaker_skip_ticks == 0
-            && self.balloon.is_none()
     }
 }
 
@@ -281,7 +260,7 @@ impl SlotPool {
     /// `SlotGenerationLeak` audit demands of every parked slot.
     pub(crate) fn is_scrubbed(&self, t: TenantId) -> bool {
         let inst = &self.slots[t.0 as usize];
-        inst.tracker == *self.pristine && inst.counters_scrubbed()
+        inst.tracker == *self.pristine && inst.counters == OccupantCounters::default()
     }
 
     /// Sets the per-slot working-set pre-warm size, in pages.
@@ -311,7 +290,7 @@ impl SlotPool {
         let inst = &mut self.slots[i];
         inst.tracker.reset();
         inst.tracker.prewarm(self.slot_pages);
-        inst.scrub_counters();
+        inst.counters = OccupantCounters::default();
         inst.lifecycle = Lifecycle::Live;
         inst.generation = generation;
         self.stats.spawns += 1;
@@ -335,7 +314,7 @@ impl SlotPool {
         );
         self.stats.scrubbed_pages += inst.tracker.footprint_pages();
         inst.tracker.reset();
-        inst.scrub_counters();
+        inst.counters = OccupantCounters::default();
         debug_assert!(self.is_scrubbed(t), "scrub left occupant state behind");
         // Insert keeping the descending order so the next claim still
         // pops the lowest free index deterministically.
@@ -384,8 +363,8 @@ mod tests {
             false,
             Ns::ZERO,
         );
-        inst.total_nvm_loads = 9;
-        inst.samples_applied = 4;
+        inst.counters.total_nvm_loads = 9;
+        inst.counters.samples_applied = 4;
         inst.lifecycle = Lifecycle::Retired;
         p.slots[1].tracker.remove_region(RegionId(7));
         p.recycle(TenantId(1));
@@ -402,7 +381,7 @@ mod tests {
         // A slot that held an occupant, recycled and claimed again,
         // equals a tracker built from scratch; both then behave alike.
         let cfg = TrackerConfig::default();
-        let mut pooled = SlotPool::new(cfg.clone(), 1, false);
+        let mut pooled = SlotPool::new(cfg, 1, false);
         pooled.set_slot_pages(32);
         pooled.claim(TenantId(0), 1);
         pooled.slots[0].tracker.add_region(RegionId(1), 32);

@@ -189,7 +189,7 @@ impl HeMem {
     fn build(cfg: HeMemConfig, slots: usize, start: ArbiterStart) -> HeMem {
         let live = !matches!(start, ArbiterStart::Parked(_));
         HeMem {
-            pool: SlotPool::new(cfg.tracker.clone(), slots, live),
+            pool: SlotPool::new(cfg.tracker, slots, live),
             cfg,
             arbiter: None,
             start,
@@ -333,7 +333,7 @@ impl HeMem {
             return 0;
         }
         let effective = arb.balloon(t, target_pages);
-        self.pool.slots[t.0 as usize].balloon = Some(BalloonDrain {
+        self.pool.slots[t.0 as usize].counters.balloon = Some(BalloonDrain {
             target_pages: effective,
             deadline,
         });
@@ -405,12 +405,12 @@ impl HeMem {
     /// the raw material of its miss ratio.
     pub fn tenant_loads(&self, t: TenantId) -> (u64, u64) {
         let ts = &self.pool.slots[t.0 as usize];
-        (ts.total_dram_loads, ts.total_nvm_loads)
+        (ts.counters.total_dram_loads, ts.counters.total_nvm_loads)
     }
 
     /// Samples applied to tenant `t`'s tracker.
     pub fn tenant_samples(&self, t: TenantId) -> u64 {
-        self.pool.slots[t.0 as usize].samples_applied
+        self.pool.slots[t.0 as usize].counters.samples_applied
     }
 
     /// Configuration in effect.
@@ -625,13 +625,13 @@ impl TieredBackend for HeMem {
                         + ts.tracker.queue_len(Queue::NvmHot))
                         as u64
                         * page_bytes,
-                    dram_loads: ts.window.dram_loads,
-                    nvm_loads: ts.window.nvm_loads,
+                    dram_loads: ts.counters.window.dram_loads,
+                    nvm_loads: ts.counters.window.nvm_loads,
                 })
                 .collect();
             if arb.maybe_realloc(now.0, &signals) {
                 for ts in &mut self.pool.slots {
-                    ts.window = TenantSignal::default();
+                    ts.counters.window = TenantSignal::default();
                 }
                 if multi {
                     m.trace.instant(
@@ -663,12 +663,12 @@ impl TieredBackend for HeMem {
                 if self.pool.slots[i].lifecycle != Lifecycle::Live {
                     continue;
                 }
-                if self.pool.slots[i].breaker_skip_ticks > 0 {
-                    self.pool.slots[i].breaker_skip_ticks -= 1;
+                if self.pool.slots[i].counters.breaker_skip_ticks > 0 {
+                    self.pool.slots[i].counters.breaker_skip_ticks -= 1;
                     continue;
                 }
                 let mut scope = self.scope_for(i, m);
-                if self.pool.slots[i].breaker_fails >= self.cfg.breaker_threshold {
+                if self.pool.slots[i].counters.breaker_fails >= self.cfg.breaker_threshold {
                     // Half-open probe: a one-page rate budget until a
                     // success closes the breaker.
                     scope.max_inflight_pages = 1;
@@ -764,18 +764,18 @@ impl TieredBackend for HeMem {
                 .find(|&t| t != Tier::Dram && m.tier_online(t))
                 .unwrap_or(Tier::Nvm);
             for i in 0..self.pool.slots.len() {
-                let Some(b) = self.pool.slots[i].balloon else {
+                let Some(b) = self.pool.slots[i].counters.balloon else {
                     continue;
                 };
                 if self.pool.slots[i].lifecycle != Lifecycle::Live {
-                    self.pool.slots[i].balloon = None;
+                    self.pool.slots[i].counters.balloon = None;
                     continue;
                 }
                 let t = self.pool.slots[i].id;
                 let claim = m.space.tenant_frames(t).dram_pages
                     + m.journal.prepared_into_for(t, Tier::Dram);
                 if claim <= b.target_pages {
-                    self.pool.slots[i].balloon = None;
+                    self.pool.slots[i].counters.balloon = None;
                     if let Some(arb) = &mut self.arbiter {
                         arb.unballoon(t);
                     }
@@ -860,7 +860,7 @@ impl TieredBackend for HeMem {
         let ts = &mut self.pool.slots[idx];
         ts.tracker.placed(page, dst);
         // A success closes the tenant's circuit breaker.
-        ts.breaker_fails = 0;
+        ts.counters.breaker_fails = 0;
     }
 
     fn migration_aborted(&mut self, m: &mut MachineCore, page: PageId, current: Tier) {
@@ -874,9 +874,11 @@ impl TieredBackend for HeMem {
         // the same doomed pages through the shared fault threads.
         if self.pool.slots.len() > 1 {
             let ts = &mut self.pool.slots[idx];
-            ts.breaker_fails += 1;
-            if ts.breaker_fails >= self.cfg.breaker_threshold && ts.breaker_skip_ticks == 0 {
-                ts.breaker_skip_ticks = BREAKER_BACKOFF_TICKS;
+            ts.counters.breaker_fails += 1;
+            if ts.counters.breaker_fails >= self.cfg.breaker_threshold
+                && ts.counters.breaker_skip_ticks == 0
+            {
+                ts.counters.breaker_skip_ticks = BREAKER_BACKOFF_TICKS;
                 self.stats.breaker_trips += 1;
             }
         }
@@ -915,10 +917,10 @@ impl TieredBackend for HeMem {
         // in-flight work back and calls `tenant_drained` once the DMA
         // engine has quiesced and its frames are reclaimed.
         ts.lifecycle = Lifecycle::Quarantined;
-        ts.window = TenantSignal::default();
-        ts.balloon = None;
-        ts.breaker_fails = 0;
-        ts.breaker_skip_ticks = 0;
+        ts.counters.window = TenantSignal::default();
+        ts.counters.balloon = None;
+        ts.counters.breaker_fails = 0;
+        ts.counters.breaker_skip_ticks = 0;
     }
 
     fn fleet_stats(&self) -> Option<FleetStats> {
@@ -1063,7 +1065,7 @@ impl TieredBackend for HeMem {
             // deadline machinery (not this check) polices the drain.
             let grace = 2 * arb.realloc_step_pages()
                 + arb.share_of(t, self.cfg.policy.max_inflight_pages).max(1);
-            if resident > quota + grace && ts.balloon.is_none() {
+            if resident > quota + grace && ts.counters.balloon.is_none() {
                 v.push(crate::audit::AuditViolation::QuotaExceeded {
                     tenant: t,
                     resident_pages: resident,

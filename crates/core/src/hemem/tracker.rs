@@ -22,7 +22,7 @@ use crate::audit::AuditViolation;
 
 /// Classification thresholds (paper defaults in §3.1, swept in Figures
 /// 11-12).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TrackerConfig {
     /// Sampled loads before a page is hot.
     pub hot_read_threshold: u32,
@@ -403,7 +403,7 @@ impl PageTracker {
             rv.note_sample(page.region, page.index, is_write);
         }
         self.maybe_cool(slot);
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let meta = &mut self.meta[slot as usize];
         if is_write {
             meta.writes = meta.writes.saturating_add(1);
@@ -504,7 +504,7 @@ impl PageTracker {
     pub fn mark_hot(&mut self, page: PageId, write_heavy: bool) {
         let Some(slot) = self.slot(page) else { return };
         self.stats.records += 1;
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let write_heavy = write_heavy && cfg.write_priority;
         let meta = &mut self.meta[slot as usize];
         meta.reads = meta.reads.max(cfg.hot_read_threshold);

@@ -194,7 +194,7 @@ proptest! {
                 regions: RegionConfig { enabled, max_span: 16, ..RegionConfig::default() },
                 ..TrackerConfig::default()
             };
-            let mut reset = PageTracker::new(cfg.clone());
+            let mut reset = PageTracker::new(cfg);
             add_placed(&mut reset, RegionId(0));
             add_placed(&mut reset, RegionId(1));
             for op in &history {

@@ -19,12 +19,23 @@
 //! admittable quota) are shed open-loop — counted, never queued — so
 //! occupancy feedback cannot leak timing into the schedule.
 //!
+//! The replay fingerprint folds every submitted batch as the record
+//! `"{idx}|{batch:?}"`, about 400 bytes, and a round submits over a
+//! million of them. An instance's batch text is fixed once it starts,
+//! and it differs from every other instance's only in the region id.
+//! So at start the driver cuts the `"|{batch:?}"` tail at the region's
+//! `Debug` text (`RegionId(n)`) and looks each piece up in a per-run
+//! table of [`FnvJump`]s. Each submit then folds the index digits and
+//! the region text byte by byte and each piece in O(1). The result is
+//! exactly the byte-by-byte hash of the record (see [`crate::fnv`]).
+//!
 //! The driver charges each spawn a simulated setup latency from
 //! [`hemem_core::spawn_cost_ns`] between admission and first touch.
 //! The charged cost is a modeled input: the backend always spawns by
 //! claim and reset, and `charge_pooled_cost = false` charges what a
 //! from-scratch rebuild would cost (`fleetbench`'s speedup gate).
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use hemem_core::backend::{AccessBatch, SegmentAccess};
@@ -35,7 +46,7 @@ use hemem_memdev::Pattern;
 use hemem_sim::{Histogram, Ns, Rng};
 use hemem_vmm::{RegionId, TenantId};
 
-use crate::fnv::{fnv1a, FnvWriter, FNV_OFFSET};
+use crate::fnv::{fnv1a, FnvJump, FnvWriter, FNV_OFFSET};
 
 /// A fleet scenario: the arrival process, the lifetime distribution,
 /// and the per-instance workload shape.
@@ -176,10 +187,70 @@ struct Instance {
     ops: u64,
 }
 
-/// A batch with the `"|{batch:?}"` tail of its stream-hash record.
+/// A batch with the `"|{batch:?}"` tail of its stream-hash record, cut
+/// into pieces at each occurrence of the region's `Debug` text. Every
+/// instance of a run has the same batch shape up to its region id, so
+/// the pieces repeat across instances, and each piece is folded by one
+/// [`FnvJump`] from the run's [`PieceTable`]. Rejoining the pieces with
+/// the region text gives the tail back unchanged, so the fold is exact
+/// whether or not a piece repeats.
 struct CachedBatch {
     batch: AccessBatch,
-    repr: String,
+    /// The tail's pieces in order, as indexes into the [`PieceTable`].
+    pieces: Vec<u32>,
+    /// The region's `Debug` text (`RegionId(n)`), folded between
+    /// consecutive pieces.
+    region: String,
+}
+
+impl CachedBatch {
+    fn new(region: RegionId, batch: AccessBatch, table: &mut PieceTable) -> CachedBatch {
+        let region = format!("{region:?}");
+        let pieces = format!("|{batch:?}")
+            .split(region.as_str())
+            .map(|piece| table.intern(piece))
+            .collect();
+        CachedBatch {
+            batch,
+            pieces,
+            region,
+        }
+    }
+
+    /// Folds the record `format!("{idx}|{batch:?}")` into `hash`: the
+    /// index digits byte by byte, then each piece in O(1) with the
+    /// region text between pieces.
+    fn fold(&self, idx: usize, hash: &mut u64, table: &PieceTable) {
+        write!(FnvWriter(hash), "{idx}").expect("hashing cannot fail");
+        for (k, &piece) in self.pieces.iter().enumerate() {
+            if k > 0 {
+                fnv1a(hash, self.region.as_bytes());
+            }
+            *hash = table.jumps[piece as usize].apply(*hash);
+        }
+    }
+}
+
+/// The distinct piece texts of one run's batch records, each with the
+/// [`FnvJump`] that folds it. A jump is built only for a piece not seen
+/// before, so a run builds a handful however many instances it admits.
+#[derive(Default)]
+struct PieceTable {
+    index: HashMap<String, u32>,
+    jumps: Vec<FnvJump>,
+}
+
+impl PieceTable {
+    /// The handle of `piece`'s jump, built on first sight.
+    fn intern(&mut self, piece: &str) -> u32 {
+        if let Some(&handle) = self.index.get(piece) {
+            return handle;
+        }
+        let handle = self.jumps.len() as u32;
+        self.jumps.push(FnvJump::new(piece.as_bytes()));
+        self.index.insert(piece.to_owned(), handle);
+        handle
+    }
 }
 
 /// Generates the arrival schedule: exponential interarrivals at
@@ -280,6 +351,7 @@ pub fn run_fleet_with(
     }
 
     let mut instances: Vec<Instance> = Vec::new();
+    let mut piece_table = PieceTable::default();
     // Admission index currently running on each slot (drives thread
     // retirement: a round whose instance lost its slot retires).
     let mut occupant: Vec<Option<usize>> = vec![None; sim.backend.slot_pool().len()];
@@ -351,8 +423,8 @@ pub fn run_fleet_with(
                         };
                         let hot_pages = cfg.hot_set.div_ceil(page_bytes).min(total_pages);
                         let batch = batch_for(region, total_pages, hot_pages, cfg);
-                        let repr = format!("|{batch:?}");
-                        inst.batch = Some(Box::new(CachedBatch { batch, repr }));
+                        inst.batch =
+                            Some(Box::new(CachedBatch::new(region, batch, &mut piece_table)));
                         sim.schedule_thread(now, idx as u32);
                         live_threads += 1;
                         sim.set_app_threads(live_threads);
@@ -384,10 +456,9 @@ pub fn run_fleet_with(
                     sim.set_app_threads(live_threads.max(1));
                     continue;
                 }
-                // Byte-for-byte the hash of `format!("{idx}|{batch:?}")`.
+                // Exactly the hash of `format!("{idx}|{batch:?}")`.
                 let cached = inst.batch.as_deref().expect("thread runs after start");
-                write!(FnvWriter(&mut fingerprint), "{idx}").expect("hashing cannot fail");
-                fnv1a(&mut fingerprint, cached.repr.as_bytes());
+                cached.fold(idx, &mut fingerprint, &piece_table);
                 sim.submit_batch(tid, &cached.batch);
                 inst.ops += cfg.batch_ops;
             }
@@ -497,6 +568,43 @@ mod tests {
             r.fingerprint
         );
         assert_eq!((r.admitted, r.total_ops), (23, 55_455_000));
+    }
+
+    /// Folding a cached batch's pieces equals hashing its record text,
+    /// for one-digit and five-digit region ids, for the two-segment
+    /// (hot set) and one-segment (`hot_set = 0`) shapes, and from
+    /// arbitrary prior states. Pieces repeat across region ids.
+    #[test]
+    fn piece_fold_equals_hashing_the_record_text() {
+        let hot = small_cfg();
+        let mut uniform = small_cfg();
+        uniform.hot_set = 0;
+        let mut table = PieceTable::default();
+        for (cfg, hot_pages, want_pieces) in [(&hot, 4096, 3), (&uniform, 0, 2)] {
+            let mut built = None;
+            for (k, region) in [RegionId(1), RegionId(7), RegionId(12345), RegionId(987654)]
+                .into_iter()
+                .enumerate()
+            {
+                let cached =
+                    CachedBatch::new(region, batch_for(region, 16384, hot_pages, cfg), &mut table);
+                assert_eq!(cached.pieces.len(), want_pieces, "{region:?}");
+                let built = *built.get_or_insert(table.jumps.len());
+                assert_eq!(table.jumps.len(), built, "{region:?} built a new piece");
+                for (idx, prior) in [
+                    (0, FNV_OFFSET),
+                    (9, 0),
+                    (4711 + k, u64::MAX),
+                    (1 << 40, 0x1234_5678_9abc_def0),
+                ] {
+                    let mut want = prior;
+                    fnv1a(&mut want, format!("{idx}|{:?}", cached.batch).as_bytes());
+                    let mut got = prior;
+                    cached.fold(idx, &mut got, &table);
+                    assert_eq!(got, want, "{region:?} idx {idx}");
+                }
+            }
+        }
     }
 
     #[test]
