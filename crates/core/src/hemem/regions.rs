@@ -17,6 +17,13 @@
 //! spans — policy-pass cost grows with the number of live spans, not the
 //! number of pages.
 //!
+//! Spans are stored in a slab with a page → slab-entry `owner` map, so
+//! every per-page event (a sample, a residency move, a pin) finds its
+//! span in two loads instead of an ordered-map search, and the period
+//! walks (decay, merge) run over the slab in place. Split rewrites the
+//! owner entries of its upper half, merge those of its right half; the
+//! auditor checks that every page's owner names the span covering it.
+//!
 //! The tracker is deliberately a pure bookkeeping layer: the
 //! [`PageTracker`](super::tracker::PageTracker) owns per-page metadata
 //! and queue linkage, drives split weighting from surviving per-page
@@ -181,16 +188,81 @@ const DRAM_ANY: usize = 2;
 /// [`FlagTree`] per [`INDEX_NAMES`] entry, keyed by span-head page index.
 /// Every flag equals [`RegionTracker::derive_flags`] at each span head
 /// and is clear everywhere else (audited as `RegionIndexMismatch`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Spans live in a slab of `(head, span)` entries in no particular
+/// order, and `owner` names the slab entry of the span covering each
+/// page, so a lookup by page is `slab[owner[i]]` and an address-order
+/// walk steps `owner` by span length. A split writes `owner` for its
+/// upper half; a merge writes it for its right half and frees that
+/// entry (zeroed, so `len == 0`) onto `free` for the next split to
+/// reuse. Equality is logical: the ordered spans, flags and counters,
+/// not slab positions or free-list order.
+#[derive(Debug, Clone)]
 struct RegionView {
     pages: u64,
-    spans: BTreeMap<u64, SpanView>,
+    slab: Vec<(u64, SpanView)>,
+    free: Vec<u32>,
+    owner: Vec<u32>,
     flags: [FlagTree; 3],
-    /// Incremental span accounting, cross-checked against the map by the
-    /// auditor (`SplitMergeLeak`).
+    /// Incremental span accounting, cross-checked against the address-
+    /// order walk by the auditor (`SplitMergeLeak`).
     live_spans: u64,
     /// Incremental page coverage, ditto.
     covered: u64,
+}
+
+impl PartialEq for RegionView {
+    fn eq(&self, o: &RegionView) -> bool {
+        self.pages == o.pages
+            && self.live_spans == o.live_spans
+            && self.covered == o.covered
+            && self.flags == o.flags
+            && self.ordered().eq(o.ordered())
+    }
+}
+
+impl Eq for RegionView {}
+
+impl RegionView {
+    /// Slab index of the span covering page `index`.
+    fn slot_of(&self, index: u64) -> Option<usize> {
+        self.owner.get(index as usize).map(|&k| k as usize)
+    }
+
+    /// Slab index of the span whose head is exactly `head`.
+    fn slot_at(&self, head: u64) -> Option<usize> {
+        self.slot_of(head).filter(|&k| self.slab[k].0 == head)
+    }
+
+    /// The spans in address order. The walk stops early at a page whose
+    /// owner entry is not a live span starting there — a broken tiling,
+    /// which the auditor reports as a coverage gap.
+    fn ordered(&self) -> impl Iterator<Item = (u64, SpanView)> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let &(head, s) = self.slab.get(self.slot_of(at)?)?;
+            (head == at && s.len > 0).then(|| {
+                at += s.len;
+                (head, s)
+            })
+        })
+    }
+
+    /// Stores a span in a free slab entry (or a new one) and points its
+    /// pages' owner entries at it.
+    fn insert(&mut self, head: u64, s: SpanView) {
+        let k = match self.free.pop() {
+            Some(k) => {
+                self.slab[k as usize] = (head, s);
+                k
+            }
+            None => {
+                self.slab.push((head, s));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.owner[head as usize..(head + s.len) as usize].fill(k);
+    }
 }
 
 /// The region layer: per-region span sets with deterministic
@@ -237,7 +309,9 @@ impl RegionTracker {
     pub fn add_region(&mut self, region: RegionId, pages: u64) {
         let mut view = RegionView {
             pages,
-            spans: BTreeMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            owner: vec![0; pages as usize],
             flags: std::array::from_fn(|_| FlagTree::new(pages as usize)),
             live_spans: 0,
             covered: 0,
@@ -258,7 +332,7 @@ impl RegionTracker {
                 len,
                 ..SpanView::default()
             };
-            view.spans.insert(at, span);
+            view.insert(at, span);
             view.live_spans += 1;
             view.covered += len;
             at += len;
@@ -282,15 +356,14 @@ impl RegionTracker {
     /// Span containing `index`: `(head, snapshot)`.
     pub fn span_of(&self, region: RegionId, index: u64) -> Option<(u64, SpanView)> {
         let view = self.views.get(&region)?;
-        let (&head, s) = view.spans.range(..=index).next_back()?;
-        (index < head + s.len).then_some((head, *s))
+        Some(view.slab[view.slot_of(index)?])
     }
 
     /// All spans of a region in address order, for audits and tests.
     pub fn spans(&self, region: RegionId) -> Vec<(u64, SpanView)> {
         self.views
             .get(&region)
-            .map(|v| v.spans.iter().map(|(&head, &s)| (head, s)).collect())
+            .map(|v| v.ordered().collect())
             .unwrap_or_default()
     }
 
@@ -298,7 +371,7 @@ impl RegionTracker {
     /// pages, pinned_total)`.
     pub fn accounting(&self, region: RegionId) -> Option<(u64, u64, u64, u64)> {
         let v = self.views.get(&region)?;
-        let pinned: u64 = v.spans.values().map(|s| s.pinned as u64).sum();
+        let pinned: u64 = v.slab.iter().map(|(_, s)| s.pinned as u64).sum();
         Some((v.live_spans, v.covered, v.pages, pinned))
     }
 
@@ -312,8 +385,8 @@ impl RegionTracker {
             return out;
         };
         let mut flagged = [0u64; 3];
-        for (&head, s) in &v.spans {
-            for (k, want) in Self::derive_flags(&self.cfg, s).into_iter().enumerate() {
+        for (head, s) in v.ordered() {
+            for (k, want) in Self::derive_flags(&self.cfg, &s).into_iter().enumerate() {
                 let got = v.flags[k].get(head as usize);
                 flagged[k] += got as u64;
                 if got != want {
@@ -323,11 +396,22 @@ impl RegionTracker {
         }
         for (k, t) in v.flags.iter().enumerate() {
             if t.count() != flagged[k] {
-                let stray = (0..v.pages).find(|&i| t.get(i as usize) && !v.spans.contains_key(&i));
+                let stray = (0..v.pages).find(|&i| t.get(i as usize) && v.slot_at(i).is_none());
                 out.push((stray.unwrap_or(v.pages), INDEX_NAMES[k]));
             }
         }
         out
+    }
+
+    /// The first page whose `owner` entry does not name the span
+    /// covering it (a split or merge that failed to rewrite it), for the
+    /// auditor's coverage check.
+    pub(crate) fn stray_owner(&self, region: RegionId) -> Option<u64> {
+        let v = self.views.get(&region)?;
+        v.ordered().find_map(|(head, s)| {
+            let k = v.owner[head as usize];
+            (head..head + s.len).find(|&i| v.owner[i as usize] != k)
+        })
     }
 
     /// The flag a span's state implies for each index, in
@@ -351,11 +435,12 @@ impl RegionTracker {
         let Some(view) = self.views.get_mut(&region) else {
             return;
         };
-        let Some((&head, s)) = view.spans.range_mut(..=index).next_back() else {
+        let Some(k) = view.slot_of(index) else {
             return;
         };
+        let (head, s) = &mut view.slab[k];
         s.temp = s.temp.saturating_add(if is_write { 2 } else { 1 });
-        Self::set_flags(&self.cfg, &mut view.flags, head, s);
+        Self::set_flags(&self.cfg, &mut view.flags, *head, s);
         self.stats.sample_ops += 1;
     }
 
@@ -375,9 +460,10 @@ impl RegionTracker {
         let Some(view) = self.views.get_mut(&region) else {
             return;
         };
-        let Some((&head, s)) = view.spans.range_mut(..=index).next_back() else {
+        let Some(k) = view.slot_of(index) else {
             return;
         };
+        let (head, s) = &mut view.slab[k];
         match old {
             Some(Tier::Dram) => s.dram = s.dram.saturating_sub(1),
             Some(Tier::Nvm) => s.nvm = s.nvm.saturating_sub(1),
@@ -388,7 +474,7 @@ impl RegionTracker {
             Some(Tier::Nvm) => s.nvm += 1,
             _ => {}
         }
-        Self::set_flags(&self.cfg, &mut view.flags, head, s);
+        Self::set_flags(&self.cfg, &mut view.flags, *head, s);
         self.stats.sample_ops += 1;
     }
 
@@ -396,8 +482,8 @@ impl RegionTracker {
     /// it); pinned spans neither split nor merge.
     pub fn pin(&mut self, region: RegionId, index: u64) {
         if let Some(view) = self.views.get_mut(&region) {
-            if let Some((_, s)) = view.spans.range_mut(..=index).next_back() {
-                s.pinned += 1;
+            if let Some(k) = view.slot_of(index) {
+                view.slab[k].1.pinned += 1;
             }
         }
     }
@@ -405,7 +491,8 @@ impl RegionTracker {
     /// Releases one pin on the span owning `index`.
     pub fn unpin(&mut self, region: RegionId, index: u64) {
         if let Some(view) = self.views.get_mut(&region) {
-            if let Some((_, s)) = view.spans.range_mut(..=index).next_back() {
+            if let Some(k) = view.slot_of(index) {
+                let s = &mut view.slab[k].1;
                 s.pinned = s.pinned.saturating_sub(1);
             }
         }
@@ -414,7 +501,7 @@ impl RegionTracker {
     /// Clears every pin in a region (journal rolled back on recovery).
     pub fn clear_pins(&mut self, region: RegionId) {
         if let Some(view) = self.views.get_mut(&region) {
-            for s in view.spans.values_mut() {
+            for (_, s) in &mut view.slab {
                 s.pinned = 0;
             }
         }
@@ -424,7 +511,8 @@ impl RegionTracker {
     /// per-page recount (crash recovery).
     pub fn reset_span(&mut self, region: RegionId, head: u64, dram: u64, nvm: u64) {
         if let Some(view) = self.views.get_mut(&region) {
-            if let Some(s) = view.spans.get_mut(&head) {
+            if let Some(k) = view.slot_at(head) {
+                let s = &mut view.slab[k].1;
                 s.dram = dram;
                 s.nvm = nvm;
                 s.pinned = 0;
@@ -439,19 +527,24 @@ impl RegionTracker {
     }
 
     /// Applies the per-period exponential decay to every span in one
-    /// in-place walk and returns the spans due to split this period (hot,
-    /// splittable, and unpinned) as `(region, head, len)` in address
-    /// order. Each span costs one step, and an index is written only
-    /// where the decay changed that span's flag; a span at temperature 0
-    /// cannot change and is one test. The whole point of merging cold
-    /// spans is keeping this walk short.
+    /// in-place slab walk and returns the spans due to split this period
+    /// (hot, splittable, and unpinned) as `(region, head, len)` in
+    /// address order: each region's few candidates are sorted by head.
+    /// Each span costs one step, and an index is written only where the
+    /// decay changed that span's flag; a span at temperature 0 cannot
+    /// change and is one test. The whole point of merging cold spans is
+    /// keeping this walk short.
     pub fn decay(&mut self) -> Vec<(RegionId, u64, u64)> {
         let cfg = self.cfg;
         self.stats.periods += 1;
         let mut split = Vec::new();
         for (&region, view) in &mut self.views {
-            self.stats.decay_ops += view.spans.len() as u64;
-            for (&head, s) in &mut view.spans {
+            self.stats.decay_ops += view.live_spans;
+            let first = split.len();
+            for &mut (head, ref mut s) in &mut view.slab {
+                if s.len == 0 {
+                    continue; // a free slab entry
+                }
                 if s.temp > 0 {
                     let before = Self::derive_flags(&cfg, s);
                     s.temp -= (s.temp >> cfg.decay_shift).max(1);
@@ -466,6 +559,7 @@ impl RegionTracker {
                     split.push((region, head, s.len));
                 }
             }
+            split[first..].sort_unstable_by_key(|&(_, head, _)| head);
         }
         split
     }
@@ -478,9 +572,10 @@ impl RegionTracker {
         let Some(view) = self.views.get_mut(&region) else {
             return;
         };
-        let Some(s) = view.spans.get_mut(&head) else {
+        let Some(k) = view.slot_at(head) else {
             return;
         };
+        let s = &mut view.slab[k].1;
         if s.len <= self.cfg.min_span || s.pinned != 0 {
             return;
         }
@@ -500,7 +595,7 @@ impl RegionTracker {
         *s = half_span(left_temp, left);
         Self::set_flags(&self.cfg, &mut view.flags, head, s);
         Self::set_flags(&self.cfg, &mut view.flags, head + half, &upper);
-        view.spans.insert(head + half, upper);
+        view.insert(head + half, upper);
         view.live_spans += 1;
         self.stats.spans += 1;
         self.stats.splits += 1;
@@ -509,33 +604,37 @@ impl RegionTracker {
     /// Merges adjacent cold buddy spans (both at or under the merge
     /// temperature, unpinned, buddy-aligned, combined span within
     /// `max_span`). One pass per period; chains collapse across periods.
+    ///
+    /// Only a left buddy (`head % 2len == 0`) starts a merge, checking
+    /// the span at `owner[head + len]`. A right buddy's head is `len`
+    /// past a `2len` boundary, so it never starts a merge of its own, and
+    /// no two pairs share a span: the pairs found do not depend on the
+    /// order the slab is walked in. They are applied in head order.
     pub fn merge_pass(&mut self) {
         let cfg = self.cfg;
+        let cold = |s: &SpanView| s.temp <= cfg.merge_temperature && s.pinned == 0;
         for view in self.views.values_mut() {
-            let mut merges: Vec<(u64, u64)> = Vec::new();
-            let mut spans = view.spans.iter().peekable();
-            while let Some((&h1, a)) = spans.next() {
-                let Some(&(&h2, b)) = spans.peek() else {
-                    break;
-                };
-                let mergeable = h2 == h1 + a.len
-                    && a.len == b.len
-                    && 2 * a.len <= cfg.max_span
-                    && h1 % (2 * a.len) == 0
-                    && a.temp <= cfg.merge_temperature
-                    && b.temp <= cfg.merge_temperature
-                    && a.pinned == 0
-                    && b.pinned == 0;
-                if mergeable {
-                    merges.push((h1, a.len));
-                    spans.next(); // the partner is consumed; merges chain next period
+            let mut merges: Vec<(u64, usize, usize)> = Vec::new();
+            for (k, (h, a)) in view.slab.iter().enumerate() {
+                if a.len == 0 || 2 * a.len > cfg.max_span || h % (2 * a.len) != 0 || !cold(a) {
+                    continue;
+                }
+                if let Some(j) = view.slot_at(h + a.len) {
+                    let b = &view.slab[j].1;
+                    if b.len == a.len && cold(b) {
+                        merges.push((*h, k, j));
+                    }
                 }
             }
-            for (h1, len) in merges {
-                let right = view.spans.remove(&(h1 + len)).unwrap();
+            merges.sort_unstable();
+            for (h1, k, j) in merges {
+                let (_, right) = std::mem::take(&mut view.slab[j]);
+                view.free.push(j as u32);
+                let len = right.len;
+                view.owner[(h1 + len) as usize..(h1 + 2 * len) as usize].fill(k as u32);
                 Self::set_flags(&cfg, &mut view.flags, h1 + len, &SpanView::default());
-                let s = view.spans.get_mut(&h1).unwrap();
-                s.len += right.len;
+                let s = &mut view.slab[k].1;
+                s.len += len;
                 s.temp = s.temp.saturating_add(right.temp);
                 s.dram += right.dram;
                 s.nvm += right.nvm;
@@ -588,7 +687,7 @@ impl RegionTracker {
             let lo = if region == from_region { from_page } else { 0 };
             self.stats.select_index_ops += 1;
             if let Some(head) = view.flags[index].first_set_in(lo as usize) {
-                let len = view.spans[&(head as u64)].len;
+                let len = view.slab[view.owner[head] as usize].1.len;
                 return Some((region, head as u64, len));
             }
         }
@@ -766,6 +865,23 @@ mod tests {
         view.flags[DEMO].set(4, false); // a head missing its flag
         view.flags[PROMO].set(6, true); // a flag off every head
         assert_eq!(rt.index_mismatches(rid()), vec![(4, "demo"), (6, "promo")]);
+    }
+
+    #[test]
+    fn owner_audit_reports_a_page_naming_the_wrong_span() {
+        let mut cfg = RegionConfig::multi_grain();
+        cfg.max_span = 4;
+        let mut rt = RegionTracker::new(cfg);
+        rt.add_region(rid(), 8);
+        rt.apply_split(rid(), 4, SplitHalf::default(), SplitHalf::default());
+        rt.merge_pass();
+        assert_eq!(rt.spans(rid()).len(), 2, "the cold halves reunited");
+        assert_eq!(rt.stray_owner(rid()), None);
+        // A merge that skipped rewriting its right half's owner entries
+        // would leave page 6 naming the freed slab entry.
+        let view = rt.views.get_mut(&rid()).unwrap();
+        view.owner[6] = view.free[0];
+        assert_eq!(rt.stray_owner(rid()), Some(6));
     }
 
     /// The reference the incremental tracker must match: the same span
@@ -1025,9 +1141,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The one-walk period, the in-hand flag writes and the peeking
-        /// merge scan match the naive model op for op: spans, counters,
-        /// split candidates, and all three indexes at every page.
+        /// The one-walk period, the in-hand flag writes and the buddy-
+        /// pairing merge scan match the naive model op for op: spans,
+        /// counters, split candidates, all three indexes and the span
+        /// lookup (`owner`) at every page.
         #[test]
         fn incremental_tracker_matches_the_naive_model(
             cfg in 0usize..6,
@@ -1055,7 +1172,10 @@ mod tests {
                     for i in 0..*pages {
                         let got = view.flags.each_ref().map(|t| t.get(i as usize));
                         prop_assert_eq!(got, m.expected_flags(spans, i), "flags at {} after {:?}", i, op);
+                        let covering = spans.range(..=i).next_back().map(|(&h, &s)| (h, s));
+                        prop_assert_eq!(rt.span_of(region, i), covering, "span_of({}) after {:?}", i, op);
                     }
+                    prop_assert_eq!(rt.stray_owner(region), None);
                     prop_assert_eq!(rt.index_mismatches(region), vec![]);
                 }
             }
