@@ -4,6 +4,7 @@
 //! conservation in each pool, agreement between the address space and
 //! the pools (every allocated frame is referenced exactly once, by a
 //! mapping or by an in-flight journal entry), no double-mapped frames,
+//! residency indices that agree with the page states they summarise,
 //! and journal quiescence when the machine is idle. Violations are typed
 //! values, not panics, so a long chaos or recovery run can count them in
 //! telemetry and fail at the end with evidence.
@@ -14,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use hemem_vmm::{PageState, PhysPage, RegionKind, TenantId, Tier};
+use hemem_vmm::{PageState, PhysPage, Region, RegionKind, TenantId, Tier};
 
 use crate::journal::TxnState;
 use crate::machine::MachineCore;
@@ -262,6 +263,20 @@ pub enum AuditViolation {
         /// The slot's current generation.
         current_generation: u32,
     },
+    /// A region's residency index for `tier` holds a different number of
+    /// pages than a walk of the region's page states finds there: the
+    /// index missed a residency change, so sampled pages are drawn from
+    /// the wrong set.
+    ResidencyIndexMismatch {
+        /// The region whose index disagrees.
+        region: hemem_vmm::RegionId,
+        /// The tier being counted.
+        tier: Tier,
+        /// Pages the tier's index holds.
+        indexed: u64,
+        /// Pages the walk maps on the tier.
+        walked: u64,
+    },
     /// A parked (free-list) slot still carries occupant state — tracker
     /// pages, load counters, balloon, or PEBS stream history — that
     /// would bleed into the slot's next generation (reported through
@@ -377,6 +392,15 @@ impl std::fmt::Display for AuditViolation {
                 f,
                 "{region:?} of {tenant} maps generation {region_generation} but the slot is at {current_generation}"
             ),
+            AuditViolation::ResidencyIndexMismatch {
+                region,
+                tier,
+                indexed,
+                walked,
+            } => write!(
+                f,
+                "{region:?} {tier:?} index holds {indexed} pages but its page states map {walked}"
+            ),
             AuditViolation::SlotGenerationLeak { tenant, generation } => write!(
                 f,
                 "parked slot {tenant} still carries generation-{generation} occupant state"
@@ -431,6 +455,29 @@ impl std::fmt::Display for AuditViolation {
 
 impl std::error::Error for AuditViolation {}
 
+/// Compares `region`'s per-tier residency index totals with `walked`,
+/// the pages a walk of its page states found on each tier (by
+/// [`Tier::rank`]).
+fn residency_index_mismatches(
+    region: &Region,
+    walked: [u64; Tier::ALL.len()],
+) -> impl Iterator<Item = AuditViolation> + '_ {
+    Tier::ALL.into_iter().filter_map(move |tier| {
+        let indexed = match tier {
+            Tier::Dram => region.dram_pages(),
+            Tier::Nvm => region.nvm_pages(),
+            Tier::Ssd => region.ssd_pages(),
+        };
+        let walked = walked[tier.rank()];
+        (indexed != walked).then_some(AuditViolation::ResidencyIndexMismatch {
+            region: region.id(),
+            tier,
+            indexed,
+            walked,
+        })
+    })
+}
+
 /// Audits the machine's structural invariants; returns every violation
 /// found (empty = clean). With `expect_quiescent`, outstanding journal
 /// entries are also violations.
@@ -472,6 +519,7 @@ pub fn audit_machine(m: &MachineCore, expect_quiescent: bool) -> Vec<AuditViolat
     let mut stale_shadows: Vec<(hemem_vmm::PageId, Option<Tier>)> = Vec::new();
     let mut shadow_mapped = 0u64;
     let mut stale_slots: Vec<AuditViolation> = Vec::new();
+    let mut index_mismatches: Vec<AuditViolation> = Vec::new();
     for region in m.space.regions() {
         if region.kind() != RegionKind::ManagedHeap {
             continue;
@@ -488,12 +536,15 @@ pub fn audit_machine(m: &MachineCore, expect_quiescent: bool) -> Vec<AuditViolat
                 current_generation: current,
             });
         }
+        let mut walked = [0u64; Tier::ALL.len()];
         for i in 0..region.page_count() {
             if let PageState::Mapped { tier, phys, .. } = region.state(i) {
                 *refs.entry((tier, phys)).or_insert(0) += 1;
                 note_owner((tier, phys), region.tenant());
+                walked[tier.rank()] += 1;
             }
         }
+        index_mismatches.extend(residency_index_mismatches(region, walked));
         // Shadow frames are the third reference class (alongside
         // mappings and in-flight destinations); a shadow's primary must
         // be DRAM-resident or the shadow is stale.
@@ -520,6 +571,7 @@ pub fn audit_machine(m: &MachineCore, expect_quiescent: bool) -> Vec<AuditViolat
         v.push(AuditViolation::StaleShadowMapped { page, primary });
     }
     v.extend(stale_slots);
+    v.extend(index_mismatches);
     let pool_held = m.pool(Tier::Nvm).shadow_held_pages();
     if pool_held != shadow_mapped {
         v.push(AuditViolation::ShadowFrameLeak {
@@ -642,6 +694,32 @@ mod tests {
     fn clean_machine_audits_clean() {
         let mut m = machine();
         map_one(&mut m);
+        assert_eq!(audit_machine(&m, true), Vec::new());
+    }
+
+    #[test]
+    fn residency_index_disagreeing_with_the_walk_is_flagged() {
+        let mut m = machine();
+        let (id, _) = map_one(&mut m);
+        let nvm = m.pool_mut(Tier::Nvm).alloc().expect("frame");
+        m.space.region_mut(id).map_page(1, Tier::Nvm, nvm);
+        let region = m.space.region(id);
+        assert_eq!(
+            residency_index_mismatches(region, [1, 1, 0]).count(),
+            0,
+            "the true walk agrees with the index"
+        );
+        // A walk that finds one more NVM page than the index holds, as
+        // if a remap onto NVM had skipped the index update.
+        let v: Vec<AuditViolation> = residency_index_mismatches(region, [1, 2, 0]).collect();
+        let want = AuditViolation::ResidencyIndexMismatch {
+            region: id,
+            tier: Tier::Nvm,
+            indexed: 1,
+            walked: 2,
+        };
+        assert_eq!(v, vec![want]);
+        assert!(want.to_string().contains("Nvm index holds 1 pages"));
         assert_eq!(audit_machine(&m, true), Vec::new());
     }
 

@@ -14,7 +14,8 @@ use hemem_memdev::{MemOp, Pattern};
 use hemem_pebs::{SampleRecord, SampleType};
 use hemem_sim::{EventQueue, LatencyClass, Ns};
 use hemem_vmm::{
-    FaultKind, FaultThread, PageClass, PageId, PageSize, PhysPage, RegionId, RegionKind, Tier,
+    FaultKind, FaultThread, PageClass, PageId, PageSize, PhysPage, Region, RegionId, RegionKind,
+    Tier,
 };
 
 use crate::audit::{audit_machine, AuditViolation};
@@ -91,13 +92,61 @@ pub struct BatchReceipt {
 
 /// One segment's sampleable pages, read once per [`Sim::fire_pebs`]: the
 /// DRAM and NVM pages in `[lo, hi)`, and each class's rank below `lo`, so
-/// a record's page is one select.
+/// a record's page is one select, or no select at all when the class
+/// fills the segment.
 #[derive(Debug, Clone, Copy)]
 struct Residency {
+    lo: u64,
+    /// The segment's pages inside the region (`hi` may run past its end).
+    pages: u64,
     dram: u64,
     nvm: u64,
     dram_below: u64,
     nvm_below: u64,
+}
+
+impl Residency {
+    /// Reads segment `[lo, hi)` of `region`.
+    fn of(region: &Region, lo: u64, hi: u64) -> Residency {
+        let dram_below = region.rank(PageClass::Dram, lo);
+        let nvm_below = region.rank(PageClass::Nvm, lo);
+        Residency {
+            lo,
+            pages: hi.min(region.page_count()).saturating_sub(lo),
+            dram: region.rank(PageClass::Dram, hi) - dram_below,
+            nvm: region.rank(PageClass::Nvm, hi) - nvm_below,
+            dram_below,
+            nvm_below,
+        }
+    }
+
+    /// The `k`-th (0-based) page of `class` (DRAM or NVM) in the
+    /// segment, `k` below the class's count. A class that fills the
+    /// segment holds every page, so its `k`-th page is `lo + k`; a mixed
+    /// segment selects the class's `(rank below lo + k)`-th page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region's index has no such page, which means the
+    /// index disagrees with the counts read in [`Residency::of`].
+    fn kth(&self, region: &Region, class: PageClass, k: u64) -> u64 {
+        let (count, below) = match class {
+            PageClass::Dram => (self.dram, self.dram_below),
+            PageClass::Nvm => (self.nvm, self.nvm_below),
+            PageClass::Ssd | PageClass::Unmapped => unreachable!("{class:?} pages are not sampled"),
+        };
+        if count == self.pages {
+            return self.lo + k;
+        }
+        region.select(class, below + k).unwrap_or_else(|| {
+            panic!(
+                "{:?} has no {class:?} page of rank {}: the segment at page {} counts {count}",
+                region.id(),
+                below + k,
+                self.lo,
+            )
+        })
+    }
 }
 
 /// The simulation: machine + backend + event queue.
@@ -1966,16 +2015,7 @@ impl<B: TieredBackend> Sim<B> {
                 continue;
             }
             let counts = *counts.get_or_insert_with(|| {
-                let region = self.m.space.region(seg.region);
-                let (lo, hi) = (seg.lo_page, seg.hi_page);
-                let dram_below = region.rank(PageClass::Dram, lo);
-                let nvm_below = region.rank(PageClass::Nvm, lo);
-                Residency {
-                    dram: region.rank(PageClass::Dram, hi) - dram_below,
-                    nvm: region.rank(PageClass::Nvm, hi) - nvm_below,
-                    dram_below,
-                    nvm_below,
-                }
+                Residency::of(self.m.space.region(seg.region), seg.lo_page, seg.hi_page)
             });
             // The records are produced across the batch's whole service
             // window. What fits in the buffer right now is queued for the
@@ -2005,8 +2045,8 @@ impl<B: TieredBackend> Sim<B> {
     }
 
     /// Picks a concrete virtual address within `seg` whose page residency
-    /// matches the sample type: one select for the class's
-    /// `(rank below lo + k)`-th page.
+    /// matches the sample type: the segment's `k`-th page of the class
+    /// ([`Residency::kth`]), then a byte offset within it.
     fn draw_sample_addr(
         &mut self,
         seg: &crate::backend::SegmentAccess,
@@ -2015,18 +2055,18 @@ impl<B: TieredBackend> Sim<B> {
     ) -> Option<u64> {
         // SSD-resident pages never appear in PEBS records: their accesses
         // trap as major faults before any load/store can retire.
-        let (class, rank) = match ty {
+        let (class, k) = match ty {
             SampleType::NvmLoad => {
                 if r.nvm == 0 {
                     return None;
                 }
-                (PageClass::Nvm, r.nvm_below + self.m.rng.gen_range(r.nvm))
+                (PageClass::Nvm, self.m.rng.gen_range(r.nvm))
             }
             SampleType::DramLoad => {
                 if r.dram == 0 {
                     return None;
                 }
-                (PageClass::Dram, r.dram_below + self.m.rng.gen_range(r.dram))
+                (PageClass::Dram, self.m.rng.gen_range(r.dram))
             }
             SampleType::Store => {
                 let sampleable = r.dram + r.nvm;
@@ -2036,14 +2076,14 @@ impl<B: TieredBackend> Sim<B> {
                 // Any byte-addressable mapped page, picked proportionally.
                 let k = self.m.rng.gen_range(sampleable);
                 if k < r.dram {
-                    (PageClass::Dram, r.dram_below + k)
+                    (PageClass::Dram, k)
                 } else {
-                    (PageClass::Nvm, r.nvm_below + k - r.dram)
+                    (PageClass::Nvm, k - r.dram)
                 }
             }
         };
         let region = self.m.space.region(seg.region);
-        let idx = region.select(class, rank)?;
+        let idx = r.kth(region, class, k);
         debug_assert!((seg.lo_page..seg.hi_page).contains(&idx));
         let base = region.page_addr(idx).0;
         let off = self.m.rng.gen_range(region.page_size().bytes());
@@ -2057,6 +2097,61 @@ mod tests {
     use crate::backend::{TickOutput, TieredBackend};
     use crate::machine::MachineConfig;
     use hemem_memdev::GIB;
+
+    /// [`Residency::kth`] picks the page `kth_page_in` picks, both where a
+    /// class fills the segment (the shortcut) and where it does not, on
+    /// segments that run past the region's end.
+    #[test]
+    fn residency_kth_matches_kth_page_in() {
+        let mut space = hemem_vmm::AddressSpace::new();
+        let id = space.mmap(96 << 12, PageSize::Base4K, RegionKind::ManagedHeap);
+        let r = space.region_mut(id);
+        // DRAM below 30, NVM across the word boundary at 64, all four
+        // states interleaved in [70, 90), NVM to the end.
+        for i in 0..96 {
+            let tier = match (i, i % 4) {
+                (0..30, _) => Some(Tier::Dram),
+                (30..70, _) | (90.., _) | (_, 1) => Some(Tier::Nvm),
+                (_, 0) => Some(Tier::Dram),
+                (_, 2) => Some(Tier::Ssd),
+                _ => None,
+            };
+            if let Some(tier) = tier {
+                r.map_page(i, tier, PhysPage(i));
+            }
+        }
+        let r = space.region(id);
+        let cases = [
+            (0, 30, Some(PageClass::Dram)),
+            (5, 20, Some(PageClass::Dram)),
+            (30, 70, Some(PageClass::Nvm)),
+            (40, 66, Some(PageClass::Nvm)),
+            (90, 200, Some(PageClass::Nvm)),
+            (20, 40, None),
+            (29, 35, None),
+            (70, 90, None),
+            (85, 300, None),
+            (100, 120, None),
+        ];
+        for (lo, hi, fills) in cases {
+            let res = Residency::of(r, lo, hi);
+            for (class, count) in [(PageClass::Dram, res.dram), (PageClass::Nvm, res.nvm)] {
+                assert_eq!(
+                    count == res.pages && count > 0,
+                    fills == Some(class),
+                    "[{lo}, {hi}) {class:?}"
+                );
+                for k in 0..count {
+                    assert_eq!(
+                        Some(res.kth(r, class, k)),
+                        r.kth_page_in(class, lo, hi, k),
+                        "[{lo}, {hi}) {class:?} k={k}"
+                    );
+                }
+                assert_eq!(r.kth_page_in(class, lo, hi, count), None);
+            }
+        }
+    }
 
     /// Minimal backend: everything managed, placed DRAM-first, no
     /// background work, optional scripted migrations and reclaim victims.

@@ -191,10 +191,7 @@ impl RowKind for TierRows {
     type Key = RegionId;
     const COLUMNS: &'static [Column<MachineCore, RegionId>] = columns![
         "dram_pages" => |m, r| m.space.region(r).dram_pages(),
-        "nvm_pages" => |m, r| {
-            let r = m.space.region(r);
-            r.mapped_pages() - r.dram_pages() - r.ssd_pages()
-        },
+        "nvm_pages" => |m, r| m.space.region(r).nvm_pages(),
         "ssd_pages" => |m, r| m.space.region(r).ssd_pages(),
         // Pinned 0 like `RegionRows`' column of the same name.
         "swapped_pages" => |_, _| 0,

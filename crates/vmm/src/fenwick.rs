@@ -11,10 +11,9 @@
 //! pages (16 KiB for 262,144 pages), so a descent stays in cache, and
 //! its unused slot 0 holds the total, so whole-index counts are one load.
 //! The descent reads the index only through a node function and a word
-//! function, so a residency class with no index of its own (NVM is
-//! mapped & !DRAM & !SSD per word and mapped − DRAM − SSD per node;
-//! unmapped is !mapped per word and the node's span − mapped per node)
-//! is selected by combining other indices.
+//! function, so the unmapped class, which has no index of its own, is
+//! selected from the mapped index: !mapped per word and the node's
+//! span − mapped per node.
 
 /// Pages per bitmap word.
 pub(crate) const WORD: usize = 64;
@@ -90,7 +89,7 @@ impl FlagTree {
     }
 
     /// Word `w`'s set flags.
-    pub(crate) fn word(&self, w: usize) -> u64 {
+    fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
 

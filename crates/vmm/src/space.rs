@@ -87,7 +87,7 @@ pub enum PageState {
 pub enum PageClass {
     /// Mapped on DRAM.
     Dram,
-    /// Mapped on NVM (mapped, on neither the DRAM nor the SSD index).
+    /// Mapped on NVM.
     Nvm,
     /// Mapped on the SSD swap tier.
     Ssd,
@@ -110,8 +110,7 @@ pub struct Region {
     generation: u32,
     states: Vec<PageState>,
     dram_idx: FlagTree,
-    /// SSD-resident pages; NVM residency is derived as
-    /// `mapped - dram - ssd` so two indices cover three tiers.
+    nvm_idx: FlagTree,
     ssd_idx: FlagTree,
     mapped_idx: FlagTree,
     wp_idx: FlagTree,
@@ -144,6 +143,7 @@ impl Region {
             generation,
             states: vec![PageState::Unmapped; pages],
             dram_idx: FlagTree::new(pages),
+            nvm_idx: FlagTree::new(pages),
             ssd_idx: FlagTree::new(pages),
             mapped_idx: FlagTree::new(pages),
             wp_idx: FlagTree::new(pages),
@@ -199,6 +199,11 @@ impl Region {
         self.dram_idx.count()
     }
 
+    /// Pages currently resident on NVM.
+    pub fn nvm_pages(&self) -> u64 {
+        self.nvm_idx.count()
+    }
+
     /// Pages currently resident on the SSD swap tier.
     pub fn ssd_pages(&self) -> u64 {
         self.ssd_idx.count()
@@ -245,12 +250,29 @@ impl Region {
         self.shadows.pop_first()
     }
 
-    /// Updates the per-tier residency indices for page `i`, now resident
-    /// on `tier` (`None` = not resident on any tier). NVM keeps no index
-    /// of its own: it is the mapped remainder.
-    fn set_residency(&mut self, i: usize, tier: Option<Tier>) {
-        self.dram_idx.set(i, tier == Some(Tier::Dram));
-        self.ssd_idx.set(i, tier == Some(Tier::Ssd));
+    /// The residency index of `tier`.
+    fn tier_idx(&mut self, tier: Tier) -> &mut FlagTree {
+        match tier {
+            Tier::Dram => &mut self.dram_idx,
+            Tier::Nvm => &mut self.nvm_idx,
+            Tier::Ssd => &mut self.ssd_idx,
+        }
+    }
+
+    /// Moves page `i` between the per-tier residency indices, from `from`
+    /// to `to` (`None` = not resident on any tier). A page sits in at
+    /// most one index, so a move clears one flag and sets another, and a
+    /// first touch writes one index.
+    fn set_residency(&mut self, i: usize, from: Option<Tier>, to: Option<Tier>) {
+        if from == to {
+            return;
+        }
+        if let Some(t) = from {
+            self.tier_idx(t).set(i, false);
+        }
+        if let Some(t) = to {
+            self.tier_idx(t).set(i, true);
+        }
     }
 
     /// Pages currently write-protected.
@@ -304,7 +326,7 @@ impl Region {
                     wp: false,
                 };
                 self.mapped_idx.set(i, true);
-                self.set_residency(i, Some(tier));
+                self.set_residency(i, None, Some(tier));
                 Ok(())
             }
             PageState::Mapped { .. } => Err(StateError::AlreadyMapped { index }),
@@ -331,7 +353,7 @@ impl Region {
                 }
                 self.states[i] = PageState::Unmapped;
                 self.mapped_idx.set(i, false);
-                self.set_residency(i, None);
+                self.set_residency(i, Some(tier), None);
                 Ok((tier, phys))
             }
             state => Err(StateError::BadTransition {
@@ -368,7 +390,7 @@ impl Region {
                 wp,
             } => {
                 self.states[i] = PageState::Mapped { tier, phys, wp };
-                self.set_residency(i, Some(tier));
+                self.set_residency(i, Some(old_tier), Some(tier));
                 Ok((old_tier, old_phys))
             }
             state => Err(StateError::BadTransition {
@@ -416,39 +438,29 @@ impl Region {
     }
 
     /// Pages of `class` among `[0, lo)`; `lo` clamps to the page count.
-    /// NVM and unmapped ranks are differences of the DRAM, SSD and mapped
-    /// indices' ranks.
+    /// The unmapped rank is the complement of the mapped index's rank.
     pub fn rank(&self, class: PageClass, lo: u64) -> u64 {
         let lo = (lo as usize).min(self.states.len());
         match class {
             PageClass::Dram => self.dram_idx.rank(lo),
+            PageClass::Nvm => self.nvm_idx.rank(lo),
             PageClass::Ssd => self.ssd_idx.rank(lo),
-            PageClass::Nvm => {
-                self.mapped_idx.rank(lo) - self.dram_idx.rank(lo) - self.ssd_idx.rank(lo)
-            }
             PageClass::Unmapped => lo as u64 - self.mapped_idx.rank(lo),
         }
     }
 
     /// Index of the `r`-th (0-based) page of `class` in the region, or
-    /// `None` if at most `r` exist. One descent over the word index: NVM
-    /// reads mapped & !DRAM & !SSD per word and mapped − DRAM − SSD per
-    /// node, unmapped reads !mapped per word and the node's span − mapped
-    /// per node.
+    /// `None` if at most `r` exist. One descent over the word index: each
+    /// tier reads its own index, unmapped reads !mapped per word and the
+    /// node's span − mapped per node.
     pub fn select(&self, class: PageClass, r: u64) -> Option<u64> {
-        let (dram, ssd, mapped) = (&self.dram_idx, &self.ssd_idx, &self.mapped_idx);
-        let len = self.states.len();
+        let mapped = &self.mapped_idx;
         let p = match class {
-            PageClass::Dram => dram.select(r),
-            PageClass::Ssd => ssd.select(r),
-            PageClass::Nvm => select_by(
-                len,
-                r,
-                |i| mapped.node(i) - dram.node(i) - ssd.node(i),
-                |w| mapped.word(w) & !dram.word(w) & !ssd.word(w),
-            ),
+            PageClass::Dram => self.dram_idx.select(r),
+            PageClass::Nvm => self.nvm_idx.select(r),
+            PageClass::Ssd => self.ssd_idx.select(r),
             PageClass::Unmapped => select_by(
-                len,
+                self.states.len(),
                 r,
                 |i| (lowbit(i) * WORD) as u64 - mapped.node(i),
                 |w| mapped.clear_word(w),
@@ -521,7 +533,7 @@ impl Region {
                 PageState::Unmapped => {}
                 PageState::Mapped { tier, wp, .. } => {
                     r.mapped_idx.set(i, true);
-                    r.set_residency(i, Some(tier));
+                    r.set_residency(i, None, Some(tier));
                     if wp {
                         r.wp_idx.set(i, true);
                         r.wp_pages += 1;
@@ -754,11 +766,9 @@ impl AddressSpace {
             if r.tenant() != tenant || r.kind() != RegionKind::ManagedHeap {
                 continue;
             }
-            let dram = r.dram_pages();
-            let ssd = r.ssd_pages();
-            f.dram_pages += dram;
-            f.nvm_pages += r.mapped_pages() - dram - ssd;
-            f.ssd_pages += ssd;
+            f.dram_pages += r.dram_pages();
+            f.nvm_pages += r.nvm_pages();
+            f.ssd_pages += r.ssd_pages();
             f.wp_pages += r.wp_pages();
         }
         f

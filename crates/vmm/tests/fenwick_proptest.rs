@@ -8,14 +8,16 @@
 //! 64) and the last, partial word, where the bitmap and the Fenwick tree
 //! over its words meet.
 //!
-//! Two more properties drive a [`Region`] through random page-state
+//! Three more properties drive a [`Region`] through random page-state
 //! transitions. One checks `kth_page_in` for all four [`PageClass`]es
-//! against a naive filter: NVM selects over mapped & !DRAM & !SSD per word
-//! and mapped − DRAM − SSD per node, unmapped over !mapped per word and
-//! the node span − mapped per node. The other checks the split the PEBS
-//! path uses, a rank hoisted per segment and then one select per record:
-//! `select(c, rank(c, lo) + k) == kth_page_in(c, lo, hi, k)` for every
-//! `k` below the class's count in `[lo, hi)`.
+//! against a naive filter: each tier selects over its own index,
+//! unmapped over !mapped per word and the node span − mapped per node.
+//! One checks the split the PEBS path uses, a rank hoisted per segment
+//! and then one select per record: `select(c, rank(c, lo) + k) ==
+//! kth_page_in(c, lo, hi, k)` for every `k` below the class's count in
+//! `[lo, hi)`. The last interleaves map, remap and unmap across the three
+//! tiers with snapshot/restore round trips, and checks the NVM index's
+//! count, rank and select against a per-page model after every step.
 
 use proptest::prelude::*;
 
@@ -297,5 +299,95 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum SpaceOp {
+    /// Move a run of pages to a state (0 = unmapped, else the tier as in
+    /// [`tier_of`]) through map, remap or unmap.
+    Write { at: Pick, run: usize, state: u8 },
+    /// Replace the space with a restore of its own snapshot, so the
+    /// indices are rebuilt from the page states.
+    RoundTrip,
+    /// Compare the NVM rank below `lo` and the `k`-th NVM page (`k` may
+    /// pass the count, which must yield `None`).
+    Query { lo: Pick, k: Pick },
+}
+
+fn space_op() -> impl Strategy<Value = SpaceOp> {
+    prop_oneof![
+        (pick(), Just(1usize), 0u8..4).prop_map(|(at, run, state)| SpaceOp::Write {
+            at,
+            run,
+            state
+        }),
+        (pick(), Just(1usize), 0u8..4).prop_map(|(at, run, state)| SpaceOp::Write {
+            at,
+            run,
+            state
+        }),
+        (pick(), 1usize..300, 0u8..4).prop_map(|(at, run, state)| SpaceOp::Write {
+            at,
+            run,
+            state
+        }),
+        Just(SpaceOp::RoundTrip),
+        (pick(), pick()).prop_map(|(lo, k)| SpaceOp::Query { lo, k }),
+        (pick(), pick()).prop_map(|(lo, k)| SpaceOp::Query { lo, k }),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn nvm_index_matches_model_across_restores(
+        len in length(),
+        ops in prop::collection::vec(space_op(), 1..200),
+    ) {
+        let mut space = AddressSpace::new();
+        let id = space.mmap((len as u64) << 12, PageSize::Base4K, RegionKind::ManagedHeap);
+        let mut model = vec![0u8; len];
+        for op in ops {
+            match op {
+                SpaceOp::Write { at, run, state } => {
+                    let lo = at.within(len);
+                    let hi = (lo + run).min(len);
+                    let r = space.region_mut(id);
+                    for (i, s) in model[lo..hi].iter_mut().enumerate() {
+                        set_state(r, (lo + i) as u64, state);
+                        *s = state;
+                    }
+                }
+                SpaceOp::RoundTrip => space = AddressSpace::restore(space.snapshot()),
+                SpaceOp::Query { lo, k } => {
+                    let r = space.region(id);
+                    let lo = lo.within(len + 2);
+                    let k = k.within(len + 2);
+                    let below = model[..lo.min(len)].iter().filter(|&&s| s == 2).count();
+                    prop_assert_eq!(r.rank(PageClass::Nvm, lo as u64), below as u64);
+                    let nth = (0..len).filter(|&i| model[i] == 2).nth(k).map(|i| i as u64);
+                    prop_assert_eq!(r.select(PageClass::Nvm, k as u64), nth);
+                }
+            }
+            let r = space.region(id);
+            let nvm = model.iter().filter(|&&s| s == 2).count() as u64;
+            prop_assert_eq!(r.nvm_pages(), nvm);
+            prop_assert_eq!(r.rank(PageClass::Nvm, len as u64), nvm);
+            prop_assert_eq!(
+                r.dram_pages() + r.nvm_pages() + r.ssd_pages(),
+                r.mapped_pages()
+            );
+        }
+        // Final full agreement: every prefix rank and every select.
+        let r = space.region(id);
+        let mut running = 0u64;
+        for (i, &s) in model.iter().enumerate() {
+            prop_assert_eq!(r.rank(PageClass::Nvm, i as u64), running);
+            if s == 2 {
+                prop_assert_eq!(r.select(PageClass::Nvm, running), Some(i as u64));
+                running += 1;
+            }
+        }
+        prop_assert_eq!(r.select(PageClass::Nvm, running), None);
     }
 }
