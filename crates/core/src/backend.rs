@@ -317,7 +317,6 @@ pub fn residency_split(
     writes: f64,
 ) -> TierSplit {
     let region = m.space.region(seg.region);
-    let pages = seg.pages().max(1);
     let mapped = region.mapped_pages_in(seg.lo_page, seg.hi_page);
     let dram = region.dram_pages_in(seg.lo_page, seg.hi_page);
     // SSD-resident pages produce no byte traffic here: their accesses
@@ -332,7 +331,6 @@ pub fn residency_split(
     } else {
         dram as f64 / byte_addressable as f64
     };
-    let _ = pages;
     let mut traffic = Vec::with_capacity(4);
     let mut push = |tier: Tier, op: MemOp, count: f64| {
         if count > 0.0 {

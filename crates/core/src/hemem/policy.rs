@@ -145,6 +145,11 @@ pub fn run_policy(
 /// watermark, budget, and in-flight cap are the config values, and every
 /// journal entry belongs to [`TenantId::SOLO`], so the per-tenant journal
 /// counts equal the global ones.
+///
+/// Candidates come from the flat queues or, when
+/// [`PageTracker::regions_enabled`], from the span indexes after the
+/// period's span maintenance, which runs even on throttled passes:
+/// temperatures decay in wall-clock periods, not migration opportunities.
 pub fn run_policy_scoped(
     cfg: &PolicyConfig,
     tracker: &mut PageTracker,
@@ -152,13 +157,29 @@ pub fn run_policy_scoped(
     now: Ns,
     scope: &PolicyScope,
 ) -> Vec<MigrationJob> {
-    if tracker.regions_enabled() {
-        return run_region_policy(cfg, tracker, m, now, scope);
-    }
     let page_bytes = m.cfg.managed_page.bytes();
     let mechanism = cfg.mechanism_for(m);
     let mut budget = scope.budget;
     let mut jobs = Vec::new();
+
+    let regions = tracker.regions_enabled();
+    if regions {
+        tracker.begin_region_period();
+    }
+    let pop_promotion = |t: &mut PageTracker| {
+        if regions {
+            t.pop_region_promotion()
+        } else {
+            t.pop_promotion()
+        }
+    };
+    let pop_demotion = |t: &mut PageTracker, allow_hot| {
+        if regions {
+            t.pop_region_demotion(allow_hot)
+        } else {
+            t.pop_demotion(allow_hot)
+        }
+    };
 
     // Backpressure: NVM write bandwidth is far below the migration rate
     // cap; if several periods' worth of migrations are still in flight,
@@ -173,25 +194,7 @@ pub fn run_policy_scoped(
     let in_flight = m.journal.prepared_len_for(scope.tenant);
     if in_flight >= scope.max_inflight_pages {
         m.trace.policy.throttled += 1;
-        if scope.tag_tenant {
-            m.trace.instant(
-                now,
-                "policy_pass",
-                "policy",
-                &[
-                    ("throttled", 1),
-                    ("in_flight", in_flight),
-                    ("tenant", scope.tenant.0 as u64),
-                ],
-            );
-        } else {
-            m.trace.instant(
-                now,
-                "policy_pass",
-                "policy",
-                &[("throttled", 1), ("in_flight", in_flight)],
-            );
-        }
+        trace_pass(m, now, scope, &[("throttled", 1), ("in_flight", in_flight)]);
         return jobs;
     }
     budget = budget.min((scope.max_inflight_pages - in_flight) * page_bytes);
@@ -209,7 +212,7 @@ pub fn run_policy_scoped(
         while need > 0 && budget >= page_bytes {
             // Prefer cold pages; fall back to arbitrary (oldest hot) DRAM
             // pages, as the paper demotes random data when nothing is cold.
-            let Some(victim) = tracker.pop_demotion(true) else {
+            let Some(victim) = pop_demotion(tracker, true) else {
                 break;
             };
             // Zero-copy path: a victim whose clean NVM shadow survived
@@ -244,7 +247,7 @@ pub fn run_policy_scoped(
     // Demote at most one victim frame per waiting hot page.
     let mut deferrals_left = tracker.queue_len(crate::hemem::tracker::Queue::NvmHot) as u64;
     while budget >= page_bytes {
-        let Some(hot) = tracker.pop_promotion() else {
+        let Some(hot) = pop_promotion(tracker) else {
             break;
         };
         // A promotion needs a free frame in the global pool *and* room
@@ -260,7 +263,7 @@ pub fn run_policy_scoped(
             budget -= page_bytes;
             promoted += 1;
         } else if deferrals_left > 0 {
-            let Some(victim) = tracker.pop_demotion(false) else {
+            let Some(victim) = pop_demotion(tracker, false) else {
                 // Hot set exceeds DRAM: stop migrating (§3.3).
                 tracker.restore(hot);
                 break;
@@ -291,207 +294,70 @@ pub fn run_policy_scoped(
     m.trace.policy.demote_watermark += demoted_wm;
     m.trace.policy.promote += promoted;
     m.trace.policy.swap_deferrals += deferred;
-    if scope.tag_tenant {
-        m.trace.instant(
-            now,
-            "policy_pass",
-            "policy",
-            &[
-                ("demote_watermark", demoted_wm),
-                ("promote", promoted),
-                ("swap_deferral", deferred),
-                ("in_flight", in_flight),
-                ("tenant", scope.tenant.0 as u64),
-            ],
-        );
-    } else {
-        m.trace.instant(
-            now,
-            "policy_pass",
-            "policy",
-            &[
-                ("demote_watermark", demoted_wm),
-                ("promote", promoted),
-                ("swap_deferral", deferred),
-                ("in_flight", in_flight),
-            ],
-        );
-    }
+    trace_pass(
+        m,
+        now,
+        scope,
+        &[
+            ("demote_watermark", demoted_wm),
+            ("promote", promoted),
+            ("swap_deferral", deferred),
+            ("in_flight", in_flight),
+        ],
+    );
     jobs
 }
 
-/// One policy pass selecting candidates at *region* granularity: span
-/// maintenance (decay, split, merge) runs once, then promotion and
-/// demotion picks walk the Fenwick span indexes and only touch per-page
-/// state inside chosen spans. The pass structure — throttle on in-flight
-/// pages, watermark demotion with the zero-copy shadow fast path,
-/// promotion with per-hot-page deferral — mirrors the flat pass exactly,
-/// so the two differ only in *how* candidates are found.
-fn run_region_policy(
-    cfg: &PolicyConfig,
-    tracker: &mut PageTracker,
-    m: &mut MachineCore,
-    now: Ns,
-    scope: &PolicyScope,
-) -> Vec<MigrationJob> {
-    let page_bytes = m.cfg.managed_page.bytes();
-    let mechanism = cfg.mechanism_for(m);
-    let mut budget = scope.budget;
-    let mut jobs = Vec::new();
-
-    // Span maintenance runs even on throttled passes: temperatures decay
-    // in wall-clock periods, not in migration opportunities.
-    tracker.begin_region_period();
-
-    m.trace.policy.passes += 1;
-    let in_flight = m.journal.prepared_len_for(scope.tenant);
-    if in_flight >= scope.max_inflight_pages {
-        m.trace.policy.throttled += 1;
-        if scope.tag_tenant {
-            m.trace.instant(
-                now,
-                "policy_pass",
-                "policy",
-                &[
-                    ("throttled", 1),
-                    ("in_flight", in_flight),
-                    ("tenant", scope.tenant.0 as u64),
-                ],
-            );
-        } else {
-            m.trace.instant(
-                now,
-                "policy_pass",
-                "policy",
-                &[("throttled", 1), ("in_flight", in_flight)],
-            );
-        }
-        return jobs;
-    }
-    budget = budget.min((scope.max_inflight_pages - in_flight) * page_bytes);
-
-    // Phase 1: replenish the DRAM free watermark (see the flat pass for
-    // the pending-free rationale).
-    let pending_free = m.journal.prepared_freeing_for(scope.tenant, Tier::Dram) * page_bytes;
-    let free = scope.free_dram_bytes.saturating_add(pending_free);
-    let mut demoted_wm = 0u64;
-    if free < scope.dram_watermark {
-        let mut need = scope.dram_watermark - free;
-        while need > 0 && budget >= page_bytes {
-            let Some(victim) = tracker.pop_region_demotion(true) else {
-                break;
-            };
-            if m.shadow_remap_demote(victim) {
-                tracker.placed(victim, Tier::Nvm);
-                need = need.saturating_sub(page_bytes);
-                continue;
-            }
-            jobs.push(MigrationJob {
-                page: victim,
-                dst: Tier::Nvm,
-                mechanism,
-            });
-            need = need.saturating_sub(page_bytes);
-            budget -= page_bytes;
-            demoted_wm += 1;
-        }
-    }
-
-    // Phase 2: promote from hot spans, deferring to a demotion when DRAM
-    // is full — at most one victim per page still waiting in the NVM hot
-    // queue, as in the flat pass.
-    let mut claimed = 0u64;
-    let mut promoted = 0u64;
-    let mut deferred = 0u64;
-    let mut deferrals_left = tracker.queue_len(crate::hemem::tracker::Queue::NvmHot) as u64;
-    while budget >= page_bytes {
-        let Some(hot) = tracker.pop_region_promotion() else {
-            break;
-        };
-        let have_free = scope.free_dram_bytes.min(m.dram_free_bytes()) >= page_bytes + claimed;
-        if have_free {
-            jobs.push(MigrationJob {
-                page: hot,
-                dst: Tier::Dram,
-                mechanism,
-            });
-            claimed += page_bytes;
-            budget -= page_bytes;
-            promoted += 1;
-        } else if deferrals_left > 0 {
-            let Some(victim) = tracker.pop_region_demotion(false) else {
-                tracker.restore(hot);
-                break;
-            };
-            if m.shadow_remap_demote(victim) {
-                tracker.placed(victim, Tier::Nvm);
-            } else {
-                jobs.push(MigrationJob {
-                    page: victim,
-                    dst: Tier::Nvm,
-                    mechanism,
-                });
-                budget -= page_bytes;
-            }
-            deferrals_left -= 1;
-            deferred += 1;
-            tracker.restore_front(hot);
-        } else {
-            tracker.restore_front(hot);
-            break;
-        }
-    }
-    m.trace.policy.demote_watermark += demoted_wm;
-    m.trace.policy.promote += promoted;
-    m.trace.policy.swap_deferrals += deferred;
+/// Emits a pass's `policy_pass` instant: `args`, then the tenant id when
+/// the scope is tagged. The args are assembled on the stack; only an
+/// enabled tracer copies them.
+fn trace_pass(m: &mut MachineCore, now: Ns, scope: &PolicyScope, args: &[(&'static str, u64)]) {
+    let mut buf = [("", 0u64); 5];
+    buf[..args.len()].copy_from_slice(args);
+    let mut n = args.len();
     if scope.tag_tenant {
-        m.trace.instant(
-            now,
-            "policy_pass",
-            "policy",
-            &[
-                ("demote_watermark", demoted_wm),
-                ("promote", promoted),
-                ("swap_deferral", deferred),
-                ("in_flight", in_flight),
-                ("tenant", scope.tenant.0 as u64),
-            ],
-        );
-    } else {
-        m.trace.instant(
-            now,
-            "policy_pass",
-            "policy",
-            &[
-                ("demote_watermark", demoted_wm),
-                ("promote", promoted),
-                ("swap_deferral", deferred),
-                ("in_flight", in_flight),
-            ],
-        );
+        buf[n] = ("tenant", scope.tenant.0 as u64);
+        n += 1;
     }
-    jobs
+    m.trace.instant(now, "policy_pass", "policy", &buf[..n]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hemem::tracker::{Queue, TrackerConfig};
+    use crate::hemem::RegionConfig;
     use crate::machine::MachineConfig;
     use hemem_vmm::{PageId, RegionId, RegionKind};
 
+    /// Tracker configs for the two candidate sources: the flat queues,
+    /// then multi-grained region spans.
+    fn sources() -> [TrackerConfig; 2] {
+        let flat = TrackerConfig {
+            cooling_min_interval: Ns::ZERO,
+            ..TrackerConfig::default()
+        };
+        let regions = TrackerConfig {
+            regions: RegionConfig::multi_grain(),
+            ..flat
+        };
+        [flat, regions]
+    }
+
     /// Builds a machine with one managed region of `pages` pages, the
-    /// first `dram` of them resident in DRAM, the rest in NVM.
-    fn setup(dram_cap_gib: u64, pages: u64, dram: u64) -> (MachineCore, PageTracker, RegionId) {
+    /// first `dram` of them resident in DRAM, the rest in NVM, tracked
+    /// under `tcfg`.
+    fn setup(
+        tcfg: TrackerConfig,
+        dram_cap_gib: u64,
+        pages: u64,
+        dram: u64,
+    ) -> (MachineCore, PageTracker, RegionId) {
         let mut m = MachineCore::new(MachineConfig::small(dram_cap_gib, 32));
         let ps = m.cfg.managed_page;
         let id = m
             .space
             .mmap(pages * ps.bytes(), ps, RegionKind::ManagedHeap);
-        let tcfg = TrackerConfig {
-            cooling_min_interval: Ns::ZERO,
-            ..TrackerConfig::default()
-        };
         let mut t = PageTracker::new(tcfg);
         t.add_region(id, pages);
         for i in 0..pages {
@@ -511,14 +377,16 @@ mod tests {
 
     #[test]
     fn watermark_triggers_demotions() {
-        // 1 GiB DRAM = 512 pages, all allocated -> free = 0 < watermark.
-        let (mut m, mut t, _) = setup(1, 600, 512);
-        let cfg = PolicyConfig::default();
-        let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
-        assert!(!jobs.is_empty());
-        assert!(jobs.iter().all(|j| j.dst == Tier::Nvm), "only demotions");
-        // Budget cap: 10 GB/s * 10 ms = 100 MB = 50 pages.
-        assert!(jobs.len() <= 50, "rate-capped: {} jobs", jobs.len());
+        for tcfg in sources() {
+            // 1 GiB DRAM = 512 pages, all allocated -> free = 0 < watermark.
+            let (mut m, mut t, _) = setup(tcfg, 1, 600, 512);
+            let cfg = PolicyConfig::default();
+            let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
+            assert!(!jobs.is_empty());
+            assert!(jobs.iter().all(|j| j.dst == Tier::Nvm), "only demotions");
+            // Budget cap: 10 GB/s * 10 ms = 100 MB = 50 pages.
+            assert!(jobs.len() <= 50, "rate-capped: {} jobs", jobs.len());
+        }
     }
 
     #[test]
@@ -526,46 +394,49 @@ mod tests {
         // Regression: two back-to-back passes with the first pass's
         // demotions still in flight (journaled Prepared, uncommitted).
         // The second pass must not demote the same deficit again.
-        let (mut m, mut t, _) = setup(1, 600, 512);
-        let cfg = PolicyConfig {
-            // 8-page deficit, comfortably under the in-flight limit.
-            dram_watermark: 8 * m.cfg.managed_page.bytes(),
-            ..PolicyConfig::default()
-        };
-        let first = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
-        assert_eq!(first.len(), 8, "pass 1 demotes the full deficit");
-        assert!(first.iter().all(|j| j.dst == Tier::Nvm));
-        // Journal the jobs as the runtime's prepare phase would: source
-        // frame in DRAM, destination reserved in NVM, copy in flight.
-        for (id, job) in first.iter().enumerate() {
-            let phys = match m.space.region(job.page.region).state(job.page.index) {
-                hemem_vmm::PageState::Mapped { phys, .. } => phys,
-                other => panic!("victim not mapped: {other:?}"),
+        for tcfg in sources() {
+            let (mut m, mut t, _) = setup(tcfg, 1, 600, 512);
+            let cfg = PolicyConfig {
+                // 8-page deficit, comfortably under the in-flight limit.
+                dram_watermark: 8 * m.cfg.managed_page.bytes(),
+                ..PolicyConfig::default()
             };
-            let dst = m.pool_mut(Tier::Nvm).alloc().expect("nvm space");
-            m.journal.prepare(
-                id as u64,
-                job.page,
-                TenantId::SOLO,
-                Tier::Dram,
-                phys,
-                Tier::Nvm,
-                dst,
+            let first = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
+            assert_eq!(first.len(), 8, "pass 1 demotes the full deficit");
+            assert!(first.iter().all(|j| j.dst == Tier::Nvm));
+            // Journal the jobs as the runtime's prepare phase would: source
+            // frame in DRAM, destination reserved in NVM, copy in flight.
+            for (id, job) in first.iter().enumerate() {
+                let phys = match m.space.region(job.page.region).state(job.page.index) {
+                    hemem_vmm::PageState::Mapped { phys, .. } => phys,
+                    other => panic!("victim not mapped: {other:?}"),
+                };
+                let dst = m.pool_mut(Tier::Nvm).alloc().expect("nvm space");
+                m.journal.prepare(
+                    id as u64,
+                    job.page,
+                    TenantId::SOLO,
+                    Tier::Dram,
+                    phys,
+                    Tier::Nvm,
+                    dst,
+                );
+            }
+            // DRAM free is still 0, but 8 pages are already on their way out.
+            let second = run_policy(&cfg, &mut t, &mut m, Ns::millis(10));
+            assert_eq!(
+                second.iter().filter(|j| j.dst == Tier::Nvm).count(),
+                0,
+                "pass 2 must not re-demote for in-flight frees: {second:?}"
             );
+            assert_eq!(m.trace.policy.demote_watermark, 8, "attributed once");
         }
-        // DRAM free is still 0, but 8 pages are already on their way out.
-        let second = run_policy(&cfg, &mut t, &mut m, Ns::millis(10));
-        assert_eq!(
-            second.iter().filter(|j| j.dst == Tier::Nvm).count(),
-            0,
-            "pass 2 must not re-demote for in-flight frees: {second:?}"
-        );
-        assert_eq!(m.trace.policy.demote_watermark, 8, "attributed once");
     }
 
     #[test]
     fn hot_nvm_pages_promoted_when_dram_free() {
-        let (mut m, mut t, id) = setup(4, 100, 10);
+        // Flat only: region promotion also takes the cold pages of a hot span.
+        let (mut m, mut t, id) = setup(sources()[0], 4, 100, 10);
         // Make 5 NVM pages hot.
         for i in 10..15 {
             for _ in 0..8 {
@@ -587,11 +458,12 @@ mod tests {
 
     #[test]
     fn promotion_swaps_against_cold_dram_across_periods() {
+        // Flat only: with regions on, the pass's span decay cools 8 samples below promotion.
         // DRAM pool: 1 GiB = 512 pages, all taken by the region. With no
         // free DRAM the first pass demotes one cold victim per waiting hot
         // page; the promotion itself runs the next period, once the
         // victim's frame is actually free.
-        let (mut m, mut t, id) = setup(1, 1024, 512);
+        let (mut m, mut t, id) = setup(sources()[0], 1, 1024, 512);
         for _ in 0..8 {
             t.record(
                 PageId {
@@ -633,61 +505,103 @@ mod tests {
     #[test]
     fn no_migration_when_hot_set_exceeds_dram() {
         // Everything in DRAM is hot; a hot NVM page must NOT displace it.
-        let (mut m, mut t, id) = setup(1, 1024, 512);
-        for i in 0..512 {
-            for _ in 0..8 {
-                t.record(
-                    PageId {
-                        region: id,
-                        index: i,
-                    },
-                    false,
-                    Ns::ZERO,
-                );
+        for tcfg in sources() {
+            let (mut m, mut t, id) = setup(tcfg, 1, 1024, 512);
+            for i in (0..512).chain([700]) {
+                for _ in 0..8 {
+                    t.record(
+                        PageId {
+                            region: id,
+                            index: i,
+                        },
+                        false,
+                        Ns::ZERO,
+                    );
+                }
             }
-        }
-        for _ in 0..8 {
-            t.record(
-                PageId {
-                    region: id,
-                    index: 700,
-                },
-                false,
-                Ns::ZERO,
+            let cfg = PolicyConfig {
+                dram_watermark: 0,
+                ..PolicyConfig::default()
+            };
+            let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
+            assert!(
+                jobs.is_empty(),
+                "hot set exceeds DRAM: no migration, got {jobs:?}"
             );
+            // The popped hot page must have been restored.
+            assert_eq!(t.queue_len(Queue::NvmHot), 1);
         }
-        let cfg = PolicyConfig {
-            dram_watermark: 0,
-            ..PolicyConfig::default()
-        };
-        let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
-        assert!(
-            jobs.is_empty(),
-            "hot set exceeds DRAM: no migration, got {jobs:?}"
-        );
-        // The popped hot page must have been restored.
-        assert_eq!(t.queue_len(Queue::NvmHot), 1);
     }
 
     #[test]
     fn budget_is_respected_across_phases() {
-        let (mut m, mut t, id) = setup(1, 2048, 512);
-        for i in 512..1024 {
-            for _ in 0..8 {
-                t.record(
-                    PageId {
-                        region: id,
-                        index: i,
-                    },
-                    false,
-                    Ns::ZERO,
-                );
+        for tcfg in sources() {
+            let (mut m, mut t, id) = setup(tcfg, 1, 2048, 512);
+            for i in 512..1024 {
+                for _ in 0..8 {
+                    t.record(
+                        PageId {
+                            region: id,
+                            index: i,
+                        },
+                        false,
+                        Ns::ZERO,
+                    );
+                }
             }
+            let cfg = PolicyConfig::default();
+            let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
+            let bytes: u64 = jobs.len() as u64 * m.cfg.managed_page.bytes();
+            assert!(bytes <= cfg.budget_per_period(), "{bytes} over budget");
         }
-        let cfg = PolicyConfig::default();
+    }
+
+    #[test]
+    fn throttled_region_pass_still_runs_span_maintenance() {
+        // No in-flight headroom: the pass throttles before selecting, but
+        // span temperatures still decay once for the period.
+        let (mut m, mut t, _) = setup(sources()[1], 1, 600, 512);
+        let cfg = PolicyConfig {
+            max_inflight_pages: 0,
+            ..PolicyConfig::default()
+        };
+        let periods = t.region_stats().expect("regions on").periods;
         let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
-        let bytes: u64 = jobs.len() as u64 * m.cfg.managed_page.bytes();
-        assert!(bytes <= cfg.budget_per_period(), "{bytes} over budget");
+        assert!(jobs.is_empty(), "throttled pass starts nothing: {jobs:?}");
+        assert_eq!(m.trace.policy.throttled, 1);
+        assert_eq!(t.region_stats().expect("regions on").periods, periods + 1);
+    }
+
+    #[test]
+    fn tagged_scope_appends_the_tenant_to_each_pass_event() {
+        let (mut m, mut t, _) = setup(sources()[0], 1, 600, 512);
+        m.trace = hemem_sim::trace::Tracer::new(true);
+        let cfg = PolicyConfig::default();
+        let scope = PolicyScope {
+            tenant: TenantId(3),
+            tag_tenant: true,
+            ..PolicyScope::solo(&cfg, &m)
+        };
+        run_policy_scoped(&cfg, &mut t, &mut m, Ns::ZERO, &scope);
+        let throttled = PolicyScope {
+            max_inflight_pages: 0,
+            ..scope
+        };
+        run_policy_scoped(&cfg, &mut t, &mut m, Ns::millis(10), &throttled);
+        let args: Vec<_> = m.trace.events().iter().map(|e| e.args.clone()).collect();
+        assert_eq!(
+            args,
+            [
+                vec![
+                    ("demote_watermark", 24),
+                    ("promote", 0),
+                    ("swap_deferral", 0),
+                    ("in_flight", 0),
+                    ("tenant", 3),
+                ],
+                vec![("throttled", 1), ("in_flight", 0), ("tenant", 3)],
+            ]
+        );
     }
 
     #[test]
@@ -703,19 +617,21 @@ mod tests {
 
     #[test]
     fn degraded_engine_switches_jobs_to_copy_threads() {
-        let (mut m, mut t, _) = setup(1, 600, 512);
-        let cfg = PolicyConfig::default();
-        for _ in 0..m.dma.config().degrade_after {
-            m.dma.note_submit_failure();
+        for tcfg in sources() {
+            let (mut m, mut t, _) = setup(tcfg, 1, 600, 512);
+            let cfg = PolicyConfig::default();
+            for _ in 0..m.dma.config().degrade_after {
+                m.dma.note_submit_failure();
+            }
+            assert!(m.dma.degraded());
+            assert_eq!(cfg.mechanism_for(&m), CopyMechanism::Threads(4));
+            let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
+            assert!(!jobs.is_empty());
+            assert!(
+                jobs.iter()
+                    .all(|j| j.mechanism == CopyMechanism::Threads(4)),
+                "degraded engine must not receive DMA jobs"
+            );
         }
-        assert!(m.dma.degraded());
-        assert_eq!(cfg.mechanism_for(&m), CopyMechanism::Threads(4));
-        let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
-        assert!(!jobs.is_empty());
-        assert!(
-            jobs.iter()
-                .all(|j| j.mechanism == CopyMechanism::Threads(4)),
-            "degraded engine must not receive DMA jobs"
-        );
     }
 }

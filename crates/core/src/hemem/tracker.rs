@@ -687,8 +687,9 @@ impl PageTracker {
         self.region_view = Some(rv);
     }
 
-    /// Whether region-granularity tracking is active (policy selects via
-    /// the span indexes instead of the flat queues).
+    /// Whether region-granularity tracking is active: the policy pass
+    /// then runs [`PageTracker::begin_region_period`] and takes its
+    /// candidates from the span-index pops instead of the flat queues.
     pub fn regions_enabled(&self) -> bool {
         self.region_view.is_some()
     }

@@ -97,13 +97,6 @@ pub struct MachineConfig {
     /// resident page immediately — the no-recovery baseline `failbench`
     /// compares against.
     pub evacuate_on_failure: bool,
-    /// Critical-path cost of re-materializing a poisoned page: the
-    /// application has lost the contents and must re-fetch or recompute
-    /// them (the typed poison notification tells it to). Charged to the
-    /// faulting thread on every poison fault, on top of the normal fault
-    /// cost. Zero poison faults means zero perturbation, so fault-free
-    /// runs are untouched by this knob.
-    pub poison_recovery: Ns,
     /// Non-exclusive tiering (Nomad-style): when a page is promoted
     /// NVM → DRAM, retain the NVM frame as a clean shadow so an
     /// unmodified page can later demote by remap alone — zero bytes
@@ -136,7 +129,6 @@ impl MachineConfig {
             audit_period: None,
             trace: false,
             evacuate_on_failure: true,
-            poison_recovery: Ns::millis(10),
             nvm_shadows: false,
             seed: 0x4E564D_48454D45, // "NVM HEME"
         }

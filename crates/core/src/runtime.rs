@@ -1518,11 +1518,13 @@ impl<B: TieredBackend> Sim<B> {
         // as a typed notification — never a silent wrong read — and then
         // falls through to map a fresh zero page. The owner still has to
         // re-materialize the lost contents (re-fetch or recompute), which
-        // is the critical-path bill evacuation exists to avoid.
+        // is the critical-path bill evacuation exists to avoid. Charged on
+        // top of the normal fault cost; fault-free runs never pay it.
+        const POISON_RECOVERY: Ns = Ns::millis(10);
         if self.poisoned.remove(&page) {
             let tenant = self.m.space.region(page.region).tenant();
             self.m.health.poison_faults += 1;
-            stall += self.m.cfg.poison_recovery;
+            stall += POISON_RECOVERY;
             self.m.trace.instant(
                 now,
                 "poison_fault",

@@ -295,7 +295,7 @@ impl Bc {
         // Per-thread slices of work, issued in chunks so migration
         // decisions landing mid-iteration affect later chunks.
         const CHUNKS: u64 = 8;
-        for chunk in 0..CHUNKS {
+        for _ in 0..CHUNKS {
             let mut outstanding = 0u32;
             for tid in 0..threads {
                 // Forward pass: neighbour-list scans. Average run length is
@@ -339,7 +339,6 @@ impl Bc {
                     None => break,
                 }
             }
-            let _ = chunk;
         }
         IterationResult {
             runtime: sim.now().saturating_sub(t0),

@@ -516,8 +516,6 @@ mod tests {
     fn timeseries_sums_to_updates() {
         let mut sim = hemem_sim(2, 8);
         let cfg = quick(GIB, 0);
-        let window = cfg.rate_window;
-        let _ = window;
         let mut g = Gups::setup(&mut sim, cfg);
         let res = g.run(&mut sim);
         // Integrate rate over each window's actual span (the final window

@@ -159,6 +159,17 @@ if [ "$n" != 1 ]; then
   echo "telemetry.rs declares $n next_at fields; want exactly one (one sampler type)"
   exit 1
 fi
+# HeMem has one policy pass: flat and region tracking run the same
+# `run_policy_scoped` body and differ only in where candidates come
+# from, so policy.rs counts a pass exactly once (comments and
+# #[cfg(test)] exempt as above).
+echo "== one-policy-pass gate"
+n=$(awk '/#\[cfg\(test\)\]/{exit} /^[[:space:]]*\/\//{next} {print}' crates/core/src/hemem/policy.rs \
+  | grep -cE 'm\.trace\.policy\.passes[[:space:]]*\+=' || true)
+if [ "$n" != 1 ]; then
+  echo "policy.rs increments m.trace.policy.passes $n times; want exactly one (one policy pass)"
+  exit 1
+fi
 
 # Region-granularity hygiene: the per-period policy pass must select
 # work through the span indexes (regions.rs) — never a fresh flat
