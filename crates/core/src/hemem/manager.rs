@@ -13,7 +13,7 @@ use hemem_vmm::{PageId, RegionId, TenantId, Tier, VirtAddr};
 use crate::arbiter::{ArbiterPolicy, DramArbiter, TenantSignal};
 use crate::backend::{TickOutput, TieredBackend};
 use crate::fleet::{BalloonDrain, FleetStats, Lifecycle, SlotPool};
-use crate::hemem::policy::{run_policy, run_policy_scoped, PolicyConfig, PolicyScope};
+use crate::hemem::policy::{run_policy_scoped, PolicyConfig, PolicyScope};
 use crate::hemem::tracker::{PageTracker, Queue, TrackerConfig};
 use crate::machine::MachineCore;
 
@@ -115,8 +115,8 @@ const BALLOON_ESCALATION_BATCH: usize = 64;
 /// One instance manages one or more tenants: each tenant has its own
 /// tracker and policy scope, while the pools, DMA engine, and PEBS unit
 /// stay shared. Multi-tenant instances carry a [`DramArbiter`] that
-/// owns the DRAM capacity split; single-tenant instances (the default)
-/// run the exact pre-colocation code path.
+/// owns the DRAM capacity split; every instance runs one per-slot policy
+/// loop, and a lone slot (the default) gets the whole-machine scope.
 pub struct HeMem {
     cfg: HeMemConfig,
     /// The fleet slot pool: backing store for every tenant instance
@@ -243,9 +243,14 @@ impl HeMem {
         idx.min(self.pool.slots.len() - 1)
     }
 
-    /// Tenant `i`'s policy scope: its unclaimed quota and its shares of
-    /// the global watermark, migration budget, and in-flight cap.
+    /// Slot `i`'s policy scope: the whole machine for a lone slot;
+    /// otherwise its unclaimed quota and its shares of the global
+    /// watermark, migration budget, and in-flight cap, cut to a one-page
+    /// half-open probe while its circuit breaker is tripped.
     fn scope_for(&self, i: usize, m: &MachineCore) -> PolicyScope {
+        if self.pool.slots.len() == 1 {
+            return PolicyScope::solo(&self.cfg.policy, m);
+        }
         let arb = self
             .arbiter
             .as_ref()
@@ -253,9 +258,7 @@ impl HeMem {
         let t = self.pool.slots[i].id;
         let page_bytes = m.cfg.managed_page.bytes();
         let quota_bytes = arb.quota_pages(t) * page_bytes;
-        let claim_bytes = (m.space.tenant_frames(t).dram_pages
-            + m.journal.prepared_into_for(t, Tier::Dram))
-            * page_bytes;
+        let claim_bytes = dram_claim(m, t) * page_bytes;
         // When a reallocation pulls the quota below the tenant's current
         // claim, `free` saturates at zero and would hide the size of the
         // deficit; fold the overshoot into the watermark so demotion
@@ -263,7 +266,7 @@ impl HeMem {
         // budget is floored at one page so a small-quota tenant can
         // always make migration progress toward its (shrinking) quota.
         let overshoot = claim_bytes.saturating_sub(quota_bytes);
-        PolicyScope {
+        let mut scope = PolicyScope {
             tenant: t,
             free_dram_bytes: quota_bytes.saturating_sub(claim_bytes),
             dram_watermark: arb.share_of(t, self.cfg.policy.dram_watermark) + overshoot,
@@ -272,7 +275,27 @@ impl HeMem {
                 .max(page_bytes),
             max_inflight_pages: arb.share_of(t, self.cfg.policy.max_inflight_pages).max(1),
             tag_tenant: true,
+        };
+        if self.pool.slots[i].counters.breaker_fails >= self.cfg.breaker_threshold {
+            // Half-open probe: a one-page rate budget until a success
+            // closes the breaker.
+            scope.max_inflight_pages = 1;
+            scope.budget = page_bytes;
         }
+        scope
+    }
+
+    /// True when the tenant owning `region` has claimed its whole DRAM
+    /// quota: the tier's remaining headroom belongs to its neighbors.
+    /// Never true with one slot, which owns the whole tier.
+    fn at_dram_quota(&mut self, m: &MachineCore, region: RegionId) -> bool {
+        if self.pool.slots.len() == 1 {
+            return false;
+        }
+        self.ensure_arbiter(m);
+        let arb = self.arbiter.as_ref().expect("arbiter for multi-tenant");
+        let t = self.pool.slots[self.tenant_index(m, region)].id;
+        dram_claim(m, t) >= arb.quota_pages(t)
     }
 
     /// Toggles priority mode: regions mapped while enabled are pinned to
@@ -432,10 +455,16 @@ impl HeMem {
     }
 }
 
-/// The tier a first-touch spills to when DRAM is unavailable. A healthy
-/// machine always answers NVM (byte-identical to the pre-failure-domain
-/// cascade — allocation-time fallback handles a merely-full NVM); with
-/// NVM offline the cascade skips to the next online tier (N-1 operation).
+/// Tenant `t`'s DRAM claim in pages: its resident DRAM pages plus the
+/// promotions already in flight into DRAM on its behalf.
+fn dram_claim(m: &MachineCore, t: TenantId) -> u64 {
+    m.space.tenant_frames(t).dram_pages + m.journal.prepared_into_for(t, Tier::Dram)
+}
+
+/// The tier a first-touch spills to when DRAM is unavailable. NVM
+/// whenever it is online, even when full: allocation-time fallback
+/// handles a merely-full NVM. With NVM offline the cascade skips to the
+/// next online tier (N-1 operation).
 fn spill_tier(m: &MachineCore) -> Tier {
     if m.tier_online(Tier::Nvm) {
         return Tier::Nvm;
@@ -538,18 +567,8 @@ impl TieredBackend for HeMem {
         // arbiter, a tenant whose DRAM claim has reached its quota spills
         // to NVM even while the pool has free pages — that headroom
         // belongs to the other tenants.
-        if m.pool(Tier::Dram).free_pages() == 0 {
+        if m.pool(Tier::Dram).free_pages() == 0 || self.at_dram_quota(m, page.region) {
             return spill_tier(m);
-        }
-        if self.pool.slots.len() > 1 {
-            self.ensure_arbiter(m);
-            let arb = self.arbiter.as_ref().expect("arbiter for multi-tenant");
-            let t = self.pool.slots[self.tenant_index(m, page.region)].id;
-            let claim =
-                m.space.tenant_frames(t).dram_pages + m.journal.prepared_into_for(t, Tier::Dram);
-            if claim >= arb.quota_pages(t) {
-                return spill_tier(m);
-            }
         }
         Tier::Dram
     }
@@ -565,9 +584,16 @@ impl TieredBackend for HeMem {
 
     fn on_samples(&mut self, m: &mut MachineCore, samples: &[SampleRecord], now: Ns) {
         if self.pool.slots.len() == 1 {
-            // Solo fast path: no demux, no budget split — byte-identical
-            // to a single-process machine.
+            // A lone slot keeps its own loop: the demux below throttles
+            // at `drain_budget`, but `fire_pebs` hands over up to 32,768
+            // direct records a batch; and this is the hottest loop on
+            // `kvs_700g` (merged into the demux loop, its traced share
+            // rose from 0.31-0.33 to 0.33-0.38). So a killed slot's
+            // samples drop on one check per call, not one per record.
             let ts = &mut self.pool.slots[0];
+            if ts.lifecycle != Lifecycle::Live {
+                return;
+            }
             for s in samples {
                 if let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) {
                     if ts.tracker.record(page, s.kind.is_store(), now) {
@@ -612,7 +638,6 @@ impl TieredBackend for HeMem {
     fn tick(&mut self, m: &mut MachineCore, now: Ns) -> TickOutput {
         self.stats.policy_runs += 1;
         self.ensure_arbiter(m);
-        let multi = self.pool.slots.len() > 1;
         // Reallocate DRAM quotas from the tenants' demand signals.
         if let Some(arb) = &mut self.arbiter {
             let page_bytes = m.cfg.managed_page.bytes();
@@ -633,7 +658,7 @@ impl TieredBackend for HeMem {
                 for ts in &mut self.pool.slots {
                     ts.counters.window = TenantSignal::default();
                 }
-                if multi {
+                if self.pool.slots.len() > 1 {
                     m.trace.instant(
                         now,
                         "arbiter_realloc",
@@ -646,45 +671,31 @@ impl TieredBackend for HeMem {
                 }
             }
         }
-        let mut migrations = if !self.cfg.enable_migration {
-            Vec::new()
-        } else if !multi {
-            run_policy(&self.cfg.policy, &mut self.pool.slots[0].tracker, m, now)
-        } else {
-            // One scoped policy pass per tenant, in tenant order. Each
-            // pass sees its own quota headroom and budget share, so a
-            // thrashing tenant exhausts only its own migration budget.
-            // Quarantined and retired slots schedule nothing, and a
-            // tenant whose circuit breaker tripped sits out its backoff
-            // so its failing migrations cannot camp on the fault
-            // machinery and starve the neighbors.
-            let mut jobs = Vec::new();
-            for i in 0..self.pool.slots.len() {
-                if self.pool.slots[i].lifecycle != Lifecycle::Live {
-                    continue;
-                }
-                if self.pool.slots[i].counters.breaker_skip_ticks > 0 {
-                    self.pool.slots[i].counters.breaker_skip_ticks -= 1;
-                    continue;
-                }
-                let mut scope = self.scope_for(i, m);
-                if self.pool.slots[i].counters.breaker_fails >= self.cfg.breaker_threshold {
-                    // Half-open probe: a one-page rate budget until a
-                    // success closes the breaker.
-                    scope.max_inflight_pages = 1;
-                    scope.budget = m.cfg.managed_page.bytes();
-                }
-                let ts = &mut self.pool.slots[i];
-                jobs.extend(run_policy_scoped(
-                    &self.cfg.policy,
-                    &mut ts.tracker,
-                    m,
-                    now,
-                    &scope,
-                ));
+        // One scoped policy pass per tenant, in tenant order. Each pass
+        // sees its own quota headroom and budget share, so a thrashing
+        // tenant exhausts only its own migration budget. Quarantined and
+        // retired slots schedule nothing, and a tenant whose circuit
+        // breaker tripped sits out its backoff so its failing migrations
+        // cannot camp on the fault machinery and starve the neighbors.
+        let mut migrations = Vec::new();
+        for i in 0..self.pool.slots.len() {
+            if !self.cfg.enable_migration || self.pool.slots[i].lifecycle != Lifecycle::Live {
+                continue;
             }
-            jobs
-        };
+            if self.pool.slots[i].counters.breaker_skip_ticks > 0 {
+                self.pool.slots[i].counters.breaker_skip_ticks -= 1;
+                continue;
+            }
+            let scope = self.scope_for(i, m);
+            let ts = &mut self.pool.slots[i];
+            migrations.extend(run_policy_scoped(
+                &self.cfg.policy,
+                &mut ts.tracker,
+                m,
+                now,
+                &scope,
+            ));
+        }
         // SSD capacity tier: when NVM itself runs low, demote the coldest
         // NVM pages down the cascade as ordinary journaled migrations —
         // the pages stay mapped, so a later access major-faults them back
@@ -752,7 +763,7 @@ impl TieredBackend for HeMem {
         // reaches the target the cap lifts; past the deadline the
         // manager escalates and forces the coldest pages toward the
         // slowest tier itself.
-        if multi && self.cfg.enable_migration {
+        if self.cfg.enable_migration {
             let mechanism = self.cfg.policy.mechanism_for(m);
             // Slowest *online* tier: balloon escalation must not force
             // pages onto a failed device (N-1 operation).
@@ -772,8 +783,7 @@ impl TieredBackend for HeMem {
                     continue;
                 }
                 let t = self.pool.slots[i].id;
-                let claim = m.space.tenant_frames(t).dram_pages
-                    + m.journal.prepared_into_for(t, Tier::Dram);
+                let claim = dram_claim(m, t);
                 if claim <= b.target_pages {
                     self.pool.slots[i].counters.balloon = None;
                     if let Some(arb) = &mut self.arbiter {
@@ -932,13 +942,6 @@ impl TieredBackend for HeMem {
     }
 
     fn evacuation_dst(&mut self, m: &mut MachineCore, page: PageId, from: Tier) -> Option<Tier> {
-        let multi = self.pool.slots.len() > 1;
-        let tenant = if multi {
-            self.ensure_arbiter(m);
-            Some(self.pool.slots[self.tenant_index(m, page.region)].id)
-        } else {
-            None
-        };
         for &t in m.tiers() {
             if t == from || !m.tier_online(t) || m.pool(t).free_pages() == 0 {
                 continue;
@@ -946,15 +949,8 @@ impl TieredBackend for HeMem {
             // DRAM headroom belongs to the arbiter's grants: a tenant
             // evacuating at its quota spills down the cascade instead of
             // eating its neighbors' fast-tier share.
-            if t == Tier::Dram {
-                if let Some(tn) = tenant {
-                    let arb = self.arbiter.as_ref().expect("arbiter for multi-tenant");
-                    let claim = m.space.tenant_frames(tn).dram_pages
-                        + m.journal.prepared_into_for(tn, Tier::Dram);
-                    if claim >= arb.quota_pages(tn) {
-                        continue;
-                    }
-                }
+            if t == Tier::Dram && self.at_dram_quota(m, page.region) {
+                continue;
             }
             return Some(t);
         }
@@ -1055,7 +1051,7 @@ impl TieredBackend for HeMem {
                 continue;
             }
             let tf = m.space.tenant_frames(t);
-            let resident = tf.dram_pages + m.journal.prepared_into_for(t, Tier::Dram);
+            let resident = dram_claim(m, t);
             let quota = arb.quota_pages(t);
             // Two realloc steps of grace: the step the last reallocation
             // just moved, plus at most one period of demotion backlog
@@ -1514,6 +1510,37 @@ mod lifecycle_tests {
         // The machine keeps working for the survivor.
         s.advance(Ns::secs(1));
         assert!(!s.manager_down());
+    }
+
+    #[test]
+    fn killed_solo_tenant_schedules_no_migrations_and_takes_no_samples() {
+        // 2 GiB over 1 GiB DRAM, settled until the watermark is free:
+        // part of the region sits on NVM and DRAM has room to promote.
+        let mc = MachineConfig::small(1, 8);
+        let hc = HeMemConfig::scaled_for(&mc);
+        let mut s = Sim::new(mc, HeMem::new(hc));
+        let id = s.mmap(2 * GIB);
+        s.populate(id, true);
+        s.advance(Ns::secs(2));
+        let r = s.m.space.region(id);
+        let index = r
+            .kth_page_in(hemem_vmm::PageClass::Nvm, 0, r.page_count(), 0)
+            .expect("the fill spilled to NVM");
+        let record = SampleRecord {
+            vaddr: r.page_addr(index).0,
+            kind: hemem_pebs::SampleType::NvmLoad,
+        };
+        let samples = [record; 16];
+        let now = s.now();
+        s.backend.on_samples(&mut s.m, &samples, now);
+        let page = PageId { region: id, index };
+        assert!(s.backend.tracker().is_hot_page(page), "a hot NVM page");
+        let applied = s.backend.stats().samples_applied;
+        s.backend.tenant_killed(&mut s.m, TenantId::SOLO, now);
+        assert!(!s.backend.tenant_is_live(TenantId::SOLO));
+        assert_eq!(s.backend.tick(&mut s.m, now).migrations.len(), 0);
+        s.backend.on_samples(&mut s.m, &samples, now);
+        assert_eq!(s.backend.stats().samples_applied - applied, 0);
     }
 
     #[test]

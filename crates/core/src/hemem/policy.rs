@@ -107,8 +107,9 @@ pub struct PolicyScope {
     pub budget: u64,
     /// In-flight page cap for this tenant.
     pub max_inflight_pages: u64,
-    /// Tag trace events with the tenant id (off for solo runs, keeping
-    /// their traces byte-identical to the pre-tenant code).
+    /// Tag trace events with the tenant id. Off for the solo scope: a
+    /// single-process run has one tenant, so the tag would carry no
+    /// information.
     pub tag_tenant: bool,
 }
 
@@ -140,8 +141,8 @@ pub fn run_policy(
 
 /// Runs one policy pass over `scope`'s slice of the machine.
 ///
-/// With the solo scope this is exactly the historical single-process
-/// pass: `free_dram_bytes` equals the DRAM pool's free bytes, the
+/// With the solo scope the pass covers the whole machine:
+/// `free_dram_bytes` equals the DRAM pool's free bytes, the
 /// watermark, budget, and in-flight cap are the config values, and every
 /// journal entry belongs to [`TenantId::SOLO`], so the per-tenant journal
 /// counts equal the global ones.

@@ -343,14 +343,18 @@ impl<B: TieredBackend> Sim<B> {
         id
     }
 
-    /// Destroys a region, returning its physical pages to the pools.
-    pub fn munmap(&mut self, id: RegionId) {
+    /// Destroys a region and returns its physical pages to the pools.
+    /// Returns the number of frames freed: SmallAnon pages are
+    /// kernel-backed and free with the region, so they count zero.
+    pub fn munmap(&mut self, id: RegionId) -> u64 {
         self.backend.on_munmap(&mut self.m, id);
         let region = self.m.space.munmap(id);
+        let mut freed = 0;
         if region.kind() == RegionKind::ManagedHeap {
             for i in 0..region.page_count() {
                 if let hemem_vmm::PageState::Mapped { tier, phys, .. } = region.state(i) {
                     self.m.pool_mut(tier).free(phys);
+                    freed += 1;
                 }
             }
             for (_, phys) in region.shadows() {
@@ -358,6 +362,7 @@ impl<B: TieredBackend> Sim<B> {
                 self.m.shadow.dropped += 1;
             }
         }
+        freed
     }
 
     /// First-touches every unmapped page of `region` sequentially (the
@@ -610,8 +615,7 @@ impl<B: TieredBackend> Sim<B> {
         // their frames fall out with the region walk below.
         self.roll_back_prepared(now, |e| e.tenant == tenant);
         // Reclaim the tenant's memory across every tier: unmap each of
-        // its regions and return ManagedHeap frames to their pools
-        // (SmallAnon pages are kernel-backed and free with the region).
+        // its regions, returning their frames to the pools.
         let regions: Vec<RegionId> = self
             .m
             .space
@@ -619,23 +623,7 @@ impl<B: TieredBackend> Sim<B> {
             .filter(|r| r.tenant() == tenant)
             .map(|r| r.id())
             .collect();
-        let mut reclaimed = 0u64;
-        for &id in &regions {
-            self.backend.on_munmap(&mut self.m, id);
-            let region = self.m.space.munmap(id);
-            if region.kind() == RegionKind::ManagedHeap {
-                for i in 0..region.page_count() {
-                    if let hemem_vmm::PageState::Mapped { tier, phys, .. } = region.state(i) {
-                        self.m.pool_mut(tier).free(phys);
-                        reclaimed += 1;
-                    }
-                }
-                for (_, phys) in region.shadows() {
-                    self.m.free_shadow_frame(phys);
-                    self.m.shadow.dropped += 1;
-                }
-            }
-        }
+        let reclaimed: u64 = regions.iter().map(|&id| self.munmap(id)).sum();
         self.backend.tenant_drained(&mut self.m, tenant, now);
         self.m.recovery.tenant_drains += 1;
         self.m.trace.instant(
@@ -789,23 +777,8 @@ impl<B: TieredBackend> Sim<B> {
     /// skipped; the drain-time rescan picks up whatever they resolve to.
     fn collect_evacuation_queue(&self, tier: Tier) -> std::collections::VecDeque<PageId> {
         let mut per_tenant: std::collections::BTreeMap<u32, Vec<PageId>> = Default::default();
-        for r in self.m.space.regions() {
-            if r.kind() != RegionKind::ManagedHeap {
-                continue;
-            }
-            for i in 0..r.page_count() {
-                if let hemem_vmm::PageState::Mapped {
-                    tier: t, wp: false, ..
-                } = r.state(i)
-                {
-                    if t == tier {
-                        per_tenant.entry(r.tenant().0).or_default().push(PageId {
-                            region: r.id(),
-                            index: i,
-                        });
-                    }
-                }
-            }
+        for (tenant, page) in self.managed_pages_on(tier, false) {
+            per_tenant.entry(tenant.0).or_default().push(page);
         }
         let mut lists: Vec<_> = per_tenant.into_values().map(|v| v.into_iter()).collect();
         let mut queue = std::collections::VecDeque::new();
@@ -820,6 +793,36 @@ impl<B: TieredBackend> Sim<B> {
             }
         }
         queue
+    }
+
+    /// The managed pages resident on `tier`, with their owners, in
+    /// address-space order. Write-protected (mid-migration) pages are
+    /// included only when `with_wp` is set.
+    fn managed_pages_on(
+        &self,
+        tier: Tier,
+        with_wp: bool,
+    ) -> impl Iterator<Item = (hemem_vmm::TenantId, PageId)> + '_ {
+        self.m
+            .space
+            .regions()
+            .filter(|r| r.kind() == RegionKind::ManagedHeap)
+            .flat_map(move |r| {
+                (0..r.page_count()).filter_map(move |index| match r.state(index) {
+                    hemem_vmm::PageState::Mapped { tier: t, wp, .. }
+                        if t == tier && (with_wp || !wp) =>
+                    {
+                        Some((
+                            r.tenant(),
+                            PageId {
+                                region: r.id(),
+                                index,
+                            },
+                        ))
+                    }
+                    _ => None,
+                })
+            })
     }
 
     /// Drives the evacuation forward: starts journaled migrations off the
@@ -927,22 +930,7 @@ impl<B: TieredBackend> Sim<B> {
     /// order), then every resident page is poisoned.
     fn poison_tier(&mut self, now: Ns, tier: Tier) {
         self.roll_back_prepared(now, |e| e.src_tier == tier);
-        let mut pages = Vec::new();
-        for r in self.m.space.regions() {
-            if r.kind() != RegionKind::ManagedHeap {
-                continue;
-            }
-            for i in 0..r.page_count() {
-                if let hemem_vmm::PageState::Mapped { tier: t, .. } = r.state(i) {
-                    if t == tier {
-                        pages.push(PageId {
-                            region: r.id(),
-                            index: i,
-                        });
-                    }
-                }
-            }
-        }
+        let pages: Vec<PageId> = self.managed_pages_on(tier, true).map(|(_, p)| p).collect();
         for page in pages {
             self.poison_page(now, page);
         }
@@ -1118,15 +1106,7 @@ impl<B: TieredBackend> Sim<B> {
                 CopyMechanism::Threads(n) => {
                     let rate = 3.0e9 * n.max(1) as f64;
                     let service = Ns::from_secs_f64(bytes as f64 / rate);
-                    let e = *self.m.journal.entry(id).expect("prepared job is journaled");
-                    let cap = Some(10.0e9);
-                    let r1 = self
-                        .m
-                        .reserve_tier_bulk(now, e.src_tier, MemOp::Read, bytes, cap);
-                    let r2 = self
-                        .m
-                        .reserve_tier_bulk(now, e.dst_tier, MemOp::Write, bytes, cap);
-                    let done = (now + service).max(r1.finish).max(r2.finish);
+                    let done = (now + service).max(self.reserve_copy(now, id, bytes));
                     self.queue.push_at(done, Event::MigrationDone(id));
                 }
             }
@@ -1168,22 +1148,28 @@ impl<B: TieredBackend> Sim<B> {
                 now + Ns::from_secs_f64(total as f64 / (3.0e9 * 4.0))
             }
         };
-        let cap = Some(10.0e9);
         let mut done = dma_done;
         for &(id, bytes, _) in group.iter() {
-            let e = *self.m.journal.entry(id).expect("prepared job is journaled");
-            let r1 = self
-                .m
-                .reserve_tier_bulk(now, e.src_tier, MemOp::Read, bytes, cap);
-            let r2 = self
-                .m
-                .reserve_tier_bulk(now, e.dst_tier, MemOp::Write, bytes, cap);
-            done = done.max(r1.finish).max(r2.finish);
+            done = done.max(self.reserve_copy(now, id, bytes));
         }
         for &(id, _, _) in group.iter() {
             self.queue.push_at(done, Event::MigrationDone(id));
         }
         group.clear();
+    }
+
+    /// Reserves journaled copy `id`'s source read and destination write
+    /// at the 10 GB/s copy cap, returning the later of the two finishes.
+    fn reserve_copy(&mut self, now: Ns, id: u64, bytes: u64) -> Ns {
+        let cap = Some(10.0e9);
+        let e = *self.m.journal.entry(id).expect("prepared job is journaled");
+        let read = self
+            .m
+            .reserve_tier_bulk(now, e.src_tier, MemOp::Read, bytes, cap);
+        let write = self
+            .m
+            .reserve_tier_bulk(now, e.dst_tier, MemOp::Write, bytes, cap);
+        read.finish.max(write.finish)
     }
 
     /// Submits one DMA batch, retrying with exponential ioctl backoff when
@@ -1243,21 +1229,14 @@ impl<B: TieredBackend> Sim<B> {
         // An offline tier takes no new frames; and while an evacuation is
         // draining a failed tier it owns the journaled migration path —
         // policy jobs off other tiers abort (and re-enqueue) instead of
-        // competing for the bounded in-flight budget.
+        // competing for the bounded in-flight budget. An exhausted
+        // destination aborts the same way.
         let evac_owns = self.evac.as_ref().is_some_and(|e| e.tier != src_tier);
-        if !self.m.tier_online(job.dst) || evac_owns {
-            self.m.stats.migrations_aborted += 1;
-            self.backend
-                .migration_aborted(&mut self.m, job.page, src_tier);
-            return None;
-        }
-        // Shadows are free NVM capacity: a demotion that finds the NVM
-        // pool exhausted reclaims one shadow frame rather than aborting
-        // (and re-aborting forever while shadows park the whole tier).
-        let mut dst_phys = self.m.pool_mut(job.dst).alloc();
-        if dst_phys.is_none() && job.dst == Tier::Nvm && self.m.reclaim_shadow_frames(1) > 0 {
-            dst_phys = self.m.pool_mut(job.dst).alloc();
-        }
+        let dst_phys = if self.m.tier_online(job.dst) && !evac_owns {
+            self.pool_alloc(job.dst)
+        } else {
+            None
+        };
         let Some(dst_phys) = dst_phys else {
             self.m.stats.migrations_aborted += 1;
             self.backend
@@ -1409,16 +1388,7 @@ impl<B: TieredBackend> Sim<B> {
             return None; // offline devices take no allocations
         }
         loop {
-            let phys = match self.m.pool_mut(tier).alloc() {
-                Some(p) => p,
-                // Shadows are free capacity: NVM exhaustion reclaims one
-                // (the shadow's primary stays mapped in DRAM) rather than
-                // spilling or failing the allocation.
-                None if tier == Tier::Nvm && self.m.reclaim_shadow_frames(1) > 0 => {
-                    self.m.pool_mut(tier).alloc()?
-                }
-                None => return None,
-            };
+            let phys = self.pool_alloc(tier)?;
             if self.m.media_error(tier, phys) {
                 self.m.pool_mut(tier).retire(phys);
                 self.m.stats.pages_retired += 1;
@@ -1427,6 +1397,18 @@ impl<B: TieredBackend> Sim<B> {
             self.m.pool_mut(tier).note_write(phys, 1);
             return Some(phys);
         }
+    }
+
+    /// Pops a free frame off `tier`'s pool. Shadows are free NVM
+    /// capacity: an exhausted NVM pool reclaims one shadow frame (its
+    /// primary stays mapped in DRAM) and retries, rather than failing the
+    /// allocation — and re-failing forever while shadows park the tier.
+    fn pool_alloc(&mut self, tier: Tier) -> Option<PhysPage> {
+        let phys = self.m.pool_mut(tier).alloc();
+        if phys.is_none() && tier == Tier::Nvm && self.m.reclaim_shadow_frames(1) > 0 {
+            return self.m.pool_mut(tier).alloc();
+        }
+        phys
     }
 
     /// Allocates a frame for an incoming page, direct-reclaiming under
@@ -1501,15 +1483,8 @@ impl<B: TieredBackend> Sim<B> {
         let region = self.m.space.region(page.region);
         let kind = region.kind();
         let page_bytes = region.page_size().bytes();
-        // Managed-region faults funnel through HeMem's single fault
-        // thread; storms queue behind it. An injected stall wedges the
-        // handler first, so this fault (and any behind it) queues longer.
         let queue = if kind == RegionKind::ManagedHeap {
-            let cfg = self.m.fault_cfg.clone();
-            if let Some(stall_for) = self.m.chaos.fault_thread_stall() {
-                self.m.fault_thread.stall(now, stall_for);
-            }
-            self.m.fault_thread.admit(now, &cfg)
+            self.admit_fault(now)
         } else {
             Ns::ZERO
         };
@@ -1559,6 +1534,17 @@ impl<B: TieredBackend> Sim<B> {
         let total = stall + extra;
         self.observe_fault(now, total);
         Ok(total)
+    }
+
+    /// Queues one managed-memory fault (first-touch or major) on HeMem's
+    /// single fault thread, returning its wait; storms queue behind it.
+    /// An injected stall wedges the handler first, so this fault (and
+    /// any behind it) queues longer.
+    fn admit_fault(&mut self, now: Ns) -> Ns {
+        if let Some(stall_for) = self.m.chaos.fault_thread_stall() {
+            self.m.fault_thread.stall(now, stall_for);
+        }
+        self.m.fault_thread.admit(now, &self.m.fault_cfg)
     }
 
     /// Records one serviced page fault into the tracer: service latency
@@ -1649,8 +1635,8 @@ impl<B: TieredBackend> Sim<B> {
             let writes = count * wf;
             let reads = count - writes;
 
-            stall += self.fault_unmapped(seg, count, now);
-            stall += self.fault_ssd_resident(seg, count, now);
+            stall += self.fault_distinct(seg, count, now, PageClass::Unmapped);
+            stall += self.fault_distinct(seg, count, now, PageClass::Ssd);
 
             // LLC filtering.
             let hit = match batch.pattern {
@@ -1751,84 +1737,52 @@ impl<B: TieredBackend> Sim<B> {
         }
     }
 
-    /// Faults the expected number of distinct unmapped pages a batch
-    /// touches in `seg`.
-    fn fault_unmapped(&mut self, seg: &crate::backend::SegmentAccess, count: f64, now: Ns) -> Ns {
-        let region = self.m.space.region(seg.region);
-        let pages = seg.pages();
-        let unmapped = pages - region.mapped_pages_in(seg.lo_page, seg.hi_page);
-        if unmapped == 0 {
-            return Ns::ZERO;
-        }
-        // Expected distinct unmapped pages touched by `count` uniform
-        // accesses over `pages` pages.
-        let lam = count / pages as f64;
-        let expect = unmapped as f64 * (1.0 - (-lam).exp());
-        let n = self.m.rng.round_stochastic(expect).min(unmapped);
-        let mut stall = Ns::ZERO;
-        for _ in 0..n {
-            let region = self.m.space.region(seg.region);
-            let remaining = seg.pages() - region.mapped_pages_in(seg.lo_page, seg.hi_page);
-            if remaining == 0 {
-                break;
-            }
-            let k = self.m.rng.gen_range(remaining);
-            let Some(idx) = region.kth_page_in(PageClass::Unmapped, seg.lo_page, seg.hi_page, k)
-            else {
-                break;
-            };
-            stall += self.fault_page(
-                PageId {
-                    region: seg.region,
-                    index: idx,
-                },
-                true,
-                now,
-            );
-        }
-        stall
-    }
-
-    /// Faults the expected number of distinct SSD-resident pages a batch
-    /// touches in `seg` back through the swap device (major faults).
-    /// Without an SSD tier no page is ever SSD-resident, so this draws
-    /// nothing from the RNG and two-tier runs are unperturbed.
-    fn fault_ssd_resident(
+    /// Faults the expected number of distinct `class` pages a batch
+    /// touches in `seg`: unmapped pages take a first-touch fault,
+    /// SSD-resident ones a major fault back through the swap device. A
+    /// class with no page in the segment draws nothing from the RNG, so
+    /// runs without an SSD tier are unperturbed by the SSD pass.
+    fn fault_distinct(
         &mut self,
         seg: &crate::backend::SegmentAccess,
         count: f64,
         now: Ns,
+        class: PageClass,
     ) -> Ns {
-        let region = self.m.space.region(seg.region);
-        let ssd = region.ssd_pages_in(seg.lo_page, seg.hi_page);
-        if ssd == 0 {
+        let (lo, hi) = (seg.lo_page, seg.hi_page);
+        let in_class = |r: &Region| match class {
+            PageClass::Unmapped => seg.pages() - r.mapped_pages_in(lo, hi),
+            PageClass::Ssd => r.ssd_pages_in(lo, hi),
+            PageClass::Dram | PageClass::Nvm => unreachable!("resident pages do not fault"),
+        };
+        let present = in_class(self.m.space.region(seg.region));
+        if present == 0 {
             return Ns::ZERO;
         }
-        let pages = seg.pages();
-        // Expected distinct SSD-resident pages touched by `count` uniform
-        // accesses over `pages` pages (same model as `fault_unmapped`).
-        let lam = count / pages as f64;
-        let expect = ssd as f64 * (1.0 - (-lam).exp());
-        let n = self.m.rng.round_stochastic(expect).min(ssd);
+        // Expected distinct pages of the class touched by `count` uniform
+        // accesses over the segment's pages.
+        let lam = count / seg.pages() as f64;
+        let expect = present as f64 * (1.0 - (-lam).exp());
+        let n = self.m.rng.round_stochastic(expect).min(present);
         let mut stall = Ns::ZERO;
         for _ in 0..n {
             let region = self.m.space.region(seg.region);
-            let remaining = region.ssd_pages_in(seg.lo_page, seg.hi_page);
+            let remaining = in_class(region);
             if remaining == 0 {
                 break;
             }
             let k = self.m.rng.gen_range(remaining);
-            let Some(idx) = region.kth_page_in(PageClass::Ssd, seg.lo_page, seg.hi_page, k) else {
+            let Some(index) = region.kth_page_in(class, lo, hi, k) else {
                 break;
             };
-            stall += self.major_fault_page(
-                PageId {
-                    region: seg.region,
-                    index: idx,
-                },
-                true,
-                now,
-            );
+            let page = PageId {
+                region: seg.region,
+                index,
+            };
+            stall += match class {
+                PageClass::Ssd => self.major_fault_page(page, true, now),
+                _ => self.fault_page(page, true, now),
+            };
         }
         stall
     }
@@ -1853,13 +1807,7 @@ impl<B: TieredBackend> Sim<B> {
             // access is someone else's problem now.
             _ => return Ns::ZERO,
         };
-        // Major faults funnel through the same single fault thread as
-        // first-touch faults on managed memory.
-        let cfg = self.m.fault_cfg.clone();
-        if let Some(stall_for) = self.m.chaos.fault_thread_stall() {
-            self.m.fault_thread.stall(now, stall_for);
-        }
-        let queue = self.m.fault_thread.admit(now, &cfg);
+        let queue = self.admit_fault(now);
         let read = self
             .m
             .reserve_tier_bulk(now, Tier::Ssd, MemOp::Read, page_bytes, None);
@@ -2612,7 +2560,9 @@ mod tests {
         );
         let id = s.mmap(2 * GIB);
         s.populate(id, true);
-        s.munmap(id);
+        let mapped = s.m.space.region(id).mapped_pages();
+        assert_eq!(mapped, 1024);
+        assert_eq!(s.munmap(id), mapped, "one freed frame per mapped page");
         assert_eq!(
             (
                 s.m.pool(Tier::Dram).free_pages(),

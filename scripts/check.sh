@@ -170,6 +170,31 @@ if [ "$n" != 1 ]; then
   echo "policy.rs increments m.trace.policy.passes $n times; want exactly one (one policy pass)"
   exit 1
 fi
+# One mechanism per job: the runtime has one region teardown, one
+# fault-thread admission, one capped copy reservation, and one
+# shadow-reclaiming allocation; HeMem computes a tenant's DRAM claim in
+# one helper and runs every instance, solo included, through its one
+# per-slot policy loop, so it never calls the whole-machine
+# `run_policy` (comments and #[cfg(test)] exempt as above).
+echo "== one-mechanism gate"
+code() { awk '/#\[cfg\(test\)\]/{exit} /^[[:space:]]*\/\//{next} {print}' "$1"; }
+for pat in 'fault_thread.admit(' '.space.munmap(' 'reserve_tier_bulk(now, e.src_tier' 'reclaim_shadow_frames(1)'; do
+  n=$(code crates/core/src/runtime.rs | grep -cF "$pat" || true)
+  if [ "$n" != 1 ]; then
+    echo "runtime.rs has $n lines with '$pat'; want exactly one (one routine per job)"
+    exit 1
+  fi
+done
+n=$(code crates/core/src/hemem/manager.rs | grep -F 'prepared_into_for(' | grep -cF 'Tier::Dram' || true)
+if [ "$n" != 1 ]; then
+  echo "manager.rs computes the DRAM claim in $n places; want exactly one (dram_claim)"
+  exit 1
+fi
+n=$(code crates/core/src/hemem/manager.rs | grep -cF 'run_policy(' || true)
+if [ "$n" != 0 ]; then
+  echo "manager.rs calls run_policy( $n times; want none (one per-slot tick loop)"
+  exit 1
+fi
 
 # Region-granularity hygiene: the per-period policy pass must select
 # work through the span indexes (regions.rs) — never a fresh flat
