@@ -39,7 +39,9 @@ pub struct PtStats {
     pub policy_runs: u64,
 }
 
-/// HeMem with page-table scanning instead of PEBS.
+/// HeMem with page-table scanning instead of PEBS. Migration follows
+/// [`HeMemConfig::enable_migration`] (Figure 8's "PT Scan" bar turns it
+/// off).
 pub struct HeMemPt {
     cfg: HeMemConfig,
     mode: PtMode,
@@ -47,8 +49,6 @@ pub struct HeMemPt {
     stats: PtStats,
     /// When the scanner thread is next free (Async) / pass end (Sync).
     scanner_free: Ns,
-    /// Whether migration is enabled (Figure 8's "PT Scan" bar disables it).
-    migrate: bool,
 }
 
 impl HeMemPt {
@@ -60,19 +60,12 @@ impl HeMemPt {
             mode,
             stats: PtStats::default(),
             scanner_free: Ns::ZERO,
-            migrate: true,
         }
     }
 
     /// Paper-default PT variant.
     pub fn paper(mode: PtMode) -> HeMemPt {
         HeMemPt::new(HeMemConfig::paper(), mode)
-    }
-
-    /// Disables migration (scan-overhead-only configuration of Figure 8).
-    pub fn without_migration(mut self) -> HeMemPt {
-        self.migrate = false;
-        self
     }
 
     /// Statistics.
@@ -134,7 +127,7 @@ impl TieredBackend for HeMemPt {
                 let scan = scan_and_classify(m, &mut self.tracker, now, true);
                 self.stats.scans += 1;
                 self.stats.marked_hot += scan.marked_hot;
-                let migrations = if self.migrate {
+                let migrations = if self.cfg.enable_migration {
                     self.stats.policy_runs += 1;
                     run_policy(&self.cfg.policy, &mut self.tracker, m, now)
                 } else {
@@ -159,7 +152,7 @@ impl TieredBackend for HeMemPt {
                     self.stats.marked_hot += scan.marked_hot;
                     self.scanner_free = now + scan.scan_time;
                 }
-                let migrations = if self.migrate {
+                let migrations = if self.cfg.enable_migration {
                     self.stats.policy_runs += 1;
                     run_policy(&self.cfg.policy, &mut self.tracker, m, now)
                 } else {
@@ -235,8 +228,9 @@ mod tests {
     #[test]
     fn without_migration_never_migrates() {
         let mc = MachineConfig::small(1, 8);
-        let cfg = HeMemConfig::scaled_for(&mc);
-        let mut s = Sim::new(mc, HeMemPt::new(cfg, PtMode::Async).without_migration());
+        let mut cfg = HeMemConfig::scaled_for(&mc);
+        cfg.enable_migration = false;
+        let mut s = Sim::new(mc, HeMemPt::new(cfg, PtMode::Async));
         let id = s.mmap(2 * GIB);
         s.populate(id, true);
         s.m.space.region_mut(id).ledger.add(0, 1024, 1e8, 1e8);

@@ -30,14 +30,12 @@ fn gups_cfg(args: &ExpArgs) -> GupsConfig {
 fn run_config(args: &ExpArgs, name: &str) -> f64 {
     let mc = args.machine();
     let hc = HeMemConfig::scaled_for(&mc);
+    let mut no_migration = hc.clone();
+    no_migration.enable_migration = false;
     let backend = match name {
         "Opt" => AnyBackend::Static(StaticTier::dram_only()),
-        "PEBS" => {
-            let mut c = hc.clone();
-            c.enable_migration = false;
-            AnyBackend::HeMem(HeMem::new(c))
-        }
-        "PT Scan" => AnyBackend::Pt(HeMemPt::new(hc.clone(), PtMode::Async).without_migration()),
+        "PEBS" => AnyBackend::HeMem(HeMem::new(no_migration)),
+        "PT Scan" => AnyBackend::Pt(HeMemPt::new(no_migration, PtMode::Async)),
         "PEBS + Migrate" => AnyBackend::HeMem(HeMem::new(hc.clone())),
         "PT Scan + M. Sync" => AnyBackend::Pt(HeMemPt::new(hc.clone(), PtMode::Sync)),
         "PT Scan + M. Async" => AnyBackend::Pt(HeMemPt::new(hc.clone(), PtMode::Async)),

@@ -84,7 +84,7 @@ fn run_pair(args: &ExpArgs, kind: BackendKind) -> (Histogram, Histogram) {
         if now > warm_end {
             for _ in 0..8 {
                 let is_get = sim.m.rng.bernoulli(instances[inst].kvs.config().get_ratio);
-                let l = instances[inst].kvs.sample_latency(&mut sim, is_get, &rho);
+                let l = instances[inst].kvs.probe_latency(&mut sim, is_get, &rho);
                 instances[inst].latency.record_ns(l);
             }
         }

@@ -37,17 +37,12 @@
 //! to `sum(quotas) + unassigned == total` with every retired slot at
 //! zero — which is what the `ZombieTenantQuota` audit checks.
 //!
-//! Under fleet churn (hundreds of admit/retire events per second) the
-//! lifecycle ops must not rescan the slot table. Three running
-//! aggregates make them O(1) amortized: a cached live count, a
-//! conservative `min_guard` (a lower bound on every live quota and
-//! balloon cap) that lets [`DramArbiter::retire`] skip the floor
-//! top-up scan when no survivor can be below the raised floor, and a
-//! `releasable` sub-account of the host reserve where reclaimed quota
-//! is banked instead of being equal-split eagerly; the next periodic
-//! reallocation distributes it in one batch. Only when a survivor might
-//! actually sit below the new floor (a balloon pinned it there) does
-//! retire fall back to the O(n) repair scan.
+//! Retirement banks the reclaimed quota in a `releasable` sub-account
+//! of the host reserve instead of equal-splitting it eagerly; the next
+//! periodic reallocation distributes it in one batch, so quota moves on
+//! the reallocation period and not per lifecycle event. Retire itself
+//! runs one scan over the slots that lifts any survivor a balloon held
+//! below the raised floor (and its cap) back to the floor.
 
 use hemem_vmm::TenantId;
 
@@ -163,15 +158,6 @@ pub struct DramArbiter {
     /// the cap at its target so periodic reallocation cannot regrow the
     /// tenant past it; admit/retire reset the slot's cap.
     caps: Vec<u64>,
-    /// Cached `live.iter().filter(..).count()` so floor math and the
-    /// lifecycle fast paths never rescan the slot table.
-    live_count: usize,
-    /// Conservative lower bound on every live tenant's quota *and*
-    /// balloon cap (`u64::MAX` while nothing is live). Retire may skip
-    /// its floor-repair scan whenever `min_guard` already clears the
-    /// raised floor; staleness only ever errs low, forcing a harmless
-    /// slow path, never an unsound fast path.
-    min_guard: u64,
     /// Pages of `unassigned` banked by retirements and owed back to the
     /// survivors: the next periodic reallocation splits them equally
     /// (cap-respecting) instead of retire doing an O(n) split per event.
@@ -205,9 +191,6 @@ impl DramArbiter {
             live: vec![true; tenants],
             unassigned: 0,
             caps: vec![u64::MAX; tenants],
-            live_count: tenants,
-            // Equal split: the smallest share is the base (no remainder).
-            min_guard: base,
             releasable: 0,
             realloc_step_pages: (total_pages / 64).max(1),
             realloc_period_ns: DramArbiter::DEFAULT_REALLOC_PERIOD_NS,
@@ -229,8 +212,6 @@ impl DramArbiter {
             live: vec![false; capacity],
             unassigned: total_pages,
             caps: vec![u64::MAX; capacity],
-            live_count: 0,
-            min_guard: u64::MAX,
             releasable: 0,
             realloc_step_pages: (total_pages / 64).max(1),
             realloc_period_ns: DramArbiter::DEFAULT_REALLOC_PERIOD_NS,
@@ -254,18 +235,9 @@ impl DramArbiter {
         self.quotas.len()
     }
 
-    /// Number of currently live tenants (cached; O(1)).
+    /// Number of currently live tenants.
     pub fn live_tenants(&self) -> usize {
-        self.live_count
-    }
-
-    /// Pages the live set holds above its collective floor — derived in
-    /// O(1) from conservation (`sum(live quotas) == total - unassigned`)
-    /// and the cached live count, this is the running above-floor sum
-    /// the admission shave can draw from.
-    pub fn above_floor_pages(&self) -> u64 {
-        (self.total_pages - self.unassigned)
-            .saturating_sub(self.live_count as u64 * self.floor_pages())
+        self.live.iter().filter(|l| **l).count()
     }
 
     /// Pages of the host reserve banked by retirements and pending
@@ -285,10 +257,7 @@ impl DramArbiter {
     }
 
     /// The per-tenant quota floor, recomputed from the *live* tenant
-    /// set: an eighth of an equal share, never below one page. With
-    /// every constructed slot live this equals the floor the arbiter
-    /// froze at construction before lifecycle support, so steady-state
-    /// runs replay byte-identically.
+    /// set: an eighth of an equal share, never below one page.
     pub fn floor_pages(&self) -> u64 {
         let n = (self.live_tenants() as u64).max(1);
         (self.total_pages / (8 * n)).max(1)
@@ -328,10 +297,7 @@ impl DramArbiter {
     /// True while the quota vector plus the host reserve still sums to
     /// the tier's capacity and every retired slot holds zero quota —
     /// the arbiter's conservation invariant, checked by the audit. Also
-    /// validates the O(1) lifecycle aggregates: the cached live count,
-    /// the releasable sub-account (never exceeds the reserve), and the
-    /// min-guard's soundness (a true lower bound on every live quota
-    /// and cap, so the retire fast path can never skip a needed repair).
+    /// checks that the releasable sub-account never exceeds the reserve.
     pub fn conserved(&self) -> bool {
         self.quotas.iter().sum::<u64>() + self.unassigned == self.total_pages
             && self
@@ -339,14 +305,7 @@ impl DramArbiter {
                 .iter()
                 .zip(&self.live)
                 .all(|(q, l)| *l || *q == 0)
-            && self.live_count == self.live.iter().filter(|l| **l).count()
             && self.releasable <= self.unassigned
-            && self
-                .quotas
-                .iter()
-                .zip(&self.caps)
-                .zip(&self.live)
-                .all(|((q, c), l)| !*l || (self.min_guard <= *q && self.min_guard <= *c))
     }
 
     /// Re-clamps the releasable sub-account after something else drew
@@ -369,7 +328,7 @@ impl DramArbiter {
         if self.live[i] {
             return Err(AdmitError::AlreadyLive);
         }
-        let n_new = self.live_count as u64 + 1;
+        let n_new = self.live_tenants() as u64 + 1;
         let floor = (self.total_pages / (8 * n_new)).max(1);
         match floor.checked_mul(n_new) {
             Some(need) if need <= self.total_pages => {}
@@ -384,7 +343,7 @@ impl DramArbiter {
         // down toward the floor, lowest index first, stopping as soon as
         // the grant is covered. The admission check above guarantees the
         // loop reaches the floor; in the common fleet case the reserve
-        // covers the grant and the loop never runs, keeping admit O(1).
+        // covers the grant and the loop never runs.
         if grant < floor {
             let mut need = floor - grant;
             for (q, l) in self.quotas.iter_mut().zip(&self.live) {
@@ -400,14 +359,10 @@ impl DramArbiter {
                 need -= cut;
             }
             assert_eq!(need, 0, "admission check let an unsatisfiable join in");
-            // Donors were shaved toward (never below) the floor.
-            self.min_guard = self.min_guard.min(floor);
         }
         self.quotas[i] = grant;
         self.live[i] = true;
-        self.live_count += 1;
         self.caps[i] = u64::MAX;
-        self.min_guard = self.min_guard.min(grant);
         debug_assert!(self.conserved(), "admit broke conservation");
         Ok(grant)
     }
@@ -416,14 +371,11 @@ impl DramArbiter {
     /// reserve's releasable sub-account and handed back to the
     /// survivors in one equal (cap-respecting) batch at the next
     /// reallocation period, rather than equal-split eagerly per event.
-    /// The live-set shrink raises the floor; when the running
-    /// `min_guard` already clears the new floor — the common fleet-churn
-    /// case — no survivor can be below it and retire is O(1). Only when
-    /// a balloon may have pinned a survivor (or its cap) under the new
-    /// floor does retire run the O(n) repair scan that lifts every
-    /// straggler (and its cap) to the floor, drawing from the reclaimed
-    /// pool and then the reserve. Returns the reclaimed quota.
-    /// Idempotent on already-retired slots.
+    /// The live-set shrink raises the floor, so one scan lifts every
+    /// survivor a balloon pinned below it (and its cap) to the floor,
+    /// drawing from the reclaimed pool and then the reserve; what the
+    /// scan leaves is banked. Returns the reclaimed quota. Idempotent on
+    /// already-retired slots.
     pub fn retire(&mut self, t: TenantId) -> u64 {
         let i = t.0 as usize;
         if i >= self.quotas.len() || !self.live[i] {
@@ -431,50 +383,34 @@ impl DramArbiter {
         }
         let reclaimed = std::mem::take(&mut self.quotas[i]);
         self.live[i] = false;
-        self.live_count -= 1;
         self.caps[i] = u64::MAX;
-        if self.live_count == 0 {
+        if !self.live.contains(&true) {
             // No survivors: everything returns to the plain reserve.
             self.unassigned += reclaimed;
-            self.min_guard = u64::MAX;
             debug_assert!(self.conserved(), "retire broke conservation");
             return reclaimed;
         }
         let floor = self.floor_pages();
-        if self.min_guard >= floor {
-            // Fast path: every live quota and cap already sits at or
-            // above the raised floor; bank the reclaim for the next
-            // periodic redistribution.
-            self.unassigned += reclaimed;
-            self.releasable += reclaimed;
-        } else {
-            // Slow path: a balloon may hold a survivor below the new
-            // floor. Repair floors and caps in one scan and recompute
-            // an exact min-guard while we are here.
-            let mut pool = reclaimed;
-            let mut guard = u64::MAX;
-            for j in 0..self.quotas.len() {
-                if !self.live[j] {
-                    continue;
-                }
-                // The floor is the tenant's guarantee; a balloon cap
-                // below it no longer binds.
-                self.caps[j] = self.caps[j].max(floor);
-                if self.quotas[j] < floor {
-                    let need = floor - self.quotas[j];
-                    let take = need.min(pool);
-                    pool -= take;
-                    let pull = (need - take).min(self.unassigned);
-                    self.unassigned -= pull;
-                    self.quotas[j] += take + pull;
-                }
-                guard = guard.min(self.quotas[j]).min(self.caps[j]);
+        let mut pool = reclaimed;
+        for j in 0..self.quotas.len() {
+            if !self.live[j] {
+                continue;
             }
-            self.min_guard = guard;
-            self.unassigned += pool;
-            self.releasable += pool;
-            self.clamp_releasable();
+            // The floor is the tenant's guarantee; a balloon cap below
+            // it no longer binds.
+            self.caps[j] = self.caps[j].max(floor);
+            if self.quotas[j] < floor {
+                let need = floor - self.quotas[j];
+                let take = need.min(pool);
+                pool -= take;
+                let pull = (need - take).min(self.unassigned);
+                self.unassigned -= pull;
+                self.quotas[j] += take + pull;
+            }
         }
+        self.unassigned += pool;
+        self.releasable += pool;
+        self.clamp_releasable();
         debug_assert!(self.conserved(), "retire broke conservation");
         reclaimed
     }
@@ -482,15 +418,14 @@ impl DramArbiter {
     /// Splits the releasable reserve equally among the live tenants
     /// (remainder to the lowest indices), respecting balloon caps;
     /// whatever no one can absorb stays in the plain reserve. Runs at
-    /// most once per reallocation period, batching the per-retire
-    /// splits the old eager path did per event. Returns `true` when any
-    /// quota moved.
+    /// most once per reallocation period. Returns `true` when any quota
+    /// moved.
     fn distribute_releasable(&mut self) -> bool {
-        if self.releasable == 0 || self.live_count == 0 {
+        let n = self.live_tenants() as u64;
+        if self.releasable == 0 || n == 0 {
             return false;
         }
         let pool = std::mem::take(&mut self.releasable);
-        let n = self.live_count as u64;
         let base = pool / n;
         let rem = pool % n;
         let mut given = 0u64;
@@ -539,8 +474,6 @@ impl DramArbiter {
         } else {
             target
         };
-        // The new quota and pinned cap both bound the guard from below.
-        self.min_guard = self.min_guard.min(self.quotas[i]).min(self.caps[i]);
         debug_assert!(self.conserved(), "balloon broke conservation");
         self.quotas[i]
     }
@@ -573,8 +506,7 @@ impl DramArbiter {
     /// Runs a reallocation if the period elapsed. Returns `true` when
     /// quotas may have moved. `signals` is indexed by tenant and must
     /// cover every tenant. Quota banked by retirements since the last
-    /// period is redistributed here first (under every policy — the old
-    /// eager per-retire split also ran under static shares), then the
+    /// period is redistributed here first, under every policy, then the
     /// demand-driven policy runs.
     pub fn maybe_realloc(&mut self, now_ns: u64, signals: &[TenantSignal]) -> bool {
         if now_ns < self.next_realloc_ns {
@@ -584,7 +516,7 @@ impl DramArbiter {
             self.next_realloc_ns += self.realloc_period_ns;
         }
         let released = self.distribute_releasable();
-        if self.live_count < 2 || self.policy == ArbiterPolicy::StaticShares {
+        if self.live_tenants() < 2 || self.policy == ArbiterPolicy::StaticShares {
             return released;
         }
         assert_eq!(signals.len(), self.quotas.len(), "one signal per slot");
@@ -631,10 +563,6 @@ impl DramArbiter {
             i += 1;
         }
         self.apply_caps(&live);
-        // Every live quota was rebuilt at or above the floor (and every
-        // live cap already clears it), so the floor is the tight sound
-        // guard after a full redistribution.
-        self.min_guard = floor;
     }
 
     /// Clamps every live quota to its balloon cap, redistributing the
@@ -702,7 +630,6 @@ impl DramArbiter {
             .min(self.caps[live[hi]].saturating_sub(self.quotas[live[hi]]));
         self.quotas[live[lo]] -= step;
         self.quotas[live[hi]] += step;
-        self.min_guard = self.min_guard.min(self.quotas[live[lo]]);
     }
 }
 
@@ -856,10 +783,9 @@ mod tests {
 
     #[test]
     fn retire_repairs_a_balloon_pinned_survivor_below_the_raised_floor() {
-        // Slow-path regression: tenant 1 balloons to the 4-live floor
-        // (16 pages); retiring two tenants raises the floor to 32, so
-        // the fast path must not fire and the repair scan must lift
-        // both the quota and the pinned cap to the new floor.
+        // Tenant 1 balloons to the 4-live floor (16 pages); retiring
+        // two tenants raises the floor to 32, so the repair scan must
+        // lift both the quota and the pinned cap to the new floor.
         let mut a = DramArbiter::new(ArbiterPolicy::GreedyMissRatio, 512, 4);
         let floor4 = a.floor_pages();
         assert_eq!(floor4, 16);
@@ -871,17 +797,6 @@ mod tests {
         assert_eq!(floor2, 32);
         assert!(a.quota_pages(TenantId(1)) >= floor2, "floor repaired");
         assert!(a.quota_cap(TenantId(1)) >= floor2, "cap lifted");
-        assert!(a.conserved());
-    }
-
-    #[test]
-    fn above_floor_sum_tracks_the_live_set() {
-        let mut a = DramArbiter::new(ArbiterPolicy::StaticShares, 512, 4);
-        assert_eq!(a.above_floor_pages(), 512 - 4 * 16);
-        a.retire(TenantId(3));
-        // The reclaim sits in the reserve until the next period; the
-        // floor rose to 512 / 24 = 21 for the three survivors.
-        assert_eq!(a.above_floor_pages(), 384 - 3 * 21);
         assert!(a.conserved());
     }
 

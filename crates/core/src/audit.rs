@@ -278,9 +278,8 @@ pub enum AuditViolation {
         walked: u64,
     },
     /// A parked (free-list) slot still carries occupant state — tracker
-    /// pages, load counters, balloon, or PEBS stream history — that
-    /// would bleed into the slot's next generation (reported through
-    /// `TieredBackend::audit`).
+    /// pages, load counters, or balloon — that would bleed into the
+    /// slot's next generation (reported through `TieredBackend::audit`).
     SlotGenerationLeak {
         /// The dirty parked slot.
         tenant: TenantId,

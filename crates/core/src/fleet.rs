@@ -1,10 +1,10 @@
 //! Fleet control plane: a pool of fixed-size tenant instance slots.
 //!
 //! The paper's per-process design (§4) gives every tenant its own
-//! manager state — tracker arenas, region views, a PEBS demux lane,
-//! breaker and balloon state. That is exactly what scales past
-//! kernel-level tiering, but it turns tenant spawn into a pile of heap
-//! construction and teardown into a pile of frees; under fleet churn
+//! manager state — tracker arenas, region views, breaker and balloon
+//! state. That is exactly what scales past kernel-level tiering, but
+//! it turns tenant spawn into a pile of heap construction and teardown
+//! into a pile of frees; under fleet churn
 //! (thousands of short-lived instances, ROADMAP north-star) the control
 //! plane would spend its time in the allocator and the slot vector
 //! would be rebuilt per arrival. Lucet's pooling allocator proved the
@@ -25,8 +25,7 @@
 //! * each claim bumps the slot's **generation**; regions are tagged
 //!   with the generation they were mapped under, and the
 //!   `SlotGenerationLeak` / `StaleSlotFrame` audits prove that nothing
-//!   — frames, quota, counters, PEBS stream history — bleeds from one
-//!   occupant to the next.
+//!   — frames, quota, counters — bleeds from one occupant to the next.
 //!
 //! The pool is the storage for *every* HeMem configuration (solo,
 //! multi-tenant, churn), and claim-and-reset is the only spawn
@@ -156,7 +155,7 @@ pub struct FleetStats {
 /// bookkeeping regardless of slot size.
 pub const POOLED_SPAWN_NS: u64 = 2_000;
 /// Fixed cost of a from-scratch spawn: allocate and wire the tracker,
-/// queue links, region view, demux lane, and journal view.
+/// queue links, region view, and journal view.
 pub const SCRATCH_SPAWN_BASE_NS: u64 = 200_000;
 /// Per-page cost of a from-scratch spawn: sizing the arena, metadata,
 /// and page tables for the slot's working set.

@@ -6,7 +6,7 @@
 //! PEBS samples processed by a dedicated thread, and migrates pages
 //! asynchronously under the 10 ms policy thread using DMA offload.
 
-use hemem_pebs::{SampleRecord, TenantDemux};
+use hemem_pebs::SampleRecord;
 use hemem_sim::Ns;
 use hemem_vmm::{PageId, RegionId, TenantId, Tier, VirtAddr};
 
@@ -132,8 +132,10 @@ pub struct HeMem {
     /// Arbiter knob overrides applied at creation.
     realloc_period_ns: Option<u64>,
     realloc_step_pages: Option<u64>,
-    /// Per-tenant PEBS stream budgets; multi-tenant only.
-    demux: Option<TenantDemux>,
+    /// Records each slot applied in the current multi-slot
+    /// `on_samples` call; kept here so that loop allocates only on its
+    /// first call, and empty (no heap) on a one-slot instance.
+    samples_this_call: Vec<u64>,
     stats: HeMemStats,
     /// Cumulative bytes of forwarded small allocations: once a growing
     /// region family crosses the manage threshold, HeMem starts managing
@@ -195,7 +197,7 @@ impl HeMem {
             start,
             realloc_period_ns: None,
             realloc_step_pages: None,
-            demux: None,
+            samples_this_call: Vec::new(),
             stats: HeMemStats::default(),
             small_growth: 0,
             pin_new_regions: false,
@@ -584,11 +586,11 @@ impl TieredBackend for HeMem {
 
     fn on_samples(&mut self, m: &mut MachineCore, samples: &[SampleRecord], now: Ns) {
         if self.pool.slots.len() == 1 {
-            // A lone slot keeps its own loop: the demux below throttles
+            // A lone slot keeps its own loop: the loop below throttles
             // at `drain_budget`, but `fire_pebs` hands over up to 32,768
             // direct records a batch; and this is the hottest loop on
-            // `kvs_700g` (merged into the demux loop, its traced share
-            // rose from 0.31-0.33 to 0.33-0.38). So a killed slot's
+            // `kvs_700g` (merged into the per-tenant loop, its traced
+            // share rose from 0.31-0.33 to 0.33-0.38). So a killed slot's
             // samples drop on one check per call, not one per record.
             let ts = &mut self.pool.slots[0];
             if ts.lifecycle != Lifecycle::Live {
@@ -606,13 +608,10 @@ impl TieredBackend for HeMem {
         }
         // Multi-tenant: the shared drain budget is split evenly, so one
         // tenant's sample flood cannot starve the others' classifiers.
+        // Each call is one pass: every slot's count starts at zero.
         let per_tenant = (m.pebs.drain_budget() as u64 / self.pool.slots.len() as u64).max(1);
-        let mut demux = self
-            .demux
-            .take()
-            .unwrap_or_else(|| TenantDemux::new(self.pool.slots.len(), per_tenant));
-        demux.set_per_pass_budget(per_tenant);
-        demux.begin_pass();
+        self.samples_this_call.clear();
+        self.samples_this_call.resize(self.pool.slots.len(), 0);
         for s in samples {
             if let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) {
                 let idx = self.tenant_index(m, page.region);
@@ -624,7 +623,9 @@ impl TieredBackend for HeMem {
                     continue;
                 }
                 if let Some(slot) = ts.tracker.slot(page) {
-                    if demux.admit(idx) {
+                    let count = &mut self.samples_this_call[idx];
+                    if *count < per_tenant {
+                        *count += 1;
                         ts.tracker.record_at(slot, page, s.kind.is_store(), now);
                         ts.note_sample(s.kind);
                         self.stats.samples_applied += 1;
@@ -632,7 +633,6 @@ impl TieredBackend for HeMem {
                 }
             }
         }
-        self.demux = Some(demux);
     }
 
     fn tick(&mut self, m: &mut MachineCore, now: Ns) -> TickOutput {
@@ -971,27 +971,18 @@ impl TieredBackend for HeMem {
             arb.retire(tenant);
         }
         // Scrub the slot and park it on the free list so the next
-        // arrival claims it without rebuilding, and zero the tenant's
-        // PEBS demux lane so no stream history (FNV hashes, round-robin
-        // credit) leaks into the slot's next generation.
+        // arrival claims it without rebuilding.
         self.pool.recycle(tenant);
-        if let Some(d) = &mut self.demux {
-            d.reset_lane(tenant.0 as usize);
-        }
     }
 
     fn audit(&self, m: &MachineCore) -> Vec<crate::audit::AuditViolation> {
         let mut v: Vec<crate::audit::AuditViolation> = Vec::new();
-        // Parked slots must be scrubbed: no tracker pages, counters,
-        // balloon, or PEBS stream history from a previous occupant may
-        // survive onto the free list.
+        // Parked slots must be scrubbed: no tracker pages, counters or
+        // balloon from a previous occupant may survive onto the free
+        // list.
         for &i in self.pool.free_list() {
             let ts = &self.pool.slots[i as usize];
-            let lane_dirty = self.demux.as_ref().is_some_and(|d| {
-                let s = d.stream_stats(i as usize);
-                s.delivered != 0 || s.throttled != 0
-            });
-            if !self.pool.is_scrubbed(ts.id) || lane_dirty {
+            if !self.pool.is_scrubbed(ts.id) {
                 v.push(crate::audit::AuditViolation::SlotGenerationLeak {
                     tenant: ts.id,
                     generation: ts.generation,
@@ -1541,6 +1532,42 @@ mod lifecycle_tests {
         assert_eq!(s.backend.tick(&mut s.m, now).migrations.len(), 0);
         s.backend.on_samples(&mut s.m, &samples, now);
         assert_eq!(s.backend.stats().samples_applied - applied, 0);
+    }
+
+    #[test]
+    fn one_on_samples_call_caps_each_tenant_at_its_share_of_the_drain_budget() {
+        let mc = MachineConfig::small(1, 8);
+        let mut s = duo(mc);
+        // One record on the first page of tenant `t`'s region.
+        let record = |s: &Sim<HeMem>, t: u32| {
+            let r = s.m.space.regions().find(|r| r.tenant() == TenantId(t));
+            SampleRecord {
+                vaddr: r.expect("duo maps one region per tenant").page_addr(0).0,
+                kind: hemem_pebs::SampleType::NvmLoad,
+            }
+        };
+        let (r0, r1) = (record(&s, 0), record(&s, 1));
+        let per_tenant = s.m.pebs.drain_budget() as u64 / 2;
+        let applied = |s: &Sim<HeMem>, t: usize| s.backend.pool.slots[t].counters.samples_applied;
+        // Tenant 0 floods the call with a full drain budget, then tenant
+        // 1 sends a few records: the flood stops at tenant 0's half and
+        // every one of tenant 1's records still applies.
+        let mut samples = vec![r0; 2 * per_tenant as usize];
+        samples.extend([r1; 16]);
+        let now = s.now();
+        s.backend.on_samples(&mut s.m, &samples, now);
+        assert_eq!(applied(&s, 0), per_tenant);
+        assert_eq!(applied(&s, 1), 16);
+        assert_eq!(s.backend.stats().samples_applied, per_tenant + 16);
+        // A quarantined tenant's flood applies nothing and leaves its
+        // budget untouched; the next call starts every count at zero.
+        s.backend.tenant_killed(&mut s.m, TenantId(1), now);
+        let mut samples = vec![r1; 2 * per_tenant as usize];
+        samples.extend([r0; 16]);
+        s.backend.on_samples(&mut s.m, &samples, now);
+        assert_eq!(applied(&s, 1), 16);
+        assert_eq!(s.backend.samples_this_call, [16, 0]);
+        assert_eq!(applied(&s, 0), per_tenant + 16);
     }
 
     #[test]

@@ -419,95 +419,6 @@ impl Pebs {
     }
 }
 
-/// Cumulative counters for one tenant's sample stream.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-pub struct TenantStreamStats {
-    /// Records delivered to the tenant's tracker.
-    pub delivered: u64,
-    /// Records discarded because the tenant exhausted its per-pass
-    /// budget.
-    pub throttled: u64,
-}
-
-/// Per-tenant drain-budget demultiplexer.
-///
-/// On a multi-tenant machine the PEBS buffer is shared hardware: one
-/// tenant hammering memory can fill every drain pass with its own
-/// records and starve the other tenants' classifiers. The demux splits
-/// each drained batch into per-tenant streams and caps how many records
-/// any one tenant may consume per pass, so classification bandwidth is
-/// divided like every other arbitrated resource. The single-tenant path
-/// bypasses the demux entirely, which keeps solo runs byte-identical to
-/// an unmultiplexed machine.
-#[derive(Debug, Clone)]
-pub struct TenantDemux {
-    per_pass_budget: u64,
-    pass_counts: Vec<u64>,
-    stats: Vec<TenantStreamStats>,
-}
-
-impl TenantDemux {
-    /// Creates a demux for `tenants` streams, each allowed
-    /// `per_pass_budget` records per drain pass.
-    pub fn new(tenants: usize, per_pass_budget: u64) -> TenantDemux {
-        assert!(tenants > 0, "demux needs at least one stream");
-        TenantDemux {
-            per_pass_budget: per_pass_budget.max(1),
-            pass_counts: vec![0; tenants],
-            stats: vec![TenantStreamStats::default(); tenants],
-        }
-    }
-
-    /// Number of streams.
-    pub fn tenants(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Records each tenant may consume per drain pass.
-    pub fn per_pass_budget(&self) -> u64 {
-        self.per_pass_budget
-    }
-
-    /// Adjusts the per-pass budget (e.g. when the drain rate changes).
-    pub fn set_per_pass_budget(&mut self, budget: u64) {
-        self.per_pass_budget = budget.max(1);
-    }
-
-    /// Starts a new drain pass: every tenant's budget is refilled.
-    pub fn begin_pass(&mut self) {
-        self.pass_counts.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Accounts one record against `tenant`'s budget for this pass.
-    /// Returns `true` if the record is admitted (deliver it) and `false`
-    /// if the tenant is throttled for the rest of the pass.
-    pub fn admit(&mut self, tenant: usize) -> bool {
-        if self.pass_counts[tenant] < self.per_pass_budget {
-            self.pass_counts[tenant] += 1;
-            self.stats[tenant].delivered += 1;
-            true
-        } else {
-            self.stats[tenant].throttled += 1;
-            false
-        }
-    }
-
-    /// Cumulative counters for `tenant`'s stream.
-    pub fn stream_stats(&self, tenant: usize) -> TenantStreamStats {
-        self.stats[tenant]
-    }
-
-    /// Scrubs one tenant's demux lane back to a fresh stream: cumulative
-    /// counters and the in-pass budget both return to zero. Part of the
-    /// slot-pool teardown, so a recycled slot's next occupant starts
-    /// with a clean PEBS stream instead of inheriting its predecessor's
-    /// delivered/throttled history.
-    pub fn reset_lane(&mut self, tenant: usize) {
-        self.pass_counts[tenant] = 0;
-        self.stats[tenant] = TenantStreamStats::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,23 +533,6 @@ mod tests {
         }
         assert!(fast.stats().dropped > 0, "period 10 must overflow");
         assert_eq!(slow.stats().dropped, 0, "period 10k must not overflow");
-    }
-
-    #[test]
-    fn demux_caps_each_stream_per_pass() {
-        let mut d = TenantDemux::new(2, 3);
-        d.begin_pass();
-        for _ in 0..5 {
-            d.admit(0);
-        }
-        assert!(d.admit(1), "tenant 1 unaffected by tenant 0's flood");
-        assert_eq!(d.stream_stats(0).delivered, 3);
-        assert_eq!(d.stream_stats(0).throttled, 2);
-        assert_eq!(d.stream_stats(1).delivered, 1);
-        // A new pass refills every budget.
-        d.begin_pass();
-        assert!(d.admit(0));
-        assert_eq!(d.stream_stats(0).delivered, 4);
     }
 
     #[test]

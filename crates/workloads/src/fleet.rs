@@ -25,9 +25,9 @@
 //! and it differs from every other instance's only in the region id.
 //! So at start the driver cuts the `"|{batch:?}"` tail at the region's
 //! `Debug` text (`RegionId(n)`) and looks each piece up in a per-run
-//! table of [`FnvJump`]s. Each submit then folds the index digits and
+//! table of `FnvJump`s. Each submit then folds the index digits and
 //! the region text byte by byte and each piece in O(1). The result is
-//! exactly the byte-by-byte hash of the record (see [`crate::fnv`]).
+//! exactly the byte-by-byte hash of the record (see `crate::fnv`).
 //!
 //! The driver charges each spawn a simulated setup latency from
 //! [`hemem_core::spawn_cost_ns`] between admission and first touch.

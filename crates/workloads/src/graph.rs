@@ -27,6 +27,11 @@ use hemem_memdev::Pattern;
 use hemem_sim::Ns;
 use hemem_vmm::RegionId;
 
+/// Chunks per BC iteration: each thread's share of an iteration is
+/// issued in this many rounds, so migration decisions landing
+/// mid-iteration affect later chunks.
+const CHUNKS: u64 = 8;
+
 /// Graph/BC configuration.
 #[derive(Debug, Clone)]
 pub struct GraphConfig {
@@ -245,39 +250,28 @@ impl Bc {
         }
     }
 
-    /// One thread's share of a BC iteration chunk, as the four batch
-    /// kinds [`Bc::run_iteration`] submits — for the colocation driver,
-    /// which runs chunks as free-running rounds instead of barriered
-    /// levels. Pure: depends only on the configuration and the region
-    /// geometry captured at setup.
+    /// One thread's share of a BC iteration chunk: the four batches
+    /// [`Bc::run_iteration`] submits per thread per chunk, and what the
+    /// colocation driver runs as free-running rounds instead of
+    /// barriered levels. Pure: depends only on the configuration and the
+    /// region geometry captured at setup.
     pub(crate) fn round_batches(&self, csr_pages: u64) -> Vec<AccessBatch> {
-        const CHUNKS: u64 = 8;
         let cfg = &self.cfg;
         let v = cfg.vertices();
         let e = cfg.edge_entries();
         let threads = cfg.threads as u64;
+        let csr = |accesses, size, wf, pat| self.csr_batch((0, csr_pages), accesses, size, wf, pat);
         vec![
-            self.csr_batch(
-                (0, csr_pages),
-                e / 16 / threads / CHUNKS,
-                128,
-                0.0,
-                Pattern::Random,
-            ),
-            self.csr_batch(
-                (0, csr_pages),
-                v / threads / CHUNKS,
-                8,
-                0.0,
-                Pattern::Random,
-            ),
-            self.csr_batch(
-                (0, csr_pages),
-                e / 2 / threads / CHUNKS,
-                8,
-                0.5,
-                Pattern::Sequential,
-            ),
+            // Forward pass: neighbour-list scans. Average run length is
+            // 16 entries * 8 B = 128 B, below NVM media granularity.
+            csr(e / 16 / threads / CHUNKS, 128, 0.0, Pattern::Random),
+            // Offset lookups: one 8 B random read per vertex visited.
+            csr(v / threads / CHUNKS, 8, 0.0, Pattern::Random),
+            // Successor-list appends (forward) and reads (backward):
+            // sequential halves of the CSR region tail.
+            csr(e / 2 / threads / CHUNKS, 8, 0.5, Pattern::Sequential),
+            // Aux arrays: 2 endpoint updates per edge, write-heavy
+            // (sigma increments, delta accumulation, depth stores).
             self.aux_batch(2 * e / threads / CHUNKS, 0.55, cfg.aux_bytes()),
         ]
     }
@@ -285,51 +279,17 @@ impl Bc {
     /// Runs one BC iteration (forward BFS + backward accumulation),
     /// returning its wall time.
     pub fn run_iteration<B: TieredBackend>(&self, sim: &mut Sim<B>) -> IterationResult {
-        let cfg = &self.cfg;
         let t0 = sim.now();
         let wear0 = sim.m.nvm_wear_bytes();
-        let v = cfg.vertices();
-        let e = cfg.edge_entries();
-        let threads = cfg.threads as u64;
-        let csr_pages = sim.m.space.region(self.csr).page_count();
-        // Per-thread slices of work, issued in chunks so migration
-        // decisions landing mid-iteration affect later chunks.
-        const CHUNKS: u64 = 8;
+        let threads = self.cfg.threads;
+        let batches = self.round_batches(sim.m.space.region(self.csr).page_count());
         for _ in 0..CHUNKS {
             let mut outstanding = 0u32;
             for tid in 0..threads {
-                // Forward pass: neighbour-list scans. Average run length is
-                // 16 entries * 8 B = 128 B, below NVM media granularity.
-                let scans = e / 16 / threads / CHUNKS;
-                let b = self.csr_batch((0, csr_pages), scans, 128, 0.0, Pattern::Random);
-                sim.submit_batch(tid as u32, &b);
-                outstanding += 1;
-                // Offset lookups: one 8 B random read per vertex visited.
-                let b = self.csr_batch(
-                    (0, csr_pages),
-                    v / threads / CHUNKS,
-                    8,
-                    0.0,
-                    Pattern::Random,
-                );
-                sim.submit_batch(tid as u32, &b);
-                outstanding += 1;
-                // Successor-list appends (forward) and reads (backward):
-                // sequential halves of the CSR region tail.
-                let b = self.csr_batch(
-                    (0, csr_pages),
-                    e / 2 / threads / CHUNKS,
-                    8,
-                    0.5,
-                    Pattern::Sequential,
-                );
-                sim.submit_batch(tid as u32, &b);
-                outstanding += 1;
-                // Aux arrays: 2 endpoint updates per edge, write-heavy
-                // (sigma increments, delta accumulation, depth stores).
-                let b = self.aux_batch(2 * e / threads / CHUNKS, 0.55, cfg.aux_bytes());
-                sim.submit_batch(tid as u32, &b);
-                outstanding += 1;
+                for b in &batches {
+                    sim.submit_batch(tid, b);
+                    outstanding += 1;
+                }
             }
             // Barrier: BFS levels synchronize threads.
             while outstanding > 0 {

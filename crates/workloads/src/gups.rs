@@ -122,7 +122,7 @@ impl Gups {
         // range a proportional share of DRAM residency, matching that.
         let now = sim.now();
         let threads = cfg.threads as u64;
-        let hot_pages_per_t = (cfg.hot_set / threads).div_ceil(page_bytes).min(per);
+        let hot_pages_per = (cfg.hot_set / threads).div_ceil(page_bytes).min(per);
         let mut order: Vec<u64> = (0..total_pages).collect();
         let mut rng = sim.m.rng.fork(0x47555053); // "GUPS"
         rng.shuffle(&mut order);
@@ -130,8 +130,8 @@ impl Gups {
             // Hot slices first: they are touched first and fill DRAM.
             order.sort_by_key(|&idx| {
                 let t = (idx / per).min(threads - 1);
-                let lo = t * per + (per.saturating_sub(hot_pages_per_t)) / 3;
-                let hi = lo + hot_pages_per_t;
+                let lo = t * per + (per.saturating_sub(hot_pages_per)) / 3;
+                let hi = lo + hot_pages_per;
                 u64::from(!(idx >= lo && idx < hi))
             });
         }
@@ -155,13 +155,10 @@ impl Gups {
             ));
         }
         sim.run_until(Ns(now.as_nanos() + fill_cost.as_nanos() + drain.as_nanos()));
-        let hot_pages_per = (cfg.hot_set / cfg.threads as u64)
-            .div_ceil(page_bytes)
-            .min(per);
-        let parts = (0..cfg.threads as u64)
+        let parts = (0..threads)
             .map(|t| {
                 let lo = t * per;
-                let hi = if t == cfg.threads as u64 - 1 {
+                let hi = if t == threads - 1 {
                     total_pages
                 } else {
                     lo + per

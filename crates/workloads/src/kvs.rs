@@ -133,16 +133,6 @@ impl Kvs {
         (self.value_batch(), self.table_batch())
     }
 
-    /// Samples one operation's latency (public for multi-instance runs).
-    pub fn sample_latency<B: TieredBackend>(
-        &self,
-        sim: &mut Sim<B>,
-        is_get: bool,
-        rho: &TierRho,
-    ) -> Ns {
-        self.probe_latency(sim, is_get, rho)
-    }
-
     /// Value traffic batch: GETs read values (hot-skewed); SETs append
     /// (sequential writes into the hot portion — freshly written keys are
     /// the hot ones in a segmented log).
@@ -214,8 +204,14 @@ impl Kvs {
     /// probe plus value access, each resolved through LLC / DRAM / NVM.
     /// Queueing is modelled from recent device utilization (M/M/1 waiting
     /// on top of the base service latency) rather than raw batch backlog,
-    /// which would charge an op the entire in-flight bulk window.
-    fn probe_latency<B: TieredBackend>(&self, sim: &mut Sim<B>, is_get: bool, rho: &TierRho) -> Ns {
+    /// which would charge an op the entire in-flight bulk window. Public
+    /// so multi-instance experiments (Table 4) can probe each store.
+    pub fn probe_latency<B: TieredBackend>(
+        &self,
+        sim: &mut Sim<B>,
+        is_get: bool,
+        rho: &TierRho,
+    ) -> Ns {
         let mut total = Ns::nanos(1_500); // request parsing/NIC handoff
                                           // Hash probe: the table is small; mostly LLC.
         let table_bytes = self.table_pages * (2 << 20);
@@ -297,15 +293,7 @@ impl Kvs {
             }
             in_round[t] = false;
             // Refresh the utilization window every few milliseconds.
-            let dt = now.saturating_sub(last_busy.2);
-            if dt > Ns::millis(5) {
-                let d = sim.m.dram.stats().busy.saturating_sub(last_busy.0);
-                let n = sim.m.nvm.stats().busy.saturating_sub(last_busy.1);
-                let span = dt.as_nanos() as f64;
-                rho.dram = (d.as_nanos() as f64 / span).min(1.0);
-                rho.nvm = (n.as_nanos() as f64 / span).min(1.0);
-                last_busy = (sim.m.dram.stats().busy, sim.m.nvm.stats().busy, now);
-            }
+            rho.refresh(sim, &mut last_busy);
             if now >= t_end {
                 live -= 1;
                 continue;

@@ -62,6 +62,11 @@ done
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: a doc link left pointing at a deleted or private item
+# fails here rather than rotting silently.
+echo "== cargo doc --workspace --no-deps (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The ten gate benches. Each asserts its gates internally (listed in the
 # module doc of crates/bench/src/bin/<name>.rs) and aborts on a
 # violation. All of them run from one scratch directory, so what they
