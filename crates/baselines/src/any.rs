@@ -36,7 +36,7 @@ pub enum AnyBackend {
 }
 
 /// Backend selector for experiment configuration files / CLI flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// HeMem with PEBS and DMA (paper configuration).
     HeMem,

@@ -15,7 +15,7 @@ use hemem_core::backend::{SegmentAccess, TickOutput, TierSplit, TieredBackend, T
 use hemem_core::machine::MachineCore;
 
 /// Memory-mode statistics (scaled to real access counts).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MemoryModeStats {
     /// Estimated cache hits.
     pub hits: u64,

@@ -11,7 +11,7 @@
 
 use hemem_core::backend::{TickOutput, TieredBackend};
 use hemem_core::hemem::{run_policy, PageTracker, PolicyConfig, TrackerConfig};
-use hemem_core::machine::MachineCore;
+use hemem_core::machine::{MachineCore, MANAGED_PAGE};
 use hemem_sim::Ns;
 use hemem_vmm::{PageId, RegionId, Tier};
 
@@ -24,16 +24,16 @@ pub struct NimbleConfig {
     pub idle_gap: Ns,
     /// Copy threads for page movement (4 is most efficient per §5).
     pub copy_threads: usize,
-    /// Migration byte budget per pass (kernel migration batching limit).
-    pub max_migrate_per_pass: u64,
 }
+
+/// Migration byte budget per pass (kernel migration batching limit).
+const MAX_MIGRATE_PER_PASS: u64 = 2 << 30;
 
 impl Default for NimbleConfig {
     fn default() -> Self {
         NimbleConfig {
             idle_gap: Ns::millis(100),
             copy_threads: 4,
-            max_migrate_per_pass: 2 << 30,
         }
     }
 }
@@ -85,12 +85,12 @@ impl Nimble {
             dram_watermark: 0,
             // Effective budget: Nimble is not rate-capped; bound by the
             // per-pass batching limit instead.
-            migration_rate: self.cfg.max_migrate_per_pass as f64 / self.cfg.idle_gap.as_secs_f64(),
+            migration_rate: MAX_MIGRATE_PER_PASS as f64 / self.cfg.idle_gap.as_secs_f64(),
             use_dma: false,
             dma_channels: 1,
             copy_threads: self.cfg.copy_threads,
             // The kernel migrates its whole candidate list synchronously.
-            max_inflight_pages: self.cfg.max_migrate_per_pass / (2 << 20),
+            max_inflight_pages: MAX_MIGRATE_PER_PASS / (2 << 20),
         }
     }
 }
@@ -142,7 +142,7 @@ impl TieredBackend for Nimble {
         self.stats.scans += 1;
         self.stats.marked_hot += scan.marked_hot;
         let migrations = run_policy(&self.policy_config(), &mut self.tracker, m, now);
-        let bytes: u64 = migrations.len() as u64 * m.cfg.managed_page.bytes();
+        let bytes: u64 = migrations.len() as u64 * MANAGED_PAGE.bytes();
         let copy_rate = 3.0e9 * self.cfg.copy_threads as f64;
         let migrate_wall = Ns::from_secs_f64(bytes as f64 / copy_rate);
         let busy = scan.scan_time + migrate_wall;

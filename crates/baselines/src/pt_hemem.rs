@@ -12,7 +12,7 @@
 
 use hemem_core::backend::{TickOutput, TieredBackend};
 use hemem_core::hemem::{run_policy, HeMemConfig, PageTracker};
-use hemem_core::machine::MachineCore;
+use hemem_core::machine::{MachineCore, MANAGED_PAGE};
 use hemem_sim::Ns;
 use hemem_vmm::{PageId, RegionId, Tier};
 
@@ -133,7 +133,7 @@ impl TieredBackend for HeMemPt {
                 } else {
                     Vec::new()
                 };
-                let bytes = migrations.len() as u64 * m.cfg.managed_page.bytes();
+                let bytes = migrations.len() as u64 * MANAGED_PAGE.bytes();
                 let migrate_wall = Ns::from_secs_f64(bytes as f64 / self.cfg.policy.migration_rate);
                 let busy = scan.scan_time + migrate_wall;
                 TickOutput {

@@ -16,7 +16,7 @@ use hemem_core::hemem::PageTracker;
 use hemem_core::machine::MachineCore;
 use hemem_memdev::MemOp;
 use hemem_sim::Ns;
-use hemem_vmm::{touched_probability, PageId, PageSize, RegionId, RegionKind};
+use hemem_vmm::{scan_time, touched_probability, PageId, PageSize, RegionId, RegionKind};
 
 /// Per-page accessed-bit streaks across scans (Linux-style second-chance:
 /// a page joins the active set only after being referenced in `needed`
@@ -143,7 +143,7 @@ pub fn scan_and_classify_with(
     }
     // Cost: walk every base-page PTE of the scanned span, stream the page
     // tables through DRAM, then shoot down the TLB for the bit clears.
-    let scan = m.cfg.scan.scan_time(total_bytes, PageSize::Base4K);
+    let scan = scan_time(total_bytes, PageSize::Base4K);
     let pte_bytes = PageSize::Base4K.pages_for(total_bytes) * 8;
     m.dram.reserve_bulk(now, MemOp::Read, pte_bytes, None);
     let cores = m.cores.cores();
@@ -156,13 +156,13 @@ pub fn scan_and_classify_with(
 mod tests {
     use super::*;
     use hemem_core::hemem::TrackerConfig;
-    use hemem_core::machine::MachineConfig;
+    use hemem_core::machine::{MachineConfig, MANAGED_PAGE};
     use hemem_memdev::GIB;
     use hemem_vmm::Tier;
 
     fn setup(pages: u64) -> (MachineCore, PageTracker, RegionId) {
         let mut m = MachineCore::new(MachineConfig::small(4, 16));
-        let ps = m.cfg.managed_page;
+        let ps = MANAGED_PAGE;
         let id = m
             .space
             .mmap(pages * ps.bytes(), ps, RegionKind::ManagedHeap);
@@ -253,7 +253,7 @@ mod tests {
         let (mut m, mut t, _) = setup(512); // 1 GiB
         let out = scan_and_classify(&mut m, &mut t, Ns::ZERO, false);
         // 1 GiB of base pages = 262144 entries * 6 ns ~ 1.6 ms + shootdown.
-        let expect = m.cfg.scan.scan_time(512 * (2 << 20), PageSize::Base4K);
+        let expect = scan_time(512 * (2 << 20), PageSize::Base4K);
         assert!(out.scan_time > expect);
         assert!(out.scan_time < expect + Ns::millis(1));
         assert_eq!(m.tlb.stats().shootdowns, 1);

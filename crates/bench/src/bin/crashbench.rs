@@ -122,7 +122,7 @@ fn main() {
 /// restart as step functions in the time series.
 fn telemetry_sample(args: &ExpArgs) -> (Sim<AnyBackend>, String) {
     let mut mc = args.machine();
-    mc.watchdog = Some(Default::default());
+    mc.watchdog = true;
     let backend = BackendKind::HeMem.build(&mc);
     let mut sim = Sim::new(mc, backend);
     let id = sim.mmap(2 * sim.m.cfg.dram.capacity.max(GIB));

@@ -2,11 +2,10 @@
 //! giant pages.
 
 use hemem_bench::{ExpArgs, Report};
-use hemem_vmm::{PageSize, ScanConfig};
+use hemem_vmm::{scan_time, PageSize};
 
 fn main() {
     let _args = ExpArgs::parse();
-    let scan = ScanConfig::default();
     let mut rep = Report::new(
         "fig3",
         "Figure 3: page table scan time vs capacity",
@@ -21,7 +20,7 @@ fn main() {
         let bytes = gib << 30;
         let mut cells = vec![gib.to_string()];
         for ps in [PageSize::Base4K, PageSize::Huge2M, PageSize::Giga1G] {
-            let t = scan.scan_time(bytes, ps);
+            let t = scan_time(bytes, ps);
             cells.push(format!("{:.4}", t.as_millis_f64()));
         }
         rep.row(&cells);

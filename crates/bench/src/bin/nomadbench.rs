@@ -29,7 +29,7 @@ use hemem_baselines::{AnyBackend, BackendKind};
 use hemem_bench::gate::{run_batch, Gate};
 use hemem_bench::{assert_silent_audit, f3, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
-use hemem_core::machine::MachineConfig;
+use hemem_core::machine::{MachineConfig, MANAGED_PAGE};
 use hemem_core::runtime::Sim;
 use hemem_sim::{LatencyClass, Ns, TenantKill};
 use hemem_vmm::Tier;
@@ -70,7 +70,7 @@ fn churn_run(mc: MachineConfig, write_frac: f64) -> (Sim<AnyBackend>, f64) {
     sim.populate(region, true);
     sim.run_until(Ns::millis(WARM_MS));
     let start = sim.now();
-    let pages = region_bytes / sim.m.cfg.managed_page.bytes();
+    let pages = region_bytes / MANAGED_PAGE.bytes();
     let span = pages - 300;
     let mut accesses = 0u64;
     for round in 0..ROUNDS {

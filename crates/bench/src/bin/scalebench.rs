@@ -37,10 +37,10 @@ use hemem_bench::gate::{run_batch, Gate};
 use hemem_bench::{assert_silent_audit, f3, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
 use hemem_core::hemem::{HeMem, HeMemConfig, RegionConfig, RegionStats};
-use hemem_core::machine::MachineConfig;
+use hemem_core::machine::{MachineConfig, MANAGED_PAGE};
 use hemem_core::runtime::Sim;
 use hemem_memdev::GIB;
-use hemem_pebs::AdaptiveConfig;
+use hemem_pebs::{AdaptiveConfig, TARGET_DROP_MILLI};
 use hemem_sim::Ns;
 
 /// Footprints swept by gate (a), in GiB. The machine is fixed and every
@@ -93,7 +93,7 @@ fn region_run(mc: MachineConfig, regions: RegionConfig, footprint_gib: u64) -> (
     // larger sweep points and skip the warmup entirely.
     sim.advance(Ns::millis(WARM_MS));
     let start = sim.now();
-    let pages = bytes / sim.m.cfg.managed_page.bytes();
+    let pages = bytes / MANAGED_PAGE.bytes();
     let span = pages - SPAN_PAGES;
     let stride = (pages / ROUNDS).max(1);
     let mut accesses = 0u64;
@@ -175,7 +175,7 @@ fn main() {
         let (fc, mc_) = (fs.policy_cost_per_period(), ms.policy_cost_per_period());
         flat_costs.push(fc);
         multi_costs.push(mc_);
-        let pages = gib * GIB / flat.0.m.cfg.managed_page.bytes();
+        let pages = gib * GIB / MANAGED_PAGE.bytes();
         rep.row(&[
             gib.to_string(),
             pages.to_string(),
@@ -229,7 +229,6 @@ fn main() {
         min_period: HOT_PERIOD,
         ..AdaptiveConfig::default()
     });
-    let target = AdaptiveConfig::default().target_drop_milli;
     let fixed = gate.leg(|| region_run(fixed_mc, RegionConfig::multi_grain(), top));
     let adapt = gate.leg(|| region_run(adapt_mc, RegionConfig::multi_grain(), top));
     let drop_milli = |o: &(Sim<HeMem>, f64)| {
@@ -239,7 +238,7 @@ fn main() {
     let (fixed_drop, adapt_drop) = (drop_milli(&fixed), drop_milli(&adapt));
     let a = adapt.0.m.pebs.adapt_stats();
     assert!(
-        fixed_drop > target,
+        fixed_drop > TARGET_DROP_MILLI,
         "gate (b) failed: fixed period {HOT_PERIOD} only dropped {fixed_drop} milli — \
          no overload to adapt away from"
     );
@@ -248,8 +247,8 @@ fn main() {
         "gate (b) failed: controller never raised the period under overload"
     );
     assert!(
-        a.last_window_drop_milli <= target,
-        "gate (b) failed: adaptive run's last window dropped {} milli, over the {target} budget",
+        a.last_window_drop_milli <= TARGET_DROP_MILLI,
+        "gate (b) failed: adaptive run's last window dropped {} milli, over the {TARGET_DROP_MILLI} budget",
         a.last_window_drop_milli
     );
     assert!(

@@ -15,10 +15,10 @@ use crate::backend::{TickOutput, TieredBackend};
 use crate::fleet::{BalloonDrain, FleetStats, Lifecycle, SlotPool};
 use crate::hemem::policy::{run_policy_scoped, PolicyConfig, PolicyScope};
 use crate::hemem::tracker::{PageTracker, Queue, TrackerConfig};
-use crate::machine::MachineCore;
+use crate::machine::{MachineCore, MANAGED_PAGE};
 
 /// Full HeMem configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeMemConfig {
     /// Classification thresholds.
     pub tracker: TrackerConfig,
@@ -36,19 +36,13 @@ pub struct HeMemConfig {
     /// it. Only effective on machines configured with a tier-3 device
     /// (`MachineConfig::with_tier3`). Demoted pages stay mapped on
     /// `Tier::Ssd` and fault back through the device queue on access.
-    #[serde(default)]
     pub nvm_watermark: u64,
     /// Consecutive migration aborts that trip a tenant's circuit breaker
     /// on multi-tenant machines; the tripped tenant sits out
     /// `BREAKER_BACKOFF_TICKS` policy passes and then probes half-open.
     /// Lower values make the breaker more aggressive under injected
     /// fault storms; the default of 8 tolerates sporadic aborts.
-    #[serde(default = "default_breaker_threshold")]
     pub breaker_threshold: u32,
-}
-
-fn default_breaker_threshold() -> u32 {
-    BREAKER_THRESHOLD
 }
 
 impl Default for HeMemConfig {
@@ -66,7 +60,7 @@ impl HeMemConfig {
             manage_threshold: 1 << 30,
             enable_migration: true,
             nvm_watermark: 0,
-            breaker_threshold: default_breaker_threshold(),
+            breaker_threshold: BREAKER_THRESHOLD,
         }
     }
 
@@ -83,7 +77,7 @@ impl HeMemConfig {
 }
 
 /// HeMem manager statistics.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HeMemStats {
     /// PEBS samples applied to tracked pages.
     pub samples_applied: u64,
@@ -95,10 +89,8 @@ pub struct HeMemStats {
     pub forwarded_allocs: u64,
     /// Per-tenant circuit-breaker trips (consecutive migration aborts
     /// that put a tenant into scheduling backoff).
-    #[serde(default)]
     pub breaker_trips: u64,
     /// Ticks on which a slipped balloon deadline forced demotions.
-    #[serde(default)]
     pub balloon_escalations: u64,
 }
 
@@ -258,7 +250,7 @@ impl HeMem {
             .as_ref()
             .expect("multi-tenant scope needs the arbiter");
         let t = self.pool.slots[i].id;
-        let page_bytes = m.cfg.managed_page.bytes();
+        let page_bytes = MANAGED_PAGE.bytes();
         let quota_bytes = arb.quota_pages(t) * page_bytes;
         let claim_bytes = dram_claim(m, t) * page_bytes;
         // When a reallocation pulls the quota below the tenant's current
@@ -640,7 +632,7 @@ impl TieredBackend for HeMem {
         self.ensure_arbiter(m);
         // Reallocate DRAM quotas from the tenants' demand signals.
         if let Some(arb) = &mut self.arbiter {
-            let page_bytes = m.cfg.managed_page.bytes();
+            let page_bytes = MANAGED_PAGE.bytes();
             let signals: Vec<TenantSignal> = self
                 .pool
                 .slots
@@ -705,7 +697,7 @@ impl TieredBackend for HeMem {
             && m.tier_online(Tier::Ssd)
             && self.cfg.enable_migration
         {
-            let page_bytes = m.cfg.managed_page.bytes();
+            let page_bytes = MANAGED_PAGE.bytes();
             let mechanism = self.cfg.policy.mechanism_for(m);
             // In-flight NVM→SSD demotions free their NVM frames on
             // commit; count them as already on the way to free so
@@ -1221,7 +1213,7 @@ mod tests {
     #[test]
     fn manager_kill_during_demotion_recovers_and_audits_clean() {
         // Overfill DRAM so the policy thread is mid-demotion when a
-        // seeded kill lands; the default watchdog restarts it and the
+        // seeded kill lands; the forced-on watchdog restarts it and the
         // rebuilt tracker keeps demoting to the watermark.
         let mut mc = MachineConfig::small(1, 8);
         mc.chaos.manager_kill_at = vec![Ns::millis(25), Ns::millis(250)];

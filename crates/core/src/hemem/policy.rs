@@ -13,10 +13,10 @@ use hemem_vmm::{TenantId, Tier};
 
 use crate::backend::{CopyMechanism, MigrationJob};
 use crate::hemem::tracker::PageTracker;
-use crate::machine::MachineCore;
+use crate::machine::{MachineCore, MANAGED_PAGE};
 
 /// Policy parameters (§3.2-3.3 defaults).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyConfig {
     /// Policy thread period.
     pub period: Ns,
@@ -158,7 +158,7 @@ pub fn run_policy_scoped(
     now: Ns,
     scope: &PolicyScope,
 ) -> Vec<MigrationJob> {
-    let page_bytes = m.cfg.managed_page.bytes();
+    let page_bytes = MANAGED_PAGE.bytes();
     let mechanism = cfg.mechanism_for(m);
     let mut budget = scope.budget;
     let mut jobs = Vec::new();
@@ -355,7 +355,7 @@ mod tests {
         dram: u64,
     ) -> (MachineCore, PageTracker, RegionId) {
         let mut m = MachineCore::new(MachineConfig::small(dram_cap_gib, 32));
-        let ps = m.cfg.managed_page;
+        let ps = MANAGED_PAGE;
         let id = m
             .space
             .mmap(pages * ps.bytes(), ps, RegionKind::ManagedHeap);
@@ -399,7 +399,7 @@ mod tests {
             let (mut m, mut t, _) = setup(tcfg, 1, 600, 512);
             let cfg = PolicyConfig {
                 // 8-page deficit, comfortably under the in-flight limit.
-                dram_watermark: 8 * m.cfg.managed_page.bytes(),
+                dram_watermark: 8 * MANAGED_PAGE.bytes(),
                 ..PolicyConfig::default()
             };
             let first = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
@@ -552,7 +552,7 @@ mod tests {
             }
             let cfg = PolicyConfig::default();
             let jobs = run_policy(&cfg, &mut t, &mut m, Ns::ZERO);
-            let bytes: u64 = jobs.len() as u64 * m.cfg.managed_page.bytes();
+            let bytes: u64 = jobs.len() as u64 * MANAGED_PAGE.bytes();
             assert!(bytes <= cfg.budget_per_period(), "{bytes} over budget");
         }
     }
@@ -621,7 +621,7 @@ mod tests {
         for tcfg in sources() {
             let (mut m, mut t, _) = setup(tcfg, 1, 600, 512);
             let cfg = PolicyConfig::default();
-            for _ in 0..m.dma.config().degrade_after {
+            for _ in 0..hemem_memdev::dma::DEGRADE_AFTER {
                 m.dma.note_submit_failure();
             }
             assert!(m.dma.degraded());

@@ -41,7 +41,7 @@ use hemem_vmm::{FlagTree, RegionId, Tier};
 /// [`TrackerConfig`](super::tracker::TrackerConfig). Off by default:
 /// with `enabled = false` the tracker is not constructed and every flat
 /// code path is byte-identical to a build without this module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionConfig {
     /// Whether region tracking is active.
     pub enabled: bool,
@@ -100,7 +100,7 @@ impl RegionConfig {
 /// Region-layer counters. Backend-side (never part of the machine
 /// fingerprint); `scalebench` derives its policy-pass cost metric from
 /// the maintenance + selection fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionStats {
     /// Live spans across all tracked regions.
     pub spans: u64,

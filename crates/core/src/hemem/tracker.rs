@@ -22,7 +22,7 @@ use crate::audit::AuditViolation;
 
 /// Classification thresholds (paper defaults in §3.1, swept in Figures
 /// 11-12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackerConfig {
     /// Sampled loads before a page is hot.
     pub hot_read_threshold: u32,
@@ -43,7 +43,6 @@ pub struct TrackerConfig {
     pub cooling_min_interval: Ns,
     /// Multi-grained region tracking (off by default: the flat queue
     /// paths below stay byte-identical to the pre-region tracker).
-    #[serde(default)]
     pub regions: RegionConfig,
 }
 
@@ -111,7 +110,7 @@ struct PageMeta {
 }
 
 /// Tracker statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackerStats {
     /// Access records processed.
     pub records: u64,

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use hemem_vmm::{PageId, PhysPage, RegionId, TenantId, Tier};
 
 /// Lifecycle state of one journaled migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnState {
     /// Intent recorded, destination frame reserved, copy in flight. The
     /// source mapping is still authoritative.
@@ -45,7 +45,7 @@ pub enum TxnState {
 
 /// What commit should do with the transaction's *source* frame
 /// (non-exclusive tiering, Nomad-style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShadowIntent {
     /// Exclusive tiering: free the source frame on commit.
     #[default]
@@ -61,7 +61,7 @@ pub enum ShadowIntent {
 
 /// One migration transaction: everything recovery needs to either roll
 /// the migration back or roll it forward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalEntry {
     /// The page being migrated.
     pub page: PageId,
@@ -79,7 +79,6 @@ pub struct JournalEntry {
     /// Where in the two-phase protocol this transaction is.
     pub state: TxnState,
     /// Shadow-validity state: what commit does with the source frame.
-    #[serde(default)]
     pub shadow: ShadowIntent,
 }
 
@@ -124,7 +123,7 @@ impl std::error::Error for JournalError {}
 /// reads these on every pass, major fault, and arbiter reallocation, so
 /// they must not be O(journal) scans. `freeing`/`into` are indexed by
 /// [`Tier::rank`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PreparedCounts {
     len: u64,
     freeing: [u64; 3],
@@ -151,18 +150,15 @@ impl PreparedCounts {
 /// Entries are keyed by migration id and iterated in id order, so a
 /// recovery replay is deterministic. The journal is serializable as part
 /// of a machine snapshot.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MigrationJournal {
     entries: BTreeMap<u64, JournalEntry>,
     /// Machine-wide prepared counts, kept in lockstep with `entries`.
-    #[serde(default)]
     counts: PreparedCounts,
     /// Per-tenant prepared counts, kept in lockstep with `entries`.
-    #[serde(default)]
     tenant_counts: BTreeMap<TenantId, PreparedCounts>,
     /// Protocol violations observed (and refused) by the `try_` entry
     /// points; the auditor surfaces a non-zero count as a violation.
-    #[serde(default)]
     protocol_errors: u64,
 }
 

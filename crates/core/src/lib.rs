@@ -39,5 +39,5 @@ pub use error::MemError;
 pub use fleet::{spawn_cost_ns, FleetStats, SlotPool};
 pub use hemem::{HeMem, HeMemConfig};
 pub use journal::{JournalEntry, MigrationJournal, TxnState};
-pub use machine::{MachineConfig, MachineCore, MachineStats, RecoveryStats, WatchdogConfig};
+pub use machine::{MachineConfig, MachineCore, MachineStats, RecoveryStats};
 pub use runtime::{BatchReceipt, Event, Sim};

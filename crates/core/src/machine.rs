@@ -13,39 +13,19 @@ use hemem_memdev::{
 use hemem_pebs::{Pebs, PebsConfig, SampleRecord, SampleType};
 use hemem_sim::{CoreModel, FaultPlan, FaultPlanConfig, Histogram, Ns, Rng, Tracer};
 use hemem_vmm::{
-    AddressSpace, FaultConfig, FaultStats, FaultThread, PageId, PageSize, PageState, PhysPage,
-    PhysPool, ScanConfig, Tier, Tlb, TlbConfig,
+    AddressSpace, FaultStats, FaultThread, PageId, PageSize, PageState, PhysPage, PhysPool, Tier,
+    Tlb,
 };
 
 use crate::backend::Traffic;
 use crate::journal::MigrationJournal;
 
-/// Watchdog supervision parameters (see `crate::runtime::Sim`): a
-/// deadline monitor over the policy-thread cadence and the fault-handler
-/// thread.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct WatchdogConfig {
-    /// How often the watchdog checks liveness.
-    pub period: Ns,
-    /// Consecutive checks without a policy tick before the manager is
-    /// declared dead and restarted.
-    pub miss_streak: u32,
-    /// Fault-thread backlog beyond which the handler is declared wedged
-    /// and reset (PR 1's stall injection produces the backlog).
-    pub fault_backlog_limit: Ns,
-}
+/// Page size of managed (large heap) regions and of the physical page
+/// pools: HeMem manages 2 MB pages (§3).
+pub const MANAGED_PAGE: PageSize = PageSize::Huge2M;
 
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            // Same cadence as the policy thread: a missed 10 ms deadline
-            // is visible within one period.
-            period: Ns::millis(10),
-            miss_streak: 2,
-            fault_backlog_limit: Ns::millis(100),
-        }
-    }
-}
+/// Shared LLC capacity of the evaluation socket (33 MB).
+const LLC_BYTES: u64 = 33 * 1024 * 1024;
 
 /// Full machine configuration.
 #[derive(Debug, Clone)]
@@ -56,16 +36,6 @@ pub struct MachineConfig {
     pub dram: DeviceConfig,
     /// NVM device parameters.
     pub nvm: DeviceConfig,
-    /// Shared LLC capacity in bytes.
-    pub llc_bytes: u64,
-    /// Page size for managed (large heap) regions.
-    pub managed_page: PageSize,
-    /// TLB cost parameters.
-    pub tlb: TlbConfig,
-    /// Page-table scan cost parameters.
-    pub scan: ScanConfig,
-    /// Fault-path cost parameters.
-    pub fault: FaultConfig,
     /// PEBS parameters.
     pub pebs: PebsConfig,
     /// DMA engine parameters.
@@ -78,10 +48,10 @@ pub struct MachineConfig {
     /// Fault-injection plan; [`FaultPlanConfig::none`] (the default)
     /// injects nothing.
     pub chaos: FaultPlanConfig,
-    /// Watchdog supervision; `None` (the default) disables the monitor
-    /// unless the fault plan schedules manager kills, which force a
-    /// default watchdog so the machine can recover.
-    pub watchdog: Option<WatchdogConfig>,
+    /// Watchdog supervision (see `crate::runtime::Sim`); `false` (the
+    /// default) disables the monitor unless the fault plan schedules
+    /// manager kills, which force it on so the machine can recover.
+    pub watchdog: bool,
     /// Interval of the online invariant audit; `None` (the default)
     /// disables periodic auditing (it stays available on demand).
     pub audit_period: Option<Ns>,
@@ -116,16 +86,11 @@ impl MachineConfig {
             cores: 24,
             dram: DeviceConfig::ddr4_dram(192 * GIB),
             nvm: DeviceConfig::optane_dc(768 * GIB),
-            llc_bytes: 33 * 1024 * 1024,
-            managed_page: PageSize::Huge2M,
-            tlb: TlbConfig::default(),
-            scan: ScanConfig::default(),
-            fault: FaultConfig::default(),
             pebs: PebsConfig::default(),
             dma: DmaConfig::ioat(),
             ssd: None,
             chaos: FaultPlanConfig::none(),
-            watchdog: None,
+            watchdog: false,
             audit_period: None,
             trace: false,
             evacuate_on_failure: true,
@@ -158,7 +123,7 @@ impl MachineConfig {
 }
 
 /// Machine-level cumulative counters.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MachineStats {
     /// Pages demoted onto the SSD tier by direct reclaim.
     pub swap_outs: u64,
@@ -193,7 +158,7 @@ pub struct MachineStats {
 /// Kept separate from [`MachineStats`] so clean runs (no kills, no
 /// watchdog, no auditing) print byte-identical stats to builds that
 /// predate the recovery layer.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryStats {
     /// Injected manager kills taken.
     pub manager_kills: u64,
@@ -212,10 +177,8 @@ pub struct RecoveryStats {
     /// counts once per audit that sees it).
     pub audit_violations: u64,
     /// Injected tenant kills taken.
-    #[serde(default)]
     pub tenant_kills: u64,
     /// Tenants fully drained and retired after a kill or departure.
-    #[serde(default)]
     pub tenant_drains: u64,
 }
 
@@ -224,7 +187,7 @@ pub struct RecoveryStats {
 /// Kept separate from [`MachineStats`] so shadow-free runs (the knob
 /// off, or simply no shadows created yet) print byte-identical stats to
 /// builds that predate the feature.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShadowStats {
     /// NVM frames retained as clean shadows at promotion commit.
     pub retained: u64,
@@ -253,7 +216,7 @@ pub struct ShadowStats {
 /// Health lifecycle of one memory device: `Healthy -> Degraded ->
 /// Offline -> (readmit) Healthy`. Driven by the seeded
 /// `tier_degrade_at` / `tier_fail_at` / `tier_readmit_at` schedules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TierHealth {
     /// Full bandwidth, full capacity.
     #[default]
@@ -324,8 +287,6 @@ pub struct MachineCore {
     pub cores: CoreModel,
     /// Deterministic random stream.
     pub rng: Rng,
-    /// Fault-path costs.
-    pub fault_cfg: FaultConfig,
     /// Fault counters.
     pub fault_stats: FaultStats,
     /// The single userfaultfd handler thread (faults queue behind it).
@@ -366,8 +327,8 @@ impl MachineCore {
         MachineCore {
             dram: Device::new(cfg.dram.clone()),
             nvm: Device::new(cfg.nvm.clone()),
-            llc: Llc::new(cfg.llc_bytes, Ns::nanos(20)),
-            tlb: Tlb::new(cfg.tlb.clone()),
+            llc: Llc::new(LLC_BYTES, Ns::nanos(20)),
+            tlb: Tlb::default(),
             dma: DmaEngine::new(cfg.dma.clone()),
             pools: Tier::ALL.map(|tier| {
                 let capacity = match tier {
@@ -375,13 +336,12 @@ impl MachineCore {
                     Tier::Nvm => cfg.nvm.capacity,
                     Tier::Ssd => cfg.ssd.as_ref().map_or(0, |s| s.capacity),
                 };
-                PhysPool::new(tier, capacity, cfg.managed_page)
+                PhysPool::new(tier, capacity, MANAGED_PAGE)
             }),
             space: AddressSpace::new(),
             pebs: Pebs::new(cfg.pebs.clone()),
             cores: CoreModel::new(cfg.cores),
             rng: rng.fork(1),
-            fault_cfg: cfg.fault.clone(),
             fault_stats: FaultStats::default(),
             fault_thread: FaultThread::new(),
             stats: MachineStats::default(),
@@ -677,7 +637,6 @@ mod tests {
         assert_eq!(c.cores, 24);
         assert_eq!(c.dram.capacity, 192 * GIB);
         assert_eq!(c.nvm.capacity, 768 * GIB);
-        assert_eq!(c.managed_page, PageSize::Huge2M);
     }
 
     #[test]
@@ -762,10 +721,7 @@ mod tests {
                 Tier::Ssd => m.cfg.ssd.as_ref().expect("tier-3 config").capacity,
             };
             assert_eq!(m.pool(t).tier(), t);
-            assert_eq!(
-                m.pool(t).total_pages(),
-                capacity / m.cfg.managed_page.bytes()
-            );
+            assert_eq!(m.pool(t).total_pages(), capacity / MANAGED_PAGE.bytes());
         }
         let r = m.reserve_tier_bulk(Ns::ZERO, Tier::Ssd, MemOp::Write, 2 << 20, None);
         assert!(r.finish > Ns::ZERO);

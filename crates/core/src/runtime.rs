@@ -10,19 +10,29 @@
 
 use std::collections::HashMap;
 
-use hemem_memdev::{MemOp, Pattern};
+use hemem_memdev::{dma, MemOp, Pattern};
 use hemem_pebs::{SampleRecord, SampleType};
 use hemem_sim::{EventQueue, LatencyClass, Ns};
 use hemem_vmm::{
-    FaultKind, FaultThread, PageClass, PageId, PageSize, PhysPage, Region, RegionId, RegionKind,
-    Tier,
+    fault, FaultKind, FaultThread, PageClass, PageId, PageSize, PhysPage, Region, RegionId,
+    RegionKind, Tier,
 };
 
 use crate::audit::{audit_machine, AuditViolation};
 use crate::backend::{AccessBatch, CopyMechanism, MigrationJob, TieredBackend};
 use crate::error::MemError;
 use crate::journal::{JournalEntry, ShadowIntent, TxnState};
-use crate::machine::{zero_fill, MachineConfig, MachineCore, TierHealth, WatchdogConfig};
+use crate::machine::{zero_fill, MachineConfig, MachineCore, TierHealth, MANAGED_PAGE};
+
+/// How often the watchdog checks liveness: the policy thread's cadence,
+/// so a missed 10 ms deadline is visible within one period.
+const WATCHDOG_PERIOD: Ns = Ns::millis(10);
+/// Consecutive checks without a policy tick before the manager is
+/// declared dead and restarted.
+const WATCHDOG_MISS_STREAK: u32 = 2;
+/// Fault-thread backlog beyond which the watchdog declares the handler
+/// wedged and resets it (injected handler stalls produce the backlog).
+const FAULT_BACKLOG_LIMIT: Ns = Ns::millis(100);
 
 /// Events visible to (or scheduled by) workload drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,10 +174,10 @@ pub struct Sim<B: TieredBackend> {
     /// The manager process is down (killed); its threads stop running
     /// until [`Event::ManagerRecover`] restarts them.
     manager_down: bool,
-    /// Watchdog configuration, resolved at construction: explicit config,
-    /// or the default whenever kills are scheduled. `None` = no watchdog
-    /// events at all (the clean-run fast path).
-    watchdog: Option<WatchdogConfig>,
+    /// Whether the watchdog runs, resolved at construction: explicitly
+    /// configured, or forced on whenever kills are scheduled. `false` =
+    /// no watchdog events at all (the clean-run fast path).
+    watchdog: bool,
     /// When the policy thread promised to tick next (`None`: the backend
     /// declared no cadence). The watchdog treats a deadline far in the
     /// past as a missed-deadline.
@@ -209,7 +219,7 @@ impl<B: TieredBackend> Sim<B> {
             app_threads: 0,
             shootdown_charged: HashMap::new(),
             manager_down: false,
-            watchdog: None,
+            watchdog: false,
             tick_deadline: None,
             watchdog_missed: 0,
             recover_pending: false,
@@ -224,13 +234,9 @@ impl<B: TieredBackend> Sim<B> {
             sim.queue.push_at(iv, Event::PebsDrain);
         }
         let kills = sim.m.chaos.kill_times().to_vec();
-        sim.watchdog = match (sim.m.cfg.watchdog.clone(), kills.is_empty()) {
-            (Some(w), _) => Some(w),
-            // Kills without an explicit watchdog get the default one:
-            // nothing else in the sim could ever restart the manager.
-            (None, false) => Some(WatchdogConfig::default()),
-            (None, true) => None,
-        };
+        // Kills force the watchdog on: nothing else in the sim could ever
+        // restart the manager.
+        sim.watchdog = sim.m.cfg.watchdog || !kills.is_empty();
         for t in kills {
             sim.queue.push_at(t, Event::ManagerKill);
         }
@@ -271,8 +277,8 @@ impl<B: TieredBackend> Sim<B> {
             );
             sim.queue.push_at(f.at, Event::TierReadmit(f.tier));
         }
-        if let Some(w) = &sim.watchdog {
-            sim.queue.push_at(w.period, Event::WatchdogCheck);
+        if sim.watchdog {
+            sim.queue.push_at(WATCHDOG_PERIOD, Event::WatchdogCheck);
         }
         if let Some(p) = sim.m.cfg.audit_period {
             sim.queue.push_at(p, Event::AuditTick);
@@ -334,7 +340,7 @@ impl<B: TieredBackend> Sim<B> {
     pub fn mmap(&mut self, len: u64) -> RegionId {
         let managed = self.backend.wants_to_manage(len);
         let (ps, kind) = if managed {
-            (self.m.cfg.managed_page, RegionKind::ManagedHeap)
+            (MANAGED_PAGE, RegionKind::ManagedHeap)
         } else {
             (PageSize::Base4K, RegionKind::SmallAnon)
         };
@@ -939,14 +945,14 @@ impl<B: TieredBackend> Sim<B> {
     /// One watchdog period: checks the policy-tick deadline and the fault
     /// thread, escalating a missed-deadline streak to a manager restart.
     fn watchdog_check(&mut self, now: Ns) {
-        let Some(cfg) = self.watchdog.clone() else {
+        if !self.watchdog {
             return;
-        };
+        }
         // Policy deadline monitor: the backend promised a tick at
         // `tick_deadline`; a full extra period of slack past that counts
         // as one missed deadline (`None` = no cadence, nothing to miss).
         let blown = match self.tick_deadline {
-            Some(d) => now.as_nanos() > d.as_nanos() + cfg.period.as_nanos(),
+            Some(d) => now.as_nanos() > d.as_nanos() + WATCHDOG_PERIOD.as_nanos(),
             None => self.manager_down,
         };
         if blown {
@@ -954,7 +960,7 @@ impl<B: TieredBackend> Sim<B> {
         } else {
             self.watchdog_missed = 0;
         }
-        if self.watchdog_missed >= cfg.miss_streak && !self.recover_pending {
+        if self.watchdog_missed >= WATCHDOG_MISS_STREAK && !self.recover_pending {
             // Declare the manager dead (it may already be, after a kill)
             // and schedule the restart — but not before every in-flight
             // DMA descriptor has landed: recovery frees destination
@@ -968,11 +974,11 @@ impl<B: TieredBackend> Sim<B> {
         // Fault-thread supervision: a wedged handler (injected stall) with
         // a backlog past the limit is restarted in place; queued faults
         // re-admit against the fresh thread.
-        if self.m.fault_thread.backlog(now) > cfg.fault_backlog_limit {
+        if self.m.fault_thread.backlog(now) > FAULT_BACKLOG_LIMIT {
             self.m.fault_thread = FaultThread::new();
             self.m.recovery.watchdog_restarts += 1;
         }
-        self.queue.push_after(cfg.period, Event::WatchdogCheck);
+        self.queue.push_after(WATCHDOG_PERIOD, Event::WatchdogCheck);
     }
 
     /// Restarts the manager: rolls uncommitted migrations back from the
@@ -1186,8 +1192,7 @@ impl<B: TieredBackend> Sim<B> {
             self.m.stats.dma_fallbacks += 1;
             return None;
         }
-        let overhead = self.m.dma.config().ioctl_overhead;
-        let channels = channels.min(self.m.dma.config().channels as usize).max(1);
+        let channels = channels.clamp(1, dma::CHANNELS);
         let mut at = now;
         for attempt in 0..MAX_ATTEMPTS {
             if self.m.chaos.dma_submit_fails() {
@@ -1196,7 +1201,7 @@ impl<B: TieredBackend> Sim<B> {
                     break;
                 }
                 self.m.stats.dma_retries += 1;
-                at = Ns(at.as_nanos() + (overhead.as_nanos() << attempt));
+                at = Ns(at.as_nanos() + (dma::IOCTL_OVERHEAD.as_nanos() << attempt));
                 continue;
             }
             match self.m.dma.submit(at, sizes, channels) {
@@ -1488,7 +1493,7 @@ impl<B: TieredBackend> Sim<B> {
         } else {
             Ns::ZERO
         };
-        let mut stall = self.m.fault_cfg.round_trip() + queue;
+        let mut stall = fault::ROUND_TRIP + queue;
         // A fault on a poisoned page surfaces the data loss to its owner
         // as a typed notification — never a silent wrong read — and then
         // falls through to map a fresh zero page. The owner still has to
@@ -1544,7 +1549,7 @@ impl<B: TieredBackend> Sim<B> {
         if let Some(stall_for) = self.m.chaos.fault_thread_stall() {
             self.m.fault_thread.stall(now, stall_for);
         }
-        self.m.fault_thread.admit(now, &self.m.fault_cfg)
+        self.m.fault_thread.admit(now)
     }
 
     /// Records one serviced page fault into the tracer: service latency
@@ -1813,7 +1818,7 @@ impl<B: TieredBackend> Sim<B> {
             .reserve_tier_bulk(now, Tier::Ssd, MemOp::Read, page_bytes, None);
         // Queue wait plus the transfer itself: the thread blocks for both.
         let device = read.finish.saturating_sub(now);
-        let mut total = self.m.fault_cfg.round_trip() + queue + device;
+        let mut total = fault::ROUND_TRIP + queue + device;
         let desired = self.backend.place(&mut self.m, page, is_write);
         if desired != Tier::Ssd {
             let frame = match self.alloc_frame(desired) {
@@ -1914,7 +1919,7 @@ impl<B: TieredBackend> Sim<B> {
         // Each stalled write waits a fault round trip plus (on average)
         // half a page-copy time at the migration rate cap.
         let half_copy = Ns::from_secs_f64(region.page_size().bytes() as f64 / 10.0e9 / 2.0);
-        let per = self.m.fault_cfg.round_trip() + half_copy;
+        let per = fault::ROUND_TRIP + half_copy;
         // One histogram observation per batch that stalled (the per-stall
         // duration; `hits` rides along in the event args — recording `per`
         // `hits` times would only replicate one value).
@@ -2376,7 +2381,7 @@ mod tests {
     #[test]
     fn killed_manager_rolls_back_inflight_migration_and_recovers() {
         let mut cfg = MachineConfig::small(1, 4);
-        cfg.watchdog = Some(crate::machine::WatchdogConfig::default());
+        cfg.watchdog = true;
         let mut s = Sim::new(cfg, TestBackend::new());
         let id = s.mmap(2 * GIB);
         s.populate(id, true);
@@ -2429,9 +2434,8 @@ mod tests {
 
     #[test]
     fn kill_without_explicit_watchdog_gets_the_default_one() {
-        // Seeded kill in the fault plan, no watchdog in the machine
-        // config: Sim::new arms the default watchdog so the run can
-        // finish.
+        // Seeded kill in the fault plan, watchdog off in the machine
+        // config: Sim::new turns the watchdog on so the run can finish.
         let mut cfg = MachineConfig::small(1, 4);
         cfg.chaos.manager_kill_at = vec![Ns::millis(31)];
         let mut s = Sim::new(cfg, TestBackend::new());
@@ -2473,7 +2477,7 @@ mod tests {
     #[test]
     fn watchdog_restarts_wedged_fault_thread() {
         let mut cfg = MachineConfig::small(1, 4);
-        cfg.watchdog = Some(crate::machine::WatchdogConfig::default());
+        cfg.watchdog = true;
         let mut s = Sim::new(cfg, TestBackend::new());
         s.advance(Ns::millis(5));
         let now = s.now();

@@ -386,7 +386,7 @@ mod tests {
         let mut t = Telemetry::new(RegionRows(id), Ns::millis(10));
         t.maybe_sample(&sim);
         sim.inject_manager_kill();
-        // Default watchdog is absent on a clean config, so arm recovery
+        // The watchdog is off on a clean config, so arm recovery
         // by hand: the manager stays down until then.
         sim.advance(Ns::millis(15));
         t.maybe_sample(&sim);

@@ -9,7 +9,7 @@
 use hemem_sim::Ns;
 
 /// A load or a store, as seen by the memory device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOp {
     /// A read (load miss reaching the device).
     Read,
@@ -18,7 +18,7 @@ pub enum MemOp {
 }
 
 /// Spatial access pattern of a request stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Consecutive addresses; prefetch and write-combining friendly.
     Sequential,
@@ -27,7 +27,7 @@ pub enum Pattern {
 }
 
 /// Static description of one memory device (a DRAM or NVM pool).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Human-readable name used in reports.
     pub name: String,

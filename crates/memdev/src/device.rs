@@ -23,7 +23,7 @@ pub struct Reservation {
 }
 
 /// Cumulative traffic counters for a device.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DeviceStats {
     /// Application-visible bytes read.
     pub bytes_read: u64,

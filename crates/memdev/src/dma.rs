@@ -14,39 +14,32 @@
 
 use hemem_sim::Ns;
 
+/// Hardware channels on the evaluation platform's I/OAT engine.
+pub const CHANNELS: usize = 8;
+/// Per-channel copy bandwidth, bytes/second.
+const PER_CHANNEL_BW: f64 = 6.0e9;
+/// Kernel-crossing cost of one batched copy `ioctl`.
+pub const IOCTL_OVERHEAD: Ns = Ns::micros(2);
+/// Maximum copy requests the driver accepts per `ioctl`.
+pub const MAX_BATCH: usize = 32;
+/// Consecutive submission failures after which the engine reports
+/// itself [`DmaEngine::degraded`] and callers should stop offloading.
+pub const DEGRADE_AFTER: u32 = 8;
+
 /// Static DMA engine parameters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DmaConfig {
-    /// Number of hardware channels available.
-    pub channels: u32,
-    /// Per-channel copy bandwidth, bytes/second.
-    pub per_channel_bw: f64,
-    /// Kernel-crossing cost of one batched copy `ioctl`.
-    pub ioctl_overhead: Ns,
-    /// Maximum copy requests accepted per `ioctl`.
-    pub max_batch: usize,
-    /// Consecutive submission failures after which the engine reports
-    /// itself [`DmaEngine::degraded`] and callers should stop offloading.
-    pub degrade_after: u32,
     /// While degraded, probe the engine with a real submission once every
     /// this many would-be offloads (a successful probe closes the breaker
     /// and resumes offloading). `0` disables probing: once degraded, the
     /// engine stays degraded — the historical behaviour and the default.
-    #[serde(default)]
     pub probe_after: u32,
 }
 
 impl DmaConfig {
     /// The evaluation platform's I/OAT engine.
     pub fn ioat() -> DmaConfig {
-        DmaConfig {
-            channels: 8,
-            per_channel_bw: 6.0e9,
-            ioctl_overhead: Ns::micros(2),
-            max_batch: 32,
-            degrade_after: 8,
-            probe_after: 0,
-        }
+        DmaConfig { probe_after: 0 }
     }
 }
 
@@ -91,7 +84,7 @@ impl core::fmt::Display for DmaError {
 impl std::error::Error for DmaError {}
 
 /// Cumulative DMA statistics.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DmaStats {
     /// Bytes copied.
     pub bytes_copied: u64,
@@ -107,7 +100,7 @@ pub struct DmaStats {
 #[derive(Debug, Clone)]
 pub struct DmaEngine {
     config: DmaConfig,
-    chan_free: Vec<Ns>,
+    chan_free: [Ns; CHANNELS],
     consecutive_failures: u32,
     fallbacks_since_probe: u32,
     stats: DmaStats,
@@ -116,19 +109,13 @@ pub struct DmaEngine {
 impl DmaEngine {
     /// Creates an idle engine.
     pub fn new(config: DmaConfig) -> DmaEngine {
-        let chan_free = vec![Ns::ZERO; config.channels as usize];
         DmaEngine {
             config,
-            chan_free,
+            chan_free: [Ns::ZERO; CHANNELS],
             consecutive_failures: 0,
             fallbacks_since_probe: 0,
             stats: DmaStats::default(),
         }
-    }
-
-    /// Engine configuration.
-    pub fn config(&self) -> &DmaConfig {
-        &self.config
     }
 
     /// Cumulative statistics.
@@ -139,16 +126,16 @@ impl DmaEngine {
     /// Validates a batch before submission: the single checkpoint for
     /// batch size, channel count, and copy lengths.
     fn validate(&self, copy_sizes: &[u64], n_channels: usize) -> Result<(), DmaError> {
-        if copy_sizes.len() > self.config.max_batch {
+        if copy_sizes.len() > MAX_BATCH {
             return Err(DmaError::BatchTooLarge {
                 got: copy_sizes.len(),
-                max: self.config.max_batch,
+                max: MAX_BATCH,
             });
         }
-        if n_channels == 0 || n_channels > self.chan_free.len() {
+        if n_channels == 0 || n_channels > CHANNELS {
             return Err(DmaError::BadChannelCount {
                 got: n_channels,
-                have: self.chan_free.len(),
+                have: CHANNELS,
             });
         }
         if copy_sizes.contains(&0) {
@@ -160,7 +147,7 @@ impl DmaEngine {
     /// Submits one batched copy `ioctl` using `n_channels` channels.
     ///
     /// Returns the completion time of the whole batch, or an error if the
-    /// batch exceeds [`DmaConfig::max_batch`], requests an impossible
+    /// batch exceeds [`MAX_BATCH`], requests an impossible
     /// channel count, or contains a zero-length copy. Copies are assigned
     /// round-robin to the selected channels, matching the driver's
     /// striping. A successful submission clears the consecutive-failure
@@ -172,13 +159,13 @@ impl DmaEngine {
         n_channels: usize,
     ) -> Result<Ns, DmaError> {
         self.validate(copy_sizes, n_channels)?;
-        let start = now + self.config.ioctl_overhead;
+        let start = now + IOCTL_OVERHEAD;
         self.stats.ioctls += 1;
         self.consecutive_failures = 0;
         let mut completion = start;
         for (i, &bytes) in copy_sizes.iter().enumerate() {
             let chan = i % n_channels;
-            let service = Ns::from_secs_f64(bytes as f64 / self.config.per_channel_bw);
+            let service = Ns::from_secs_f64(bytes as f64 / PER_CHANNEL_BW);
             let begin = start.max(self.chan_free[chan]);
             let done = begin + service;
             self.chan_free[chan] = done;
@@ -196,10 +183,10 @@ impl DmaEngine {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
     }
 
-    /// Whether the engine has failed [`DmaConfig::degrade_after`]
+    /// Whether the engine has failed [`DEGRADE_AFTER`]
     /// submissions in a row and callers should stop offloading to it.
     pub fn degraded(&self) -> bool {
-        self.consecutive_failures >= self.config.degrade_after
+        self.consecutive_failures >= DEGRADE_AFTER
     }
 
     /// Called by a degraded-path caller about to fall back: returns `true`
@@ -230,7 +217,7 @@ impl DmaEngine {
 
     /// Aggregate copy bandwidth when using `n_channels` channels.
     pub fn bandwidth(&self, n_channels: usize) -> f64 {
-        self.config.per_channel_bw * n_channels.min(self.chan_free.len()) as f64
+        PER_CHANNEL_BW * n_channels.min(CHANNELS) as f64
     }
 }
 
@@ -326,7 +313,7 @@ mod tests {
     #[test]
     fn degrades_after_consecutive_failures_and_recovers() {
         let mut dma = DmaEngine::new(DmaConfig::ioat());
-        let after = dma.config().degrade_after;
+        let after = DEGRADE_AFTER;
         for _ in 0..after {
             assert!(!dma.degraded());
             dma.note_submit_failure();
@@ -352,7 +339,7 @@ mod tests {
         cfg.probe_after = 2;
         let mut dma = DmaEngine::new(cfg);
         assert!(!dma.should_probe(), "healthy engine never probes");
-        for _ in 0..dma.config().degrade_after {
+        for _ in 0..DEGRADE_AFTER {
             dma.note_submit_failure();
         }
         assert!(dma.degraded());
@@ -370,7 +357,7 @@ mod tests {
     #[test]
     fn probing_disabled_by_default() {
         let mut dma = DmaEngine::new(DmaConfig::ioat());
-        for _ in 0..dma.config().degrade_after {
+        for _ in 0..DEGRADE_AFTER {
             dma.note_submit_failure();
         }
         assert!(dma.degraded());

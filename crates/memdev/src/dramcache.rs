@@ -14,7 +14,7 @@
 //! [`DramCache::scale`].
 
 /// Configuration of the DRAM cache.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DramCacheConfig {
     /// DRAM capacity acting as the cache, bytes.
     pub dram_bytes: u64,
@@ -51,7 +51,7 @@ pub enum CacheOutcome {
 
 /// Cumulative (sampled) counters; multiply by [`DramCache::scale`] to
 /// estimate real traffic.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Sampled hits.
     pub hits: u64,

@@ -22,71 +22,49 @@ use crate::device::Reservation;
 
 const GB: f64 = 1_000_000_000.0;
 
+/// Transfer granularity: every request is rounded up to whole sectors
+/// (NVMe logical block size, 4 KB).
+const SECTOR: u64 = 4096;
+/// Idle read latency (flash array access).
+const READ_LATENCY: Ns = Ns::micros(80);
+/// Idle write latency (device write buffer).
+const WRITE_LATENCY: Ns = Ns::micros(20);
+/// Peak read bandwidth, bytes/second.
+const READ_BW: f64 = 3.2 * GB;
+/// Peak write bandwidth, bytes/second (asymmetric, below read).
+const WRITE_BW: f64 = 1.4 * GB;
+/// Erase-block size in bytes: wear is counted per erase block.
+const ERASE_BLOCK: u64 = 8 << 20;
+
 /// Static description of the SSD swap device.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SsdConfig {
-    /// Human-readable name used in reports.
-    pub name: String,
     /// Usable swap capacity in bytes.
     pub capacity: u64,
-    /// Transfer granularity: every request is rounded up to whole
-    /// sectors (NVMe logical block size, 4 KB).
-    pub sector: u64,
     /// Maximum commands the controller serves concurrently.
     pub queue_depth: usize,
-    /// Idle read latency (flash array access).
-    pub read_latency: Ns,
-    /// Idle write latency (device write buffer).
-    pub write_latency: Ns,
-    /// Peak read bandwidth, bytes/second.
-    pub read_bw: f64,
-    /// Peak write bandwidth, bytes/second (asymmetric, below read).
-    pub write_bw: f64,
-    /// Erase-block size in bytes: wear is counted per erase block.
-    pub erase_block: u64,
 }
 
 impl SsdConfig {
     /// Datacenter NVMe drive used as the tier-3 swap device.
     pub fn nvme(capacity: u64) -> SsdConfig {
         SsdConfig {
-            name: "NVMe-swap".to_string(),
             capacity,
-            sector: 4096,
             queue_depth: 32,
-            read_latency: Ns::micros(80),
-            write_latency: Ns::micros(20),
-            read_bw: 3.2 * GB,
-            write_bw: 1.4 * GB,
-            erase_block: 8 << 20,
         }
     }
+}
 
-    /// Bandwidth for an op, bytes/second.
-    pub fn bandwidth(&self, op: MemOp) -> f64 {
-        match op {
-            MemOp::Read => self.read_bw,
-            MemOp::Write => self.write_bw,
-        }
-    }
-
-    /// Idle latency for an op.
-    pub fn latency(&self, op: MemOp) -> Ns {
-        match op {
-            MemOp::Read => self.read_latency,
-            MemOp::Write => self.write_latency,
-        }
-    }
-
-    /// Bytes the device actually transfers for a request of `bytes`:
-    /// rounded up to whole sectors.
-    pub fn sector_bytes(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.sector) * self.sector
+/// Bandwidth for an op, bytes/second.
+fn bandwidth(op: MemOp) -> f64 {
+    match op {
+        MemOp::Read => READ_BW,
+        MemOp::Write => WRITE_BW,
     }
 }
 
 /// Cumulative traffic and wear counters for the SSD.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SsdStats {
     /// Read commands served.
     pub reads: u64,
@@ -119,7 +97,7 @@ pub struct SsdDevice {
 impl SsdDevice {
     /// Creates an idle device.
     pub fn new(config: SsdConfig) -> SsdDevice {
-        let blocks = config.capacity.div_ceil(config.erase_block).max(1) as usize;
+        let blocks = config.capacity.div_ceil(ERASE_BLOCK).max(1) as usize;
         SsdDevice {
             slots: vec![Ns::ZERO; config.queue_depth.max(1)],
             erase_wear: vec![0; blocks],
@@ -153,7 +131,10 @@ impl SsdDevice {
 
     /// Idle latency of one command.
     pub fn latency(&self, op: MemOp) -> Ns {
-        self.config.latency(op)
+        match op {
+            MemOp::Read => READ_LATENCY,
+            MemOp::Write => WRITE_LATENCY,
+        }
     }
 
     /// Delay until the earliest queue slot frees up: the stall a new
@@ -170,9 +151,9 @@ impl SsdDevice {
     /// the earliest-free queue slot. Returns when the command starts and
     /// finishes; `service` excludes the queue wait.
     pub fn transfer(&mut self, now: Ns, op: MemOp, bytes: u64) -> Reservation {
-        let moved = self.config.sector_bytes(bytes);
-        let service = self.config.latency(op)
-            + Ns::from_secs_f64(moved as f64 / (self.config.bandwidth(op) * self.throttle));
+        let moved = bytes.div_ceil(SECTOR) * SECTOR;
+        let service =
+            self.latency(op) + Ns::from_secs_f64(moved as f64 / (bandwidth(op) * self.throttle));
         let slot = self
             .slots
             .iter()
@@ -209,8 +190,8 @@ impl SsdDevice {
         if len == 0 {
             return;
         }
-        let first = (offset / self.config.erase_block) as usize;
-        let last = ((offset + len - 1) / self.config.erase_block) as usize;
+        let first = (offset / ERASE_BLOCK) as usize;
+        let last = ((offset + len - 1) / ERASE_BLOCK) as usize;
         for b in first..=last.min(self.erase_wear.len().saturating_sub(1)) {
             self.erase_wear[b] = self.erase_wear[b].saturating_add(1);
             self.stats.erase_cycles += 1;
@@ -276,7 +257,7 @@ mod tests {
     #[test]
     fn erase_block_wear_counts_blocks() {
         let mut d = dev();
-        let eb = d.config().erase_block;
+        let eb = ERASE_BLOCK;
         d.note_block_write(0, 2 << 20);
         assert_eq!(d.erase_wear(0), 1);
         assert_eq!(d.erase_wear(1), 0);

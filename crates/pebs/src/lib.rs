@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use hemem_sim::{rate_budget, Ns};
 
 /// Which programmed event produced a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SampleType {
     /// `MEM_LOAD_RETIRED.LOCAL_PMM` — load served from NVM.
     NvmLoad,
@@ -59,7 +59,7 @@ pub struct SampleRecord {
 }
 
 /// PEBS configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PebsConfig {
     /// Events per sample (the paper's default is ~5,000). With
     /// [`PebsConfig::adaptive`] this is only the *starting* period; the
@@ -77,7 +77,6 @@ pub struct PebsConfig {
     /// drop fraction or the buffer backlog exceeds its bound, and decays
     /// by a quarter when both are comfortably below, holding profiling
     /// loss inside the configured envelope at any access rate.
-    #[serde(default)]
     pub adaptive: Option<AdaptiveConfig>,
 }
 
@@ -105,32 +104,30 @@ impl PebsConfig {
 
 /// Bounds for the self-tuning sample period. All integer: the control
 /// law must replay byte-identically from a seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Lowest period the controller may choose (highest sampling rate).
     pub min_period: u64,
     /// Highest period the controller may choose.
     pub max_period: u64,
-    /// Raise the period when the windowed drop fraction exceeds this
-    /// bound (per-mille: 100 = 10%).
-    pub target_drop_milli: u64,
-    /// Lower the period when the windowed drop fraction is under this
-    /// floor (per-mille) *and* the backlog is under half a drain budget.
-    pub relax_drop_milli: u64,
-    /// Minimum generated records in a window before a decision is made;
-    /// starved windows carry over so idle phases do not thrash the
-    /// period.
-    pub min_window_samples: u64,
 }
+
+/// The self-tuning controller raises the period when the windowed drop
+/// fraction exceeds this bound (per-mille: 100 = 10%).
+pub const TARGET_DROP_MILLI: u64 = 100;
+/// The controller lowers the period when the windowed drop fraction is
+/// under this floor (per-mille) *and* the backlog is under half a drain
+/// budget.
+const RELAX_DROP_MILLI: u64 = 20;
+/// Minimum generated records in a window before the controller decides;
+/// starved windows carry over so idle phases do not thrash the period.
+const MIN_WINDOW_SAMPLES: u64 = 64;
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             min_period: 500,
             max_period: 1_000_000,
-            target_drop_milli: 100,
-            relax_drop_milli: 20,
-            min_window_samples: 64,
         }
     }
 }
@@ -174,7 +171,7 @@ impl std::fmt::Display for PebsConfigError {
 impl std::error::Error for PebsConfigError {}
 
 /// Cumulative sampling counters.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PebsStats {
     /// Records the hardware generated.
     pub generated: u64,
@@ -198,7 +195,7 @@ impl PebsStats {
 /// Counters for the self-tuning controller, kept apart from
 /// [`PebsStats`] so the frozen stats layout (and every fingerprint
 /// embedding it) is untouched when adaptation is off.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptStats {
     /// Windows evaluated by the controller.
     pub decisions: u64,
@@ -282,10 +279,10 @@ impl Pebs {
 
     /// One feedback step, run by the drain loop after each pass. Looks at
     /// the window of records generated since the last decision: if the
-    /// windowed drop fraction exceeds `target_drop_milli` or the backlog
+    /// windowed drop fraction exceeds [`TARGET_DROP_MILLI`] or the backlog
     /// left after draining exceeds one drain budget, the period doubles
     /// (clamped to `max_period`); if the drop fraction is under
-    /// `relax_drop_milli` and the backlog under half a budget, the period
+    /// `RELAX_DROP_MILLI` and the backlog under half a budget, the period
     /// decays to 3/4 (clamped to `min_period`). Pure integer arithmetic —
     /// replays are byte-identical. Returns the new period when it
     /// changed. No-op (and `None`) when adaptation is off or the window
@@ -293,7 +290,7 @@ impl Pebs {
     pub fn adapt_after_drain(&mut self) -> Option<u64> {
         let a = self.config.adaptive?;
         let generated = self.stats.generated - self.window_base.generated;
-        if generated < a.min_window_samples {
+        if generated < MIN_WINDOW_SAMPLES {
             return None;
         }
         let dropped = self.stats.dropped - self.window_base.dropped;
@@ -304,9 +301,9 @@ impl Pebs {
         let period = self.config.sample_period;
         let backlog = self.pending();
         let budget = self.drain_budget().max(1);
-        let new = if drop_milli > a.target_drop_milli || backlog > budget {
+        let new = if drop_milli > TARGET_DROP_MILLI || backlog > budget {
             period.saturating_mul(2).min(a.max_period)
-        } else if drop_milli < a.relax_drop_milli && backlog * 2 < budget {
+        } else if drop_milli < RELAX_DROP_MILLI && backlog * 2 < budget {
             (period * 3 / 4).max(a.min_period)
         } else {
             period
@@ -573,7 +570,6 @@ mod tests {
             adaptive: Some(AdaptiveConfig {
                 min_period: 10,
                 max_period: 10_000,
-                ..AdaptiveConfig::default()
             }),
             ..PebsConfig::default()
         });
@@ -596,7 +592,6 @@ mod tests {
             adaptive: Some(AdaptiveConfig {
                 min_period: 100,
                 max_period: 10_000,
-                ..AdaptiveConfig::default()
             }),
             ..PebsConfig::default()
         });
@@ -620,7 +615,6 @@ mod tests {
             adaptive: Some(AdaptiveConfig {
                 min_period: 6_000,
                 max_period: 6_000,
-                ..AdaptiveConfig::default()
             }),
             ..PebsConfig::default()
         });

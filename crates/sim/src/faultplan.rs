@@ -16,9 +16,12 @@
 use crate::rng::Rng;
 use crate::time::Ns;
 
+/// How long a stalled fault handler is unavailable.
+const FAULT_THREAD_STALL_FOR: Ns = Ns::millis(1);
+
 /// Per-site fault rates. All rates are probabilities in `[0, 1]` drawn
 /// once per decision point; zero disables the site entirely.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPlanConfig {
     /// Seed of the plan's random streams (independent of the machine
     /// seed, so fault schedules can vary while the workload holds still).
@@ -35,60 +38,50 @@ pub struct FaultPlanConfig {
     pub nvm_media_wear_scale: f64,
     /// Base P(an SSD swap-device transfer hits a media error) at zero
     /// erase-block wear.
-    #[serde(default)]
     pub ssd_media_error: f64,
     /// Additional SSD media-error probability per program cycle of wear
     /// on the target erase block.
-    #[serde(default)]
     pub ssd_media_wear_scale: f64,
     /// P(one PEBS drain pass finds the buffer clobbered by an overflow
     /// storm and loses everything buffered).
     pub pebs_storm: f64,
-    /// P(one managed-region fault finds the handler thread stalled).
+    /// P(one managed-region fault finds the handler thread stalled for
+    /// `FAULT_THREAD_STALL_FOR`, 1 ms).
     pub fault_thread_stall: f64,
-    /// How long a stalled fault handler is unavailable.
-    pub fault_thread_stall_for: Ns,
     /// Explicit sim instants at which the memory manager is killed (each
     /// fires once; the application and its memory survive, see the
     /// runtime's recovery path).
-    #[serde(default)]
     pub manager_kill_at: Vec<Ns>,
     /// Number of additional seeded kill points, drawn uniformly over
     /// [`FaultPlanConfig::manager_kill_window`] from the plan's own
     /// stream.
-    #[serde(default)]
     pub manager_kills: u32,
     /// Window over which drawn kill points are spread.
-    #[serde(default)]
     pub manager_kill_window: Ns,
     /// Explicit sim instants at which individual *tenants* are killed
     /// (each fires once). Unlike a manager kill, the machine survives:
     /// the victim tenant is quarantined, drained, and its resources
     /// reclaimed. An explicit schedule needs no random stream, so
     /// configuring tenant kills never perturbs any other site's draws.
-    #[serde(default)]
     pub tenant_kill_at: Vec<TenantKill>,
     /// Explicit sim instants at which a memory device *degrades*: its
     /// bandwidth throttles and accelerated wear retirement sheds a slice
     /// of its free capacity. Like the kill schedules this is purely
     /// explicit — no random stream is forked, so configuring tier faults
     /// never perturbs any other site's draws.
-    #[serde(default)]
     pub tier_degrade_at: Vec<TierFault>,
     /// Explicit sim instants at which a memory device drops *offline*:
     /// the tier is quarantined against new allocations and its resident
     /// pages are evacuated (or poisoned, when evacuation is disabled).
-    #[serde(default)]
     pub tier_fail_at: Vec<TierFault>,
     /// Explicit sim instants at which a degraded/offline device is
     /// *readmitted*: throttle lifted, shed capacity restored, the tier
     /// rejoins the placement cascade empty.
-    #[serde(default)]
     pub tier_readmit_at: Vec<TierFault>,
 }
 
 /// One scheduled tenant kill: which tenant dies, and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantKill {
     /// Tenant slot index to kill (the vmm `TenantId` payload).
     pub tenant: u32,
@@ -99,7 +92,7 @@ pub struct TenantKill {
 /// One scheduled tier-health transition: which device, and when. The
 /// tier is a rank into the machine's ordered tier vector (0 = DRAM,
 /// 1 = NVM, 2 = SSD) — this crate cannot name the vmm tier enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierFault {
     /// Tier rank the transition applies to.
     pub tier: u32,
@@ -120,7 +113,6 @@ impl FaultPlanConfig {
             ssd_media_wear_scale: 0.0,
             pebs_storm: 0.0,
             fault_thread_stall: 0.0,
-            fault_thread_stall_for: Ns::millis(1),
             manager_kill_at: Vec::new(),
             manager_kills: 0,
             manager_kill_window: Ns::ZERO,
@@ -164,7 +156,7 @@ impl Default for FaultPlanConfig {
 }
 
 /// Cumulative injected-fault counters, one per site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlanStats {
     /// DMA `ioctl` submissions failed.
     pub dma_submit_failures: u64,
@@ -349,7 +341,7 @@ impl FaultPlan {
     pub fn fault_thread_stall(&mut self) -> Option<Ns> {
         if self.fault.bernoulli(self.cfg.fault_thread_stall) {
             self.stats.fault_thread_stalls += 1;
-            Some(self.cfg.fault_thread_stall_for)
+            Some(FAULT_THREAD_STALL_FOR)
         } else {
             None
         }
@@ -710,12 +702,10 @@ mod tests {
     }
 
     #[test]
-    fn stall_site_returns_configured_duration() {
-        let mut p = plan(|c| {
-            c.fault_thread_stall = 1.0;
-            c.fault_thread_stall_for = Ns::micros(123);
-        });
-        assert_eq!(p.fault_thread_stall(), Some(Ns::micros(123)));
+    fn stall_site_returns_the_stall_duration() {
+        let mut p = plan(|c| c.fault_thread_stall = 1.0);
+        assert_eq!(p.fault_thread_stall(), Some(FAULT_THREAD_STALL_FOR));
+        assert_eq!(FAULT_THREAD_STALL_FOR, Ns::millis(1));
         assert_eq!(p.stats().fault_thread_stalls, 1);
     }
 }

@@ -8,19 +8,7 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
 /// A point in (or span of) virtual time, in nanoseconds.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ns(pub u64);
 
 impl Ns {

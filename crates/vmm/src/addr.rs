@@ -3,7 +3,7 @@
 use core::fmt;
 
 /// Memory tier a physical page lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Fast, small DRAM.
     Dram,
@@ -62,7 +62,7 @@ impl fmt::Display for Tier {
 }
 
 /// Hardware page sizes of x86-64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageSize {
     /// 4 KiB base pages.
     Base4K,
@@ -98,13 +98,11 @@ impl PageSize {
 }
 
 /// A virtual address (paper-style: within one process's address space).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(pub u64);
 
 /// A half-open virtual address range `[base, base + len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VirtRange {
     /// First address.
     pub base: VirtAddr,
@@ -152,19 +150,7 @@ impl VirtRange {
 /// Every [`crate::Region`] carries the tenant that mapped it; a
 /// single-process machine uses [`TenantId::SOLO`] everywhere, which is
 /// why the tenant dimension is invisible to single-tenant runs.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -179,15 +165,11 @@ impl fmt::Display for TenantId {
 }
 
 /// Identifier of a managed memory region (one `mmap`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(pub u32);
 
 /// A page within a region: `(region, index-within-region)`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId {
     /// Owning region.
     pub region: RegionId,

@@ -12,7 +12,7 @@ use hemem_sim::Ns;
 use crate::addr::PageId;
 
 /// Why a fault was raised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// First touch of an unmapped page.
     Missing,
@@ -31,45 +31,27 @@ pub struct Fault {
     pub is_write: bool,
 }
 
-/// Fault-path cost parameters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct FaultConfig {
-    /// Kernel fault entry + userfaultfd event delivery to the handler.
-    pub deliver: Ns,
-    /// Handler-side service (ioctl to map a zero page / adjust protection).
-    pub service: Ns,
-    /// Wakeup of the faulting thread.
-    pub wake: Ns,
-    /// Faults per second HeMem's single fault-handling thread sustains;
-    /// a fault storm queues behind it (§5: "userfaultfd can slow down
-    /// applications with frequent page faults").
-    pub thread_rate: f64,
-}
+// A userfaultfd round trip costs several microseconds; the paper notes
+// this is irrelevant at steady state because big-memory applications
+// fault only during warm-up (§5, "Overhead of userfaultfd").
+/// Kernel fault entry + userfaultfd event delivery to the handler.
+const DELIVER: Ns = Ns::micros(3);
+/// Handler-side service (ioctl to map a zero page / adjust protection).
+const SERVICE: Ns = Ns::micros(4);
+/// Wakeup of the faulting thread.
+const WAKE: Ns = Ns::micros(2);
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        // A userfaultfd round trip costs several microseconds; the paper
-        // notes this is irrelevant at steady state because big-memory
-        // applications fault only during warm-up (§5, "Overhead of
-        // userfaultfd").
-        FaultConfig {
-            deliver: Ns::micros(3),
-            service: Ns::micros(4),
-            wake: Ns::micros(2),
-            thread_rate: 250_000.0,
-        }
-    }
-}
+/// Total stall of a faulting thread, excluding any queueing at the
+/// handler and any wait for migration: delivery + service + wakeup.
+pub const ROUND_TRIP: Ns = Ns(DELIVER.as_nanos() + SERVICE.as_nanos() + WAKE.as_nanos());
 
-impl FaultConfig {
-    /// Total stall of a faulting thread, excluding any wait for migration.
-    pub fn round_trip(&self) -> Ns {
-        self.deliver + self.service + self.wake
-    }
-}
+/// Faults per second HeMem's single fault-handling thread sustains; a
+/// fault storm queues behind it (§5: "userfaultfd can slow down
+/// applications with frequent page faults").
+const THREAD_RATE: f64 = 250_000.0;
 
 /// The single fault-handling thread: a FIFO server with a fixed service
-/// rate. Faults arriving faster than [`FaultConfig::thread_rate`] queue,
+/// rate. Faults arriving faster than `THREAD_RATE` (250 k/s) queue,
 /// and every queued fault stalls its application thread for the backlog.
 #[derive(Debug, Clone, Default)]
 pub struct FaultThread {
@@ -84,8 +66,8 @@ impl FaultThread {
 
     /// Admits one fault at `now`; returns the extra stall beyond the base
     /// round trip (queueing behind earlier faults).
-    pub fn admit(&mut self, now: Ns, cfg: &FaultConfig) -> Ns {
-        let service = Ns::from_secs_f64(1.0 / cfg.thread_rate.max(1.0));
+    pub fn admit(&mut self, now: Ns) -> Ns {
+        let service = Ns::from_secs_f64(1.0 / THREAD_RATE);
         let start = now.max(self.free_at);
         self.free_at = start + service;
         start.saturating_sub(now)
@@ -106,7 +88,7 @@ impl FaultThread {
 }
 
 /// Cumulative fault counters.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultStats {
     /// Page-missing faults handled.
     pub missing: u64,
@@ -134,8 +116,7 @@ mod tests {
 
     #[test]
     fn round_trip_sums_components() {
-        let c = FaultConfig::default();
-        assert_eq!(c.round_trip(), Ns::micros(9));
+        assert_eq!(ROUND_TRIP, Ns::micros(9));
     }
 
     #[test]
@@ -151,40 +132,37 @@ mod tests {
 
     #[test]
     fn fault_thread_queues_storms() {
-        let cfg = FaultConfig::default();
         let mut t = FaultThread::new();
         // First fault: no queueing.
-        assert_eq!(t.admit(Ns::ZERO, &cfg), Ns::ZERO);
+        assert_eq!(t.admit(Ns::ZERO), Ns::ZERO);
         // A burst of 1000 faults at the same instant queues linearly.
         let mut last = Ns::ZERO;
         for _ in 0..1000 {
-            last = t.admit(Ns::ZERO, &cfg);
+            last = t.admit(Ns::ZERO);
         }
         assert!(last >= Ns::micros(4_000), "1000 faults at 250k/s: {last}");
         // After the backlog drains, admission is free again.
         let after = Ns(t.backlog(Ns::ZERO).as_nanos() + 1);
-        assert_eq!(t.admit(after, &cfg), Ns::ZERO);
+        assert_eq!(t.admit(after), Ns::ZERO);
     }
 
     #[test]
     fn fault_thread_keeps_up_with_slow_arrivals() {
-        let cfg = FaultConfig::default();
         let mut t = FaultThread::new();
         for i in 0..100u64 {
             // One fault per 100 us: far below 250 k/s.
-            let stall = t.admit(Ns::micros(100 * i), &cfg);
+            let stall = t.admit(Ns::micros(100 * i));
             assert_eq!(stall, Ns::ZERO, "fault {i} queued unexpectedly");
         }
     }
 
     #[test]
     fn stalled_thread_queues_arrivals_behind_the_stall() {
-        let cfg = FaultConfig::default();
         let mut t = FaultThread::new();
         t.stall(Ns::ZERO, Ns::millis(1));
         assert_eq!(t.backlog(Ns::ZERO), Ns::millis(1));
         // A fault during the stall waits out the remainder.
-        let stall = t.admit(Ns::micros(200), &cfg);
+        let stall = t.admit(Ns::micros(200));
         assert_eq!(stall, Ns::micros(800));
         // A stall never shortens an existing backlog.
         t.stall(Ns::ZERO, Ns::micros(1));

@@ -19,13 +19,13 @@ pub mod space;
 pub mod tlb;
 
 pub use addr::{PageId, PageSize, RegionId, TenantId, Tier, VirtAddr, VirtRange};
-pub use fault::{Fault, FaultConfig, FaultKind, FaultStats, FaultThread};
+pub use fault::{Fault, FaultKind, FaultStats, FaultThread};
 pub use fenwick::FlagTree;
 pub use ledger::{touched_probability, AccessLedger};
 pub use pool::{PhysPage, PhysPool};
-pub use ptscan::ScanConfig;
+pub use ptscan::scan_time;
 pub use space::{
     AddressSpace, PageClass, PageState, Region, RegionKind, RegionSnapshot, SpaceSnapshot,
     StateError, TenantFrames,
 };
-pub use tlb::{Tlb, TlbConfig, TlbStats};
+pub use tlb::{Tlb, TlbStats};

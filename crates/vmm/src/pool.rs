@@ -15,7 +15,7 @@
 use crate::addr::{PageSize, Tier};
 
 /// Index of a physical page within its tier's DAX file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysPage(pub u64);
 
 /// A fixed-capacity physical page allocator for one tier.
@@ -23,7 +23,7 @@ pub struct PhysPage(pub u64);
 /// The pool is plain durable data (no derived indices), so it is
 /// serializable as-is: [`PhysPool::snapshot`] captures a deep copy and
 /// [`PhysPool::restore`] adopts one, which is what crash recovery uses.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhysPool {
     tier: Tier,
     page_size: PageSize,
@@ -35,20 +35,17 @@ pub struct PhysPool {
     /// Optional wear ceiling: [`PhysPool::note_write`] reports when a
     /// page's cumulative wear reaches it so the caller can retire the
     /// page at the boundary. `None` disables the check.
-    #[serde(default)]
     retire_threshold: Option<u64>,
     /// Pages shed by a *device-health* retirement (a degraded device's
     /// accelerated wear retiring whole erase blocks), kept separate from
     /// the media-error `retired` list because these come back when the
     /// device is readmitted — media-poisoned pages never do.
-    #[serde(default)]
     health_retired: Vec<PhysPage>,
     /// Of the `allocated` pages, how many are held as clean shadows
     /// (non-exclusive tiering) rather than by live mappings or journal
     /// entries. Shadows are reclaimable on demand, so this count is
     /// effectively free capacity; it never changes the conservation
     /// identity `total = free + allocated + retired + health_retired`.
-    #[serde(default)]
     shadow_held: u64,
 }
 

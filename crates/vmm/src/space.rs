@@ -16,7 +16,7 @@ use crate::ledger::AccessLedger;
 use crate::pool::PhysPage;
 
 /// What kind of allocation created a region; drives placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionKind {
     /// Large, long-lived heap range (HeMem manages these).
     ManagedHeap,
@@ -66,7 +66,7 @@ impl std::fmt::Display for StateError {
 impl std::error::Error for StateError {}
 
 /// Per-page mapping state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
     /// Never touched; first access faults.
     Unmapped,
@@ -548,7 +548,7 @@ impl Region {
 }
 
 /// Serializable snapshot of one [`Region`].
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionSnapshot {
     /// Region identifier.
     pub id: RegionId,
@@ -561,17 +561,15 @@ pub struct RegionSnapshot {
     /// Tenant that mapped the region.
     pub tenant: TenantId,
     /// Slot generation of the owning tenant at mmap time.
-    #[serde(default)]
     pub generation: u32,
     /// Per-page mapping states.
     pub states: Vec<PageState>,
     /// Clean NVM shadow frames by page index (non-exclusive tiering).
-    #[serde(default)]
     pub shadows: BTreeMap<u64, PhysPage>,
 }
 
 /// Serializable snapshot of a whole [`AddressSpace`].
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceSnapshot {
     /// Region snapshots, positional (unmapped slots preserved so region
     /// ids stay stable across restore).
@@ -580,7 +578,6 @@ pub struct SpaceSnapshot {
     pub next_base: u64,
     /// Per-tenant slot generations (fleet machines only; empty
     /// otherwise so old snapshots keep deserializing).
-    #[serde(default)]
     pub tenant_generations: BTreeMap<TenantId, u32>,
 }
 

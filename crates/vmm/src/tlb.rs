@@ -10,32 +10,17 @@ use hemem_sim::Ns;
 
 use crate::addr::PageSize;
 
-/// TLB/walk cost parameters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct TlbConfig {
-    /// Cost of one page-table level reference during a walk.
-    pub walk_level_cost: Ns,
-    /// Fixed cost of initiating a shootdown (IPI send + local flush).
-    pub shootdown_base: Ns,
-    /// Additional cost per remote core interrupted.
-    pub shootdown_per_core: Ns,
-    /// TLB reach in entries; misses beyond this working set pay walks.
-    pub entries: u64,
-}
-
-impl Default for TlbConfig {
-    fn default() -> Self {
-        TlbConfig {
-            walk_level_cost: Ns::nanos(25),
-            shootdown_base: Ns::micros(4),
-            shootdown_per_core: Ns::micros(1),
-            entries: 1536,
-        }
-    }
-}
+/// Cost of one page-table level reference during a walk.
+const WALK_LEVEL_COST: Ns = Ns::nanos(25);
+/// Fixed cost of initiating a shootdown (IPI send + local flush).
+const SHOOTDOWN_BASE: Ns = Ns::micros(4);
+/// Additional shootdown cost per remote core interrupted.
+const SHOOTDOWN_PER_CORE: Ns = Ns::micros(1);
+/// TLB reach in entries; misses beyond this working set pay walks.
+const ENTRIES: u64 = 1536;
 
 /// Cumulative TLB event counters.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TlbStats {
     /// Shootdowns issued.
     pub shootdowns: u64,
@@ -46,24 +31,10 @@ pub struct TlbStats {
 /// The TLB model.
 #[derive(Debug, Clone, Default)]
 pub struct Tlb {
-    config: TlbConfig,
     stats: TlbStats,
 }
 
 impl Tlb {
-    /// Creates a TLB with the given parameters.
-    pub fn new(config: TlbConfig) -> Tlb {
-        Tlb {
-            config,
-            stats: TlbStats::default(),
-        }
-    }
-
-    /// Model parameters.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
-    }
-
     /// Counters.
     pub fn stats(&self) -> &TlbStats {
         &self.stats
@@ -71,7 +42,7 @@ impl Tlb {
 
     /// Cost of a full page-table walk for the given page size.
     pub fn walk_cost(&self, ps: PageSize) -> Ns {
-        self.config.walk_level_cost.scale(ps.walk_levels() as f64)
+        WALK_LEVEL_COST.scale(ps.walk_levels() as f64)
     }
 
     /// Fraction of accesses that miss the TLB when randomly touching
@@ -80,7 +51,7 @@ impl Tlb {
         if pages == 0 {
             return 0.0;
         }
-        let covered = (self.config.entries as f64 / pages as f64).min(1.0);
+        let covered = (ENTRIES as f64 / pages as f64).min(1.0);
         1.0 - covered
     }
 
@@ -93,11 +64,7 @@ impl Tlb {
     /// Charges one TLB shootdown covering `cores` cores; returns the stall
     /// each affected core experiences.
     pub fn shootdown(&mut self, cores: u32) -> Ns {
-        let stall = self.config.shootdown_base
-            + self
-                .config
-                .shootdown_per_core
-                .scale(cores.saturating_sub(1) as f64);
+        let stall = SHOOTDOWN_BASE + SHOOTDOWN_PER_CORE.scale(cores.saturating_sub(1) as f64);
         self.stats.shootdowns += 1;
         self.stats.shootdown_stall += stall;
         stall

@@ -37,26 +37,26 @@ const CHUNKS: u64 = 8;
 pub struct GraphConfig {
     /// log2 of the vertex count (paper: 28 and 29).
     pub scale: u32,
-    /// Average out-degree (paper: 16).
-    pub edge_factor: u64,
     /// Worker threads.
     pub threads: u32,
     /// BC iterations (paper: 15).
     pub iterations: u32,
-    /// RMAT per-bit probability of the "1" half (GAP params give ~0.24
-    /// per endpoint bit; 0.25 is the standard approximation).
-    pub rmat_p: f64,
 }
+
+/// Average out-degree (paper: 16).
+const EDGE_FACTOR: u64 = 16;
+
+/// RMAT per-bit probability of the "1" half (GAP params give ~0.24 per
+/// endpoint bit; 0.25 is the standard approximation).
+const RMAT_P: f64 = 0.25;
 
 impl GraphConfig {
     /// Paper configuration at a given scale.
     pub fn paper(scale: u32) -> GraphConfig {
         GraphConfig {
             scale,
-            edge_factor: 16,
             threads: 16,
             iterations: 15,
-            rmat_p: 0.25,
         }
     }
 
@@ -67,7 +67,7 @@ impl GraphConfig {
 
     /// Directed edge entries stored (both directions).
     pub fn edge_entries(&self) -> u64 {
-        2 * self.edge_factor * self.vertices()
+        2 * EDGE_FACTOR * self.vertices()
     }
 
     /// Bytes of the CSR structure (neighbour arrays + offsets + successor
@@ -75,7 +75,7 @@ impl GraphConfig {
     pub fn csr_bytes(&self) -> u64 {
         let neighbors = self.edge_entries() * 8;
         let offsets = 2 * (self.vertices() + 1) * 8;
-        let successors = self.edge_factor * self.vertices() * 8;
+        let successors = EDGE_FACTOR * self.vertices() * 8;
         neighbors + offsets + successors
     }
 
@@ -139,7 +139,7 @@ impl Bc {
         // we model by laying classes out hottest-first.
         let aux_pages = sim.m.space.region(aux).page_count();
         let n_bits = (aux_pages.max(2) as f64).log2().ceil() as u32;
-        let p = cfg.rmat_p;
+        let p = RMAT_P;
         let mut classes: Vec<(f64, f64)> = (0..=n_bits)
             .map(|k| {
                 let pages = binomial_coeff(n_bits, k);

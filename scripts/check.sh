@@ -26,6 +26,17 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
+# No serde: nothing serializes and no config is read from a file, so no
+# source file may derive or name serde. The stub crate and the manifest
+# lines stay only because simbench/Cargo.lock pins them.
+echo "== no-serde gate"
+bad=$(grep -rn --include='*.rs' serde crates src tests examples || true)
+if [ -n "$bad" ]; then
+  echo "serde named in a source file (nothing serializes):"
+  echo "$bad"
+  exit 1
+fi
+
 # --workspace everywhere: the root package is the only default member,
 # so bare cargo commands would skip the other crates.
 echo "== cargo build --release --workspace"
